@@ -21,7 +21,6 @@ from swarmwalk.harness import (
     ExperimentSpec,
     derive_seed,
     format_table,
-    load_sideload,
     load_spec,
     merge_stats,
     read_results,
@@ -98,7 +97,6 @@ __all__ = [
     "format_table",
     "gaussian_term",
     "init_positions",
-    "load_sideload",
     "load_spec",
     "make_objective",
     "mean_best_fitness",

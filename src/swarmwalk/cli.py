@@ -9,7 +9,6 @@ from swarmwalk.harness import (
     ALGORITHMS,
     ExperimentSpec,
     format_table,
-    load_sideload,
     load_spec,
     merge_stats,
     read_results,
@@ -109,7 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outcome = run_experiment(spec)
     aggregates = outcome.aggregates
     if args.sideload:
-        aggregates = merge_stats(aggregates, load_sideload(args.sideload))
+        aggregates = merge_stats(aggregates, read_results(args.sideload))
     text = write_results(aggregates, outcome.runs, args.out, args.format)
     if args.out is None:
         sys.stdout.write(text)
@@ -121,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     stats = read_results(args.results_path)
     if args.sideload:
-        stats = merge_stats(stats, load_sideload(args.sideload))
+        stats = merge_stats(stats, read_results(args.sideload))
     sys.stdout.write(format_table(stats))
     return 0
 

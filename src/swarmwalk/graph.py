@@ -45,7 +45,7 @@ def build_distance_matrix(positions) -> np.ndarray:
     return matrix
 
 
-def compute_ranks(fitnesses, sense: str = "minimize") -> np.ndarray:
+def compute_ranks(fitnesses) -> np.ndarray:
     """Integer ranks 1..N: the best particle gets N, the worst gets 1.
 
     Ties break by index: among equal fitnesses the lower index takes the
@@ -56,13 +56,7 @@ def compute_ranks(fitnesses, sense: str = "minimize") -> np.ndarray:
         raise ValueError("fitnesses must be a vector of length >= 2")
     if not np.all(np.isfinite(f)):
         raise ValueError("fitnesses must be finite")
-    if sense == "minimize":
-        key = f
-    elif sense == "maximize":
-        key = -f
-    else:
-        raise ValueError(f"unknown sense {sense!r}")
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(f, kind="stable")
     ranks = np.empty(f.shape[0], dtype=int)
     ranks[order] = np.arange(f.shape[0], 0, -1)
     return ranks
@@ -112,10 +106,10 @@ class SwarmGraph:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-def build_swarm_graph(positions, fitnesses, sense: str = "minimize") -> SwarmGraph:
+def build_swarm_graph(positions, fitnesses) -> SwarmGraph:
     """Assemble the distance matrix, ranks, and all hop distributions at once."""
     matrix = build_distance_matrix(positions)
-    alpha = compute_ranks(fitnesses, sense)
+    alpha = compute_ranks(fitnesses)
     weighted = alpha[:, None] * matrix  # entry (i, j): rank_i * distance_ij
     prob = weighted / weighted.sum(axis=0, keepdims=True)
     return SwarmGraph(

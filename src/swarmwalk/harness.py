@@ -22,7 +22,7 @@ import numpy as np
 
 from swarmwalk.objectives import FUNCTION_NAMES, make_objective
 from swarmwalk.pso import PsoConfig, pso_run
-from swarmwalk.results import AggregateStats, RunResult, mean_best_fitness
+from swarmwalk.results import AggregateStats, RunResult
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 
 __all__ = [
@@ -39,10 +39,8 @@ __all__ = [
     "run_experiment",
     "write_results",
     "read_results",
-    "load_sideload",
     "merge_stats",
     "format_table",
-    "mean_best_fitness",
 ]
 
 ALGORITHMS = ("rwpso", "pso")
@@ -91,7 +89,9 @@ class ExperimentSpec:
     seed, which the sweep owns).  `rwpso_presets` / `pso_presets` do the same
     per function and lose to the global options on conflicts.
     `objective_options` maps function name to make_objective keyword
-    overrides (domain bounds, weights, ...).
+    overrides (domain bounds, weights, ...).  Construction builds every
+    objective and optimizer config the sweep will use, so a bad key or value
+    fails here rather than in the middle of a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -148,10 +148,22 @@ class ExperimentSpec:
             raise ValueError("best_fraction must be in (0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if any(p < 2 for p in self.population_sizes):
-            raise ValueError("population sizes must be >= 2")
-        if any(d < 1 for d in self.dimensions):
-            raise ValueError("dimensions must be >= 1")
+        if not self.population_sizes or any(p < 2 for p in self.population_sizes):
+            raise ValueError("population sizes must be given and >= 2")
+        if not self.dimensions or any(d < 1 for d in self.dimensions):
+            raise ValueError("dimensions must be given and >= 1")
+        for function in self.functions:
+            options = self.objective_options.get(function, {})
+            try:
+                dims = [make_objective(function, d, **options).dim for d in self.dimensions]
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad objective for {function}: {exc}") from exc
+            for algorithm in self.algorithms:
+                try:
+                    _optimizer_config(self, algorithm, function,
+                                      self.population_sizes[0], dims[0], seed=0)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"bad {algorithm} options for {function}: {exc}") from exc
 
     def threshold_for(self, function: str) -> float | None:
         if function in self.fitness_thresholds:
@@ -207,6 +219,25 @@ def derive_seed(base_seed: int, algorithm: str, function: str,
     return int.from_bytes(digest[:8], "big")
 
 
+def _optimizer_config(spec: ExperimentSpec, algorithm: str, function: str,
+                      population: int, dim: int, seed: int) -> RwpsoConfig | PsoConfig:
+    """The config of one run: the sweep's fields plus presets, then options."""
+    if algorithm == "rwpso":
+        config_class, presets, options = RwpsoConfig, spec.rwpso_presets, spec.rwpso_options
+    elif algorithm == "pso":
+        config_class, presets, options = PsoConfig, spec.pso_presets, spec.pso_options
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return config_class(
+        swarm_size=population,
+        dim=dim,
+        max_iterations=spec.max_iterations,
+        seed=seed,
+        fitness_threshold=spec.threshold_for(function),
+        **{**presets.get(function, {}), **options},
+    )
+
+
 def run_single(spec: ExperimentSpec, algorithm: str, function: str,
                population: int, dimension: int, run_index: int) -> RunResult:
     """Execute one seeded run of one cell.
@@ -219,25 +250,9 @@ def run_single(spec: ExperimentSpec, algorithm: str, function: str,
                                **spec.objective_options.get(function, {}))
     seed = derive_seed(spec.base_seed, algorithm, function,
                        population, dimension, run_index)
-    threshold = spec.threshold_for(function)
-    common = dict(
-        swarm_size=population,
-        dim=objective.dim,
-        max_iterations=spec.max_iterations,
-        seed=seed,
-        fitness_threshold=threshold,
-    )
-    if algorithm == "rwpso":
-        options = {**spec.rwpso_presets.get(function, {}), **spec.rwpso_options}
-        result = rwpso_run(objective, RwpsoConfig(**common, **options),
-                           spec.best_fraction)
-    elif algorithm == "pso":
-        options = {**spec.pso_presets.get(function, {}), **spec.pso_options}
-        result = pso_run(objective, PsoConfig(**common, **options),
-                         spec.best_fraction)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return replace(result, dimension=dimension)
+    config = _optimizer_config(spec, algorithm, function, population, objective.dim, seed)
+    run = rwpso_run if algorithm == "rwpso" else pso_run
+    return replace(run(objective, config, spec.best_fraction), dimension=dimension)
 
 
 def _aggregate_cell(spec: ExperimentSpec, cell: Cell,
@@ -248,8 +263,8 @@ def _aggregate_cell(spec: ExperimentSpec, cell: Cell,
     if threshold is None:
         success_rate = 0.0
     else:
-        # All shipped benchmarks minimize; sideloaded rows aside, the
-        # threshold is a ceiling on the best-so-far fitness.
+        # Every objective minimizes: the threshold is a ceiling on the
+        # best-so-far fitness.
         success_rate = float(np.mean([r.best_fitness <= threshold for r in results]))
     return AggregateStats(
         algorithm=algorithm,
@@ -360,10 +375,6 @@ def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
     return text
 
 
-def _parse_stats_row(row: dict) -> AggregateStats:
-    return AggregateStats.from_dict(row)
-
-
 def read_results(path) -> list[AggregateStats]:
     """Load aggregate rows back from a CSV or JSON results file."""
     path = Path(path)
@@ -372,17 +383,12 @@ def read_results(path) -> list[AggregateStats]:
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        return [_parse_stats_row(row) for row in json.loads(text)["aggregates"]]
+        return [AggregateStats.from_dict(row) for row in json.loads(text)["aggregates"]]
     reader = csv.DictReader(io.StringIO(text))
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"results file {path} lacks columns: {sorted(missing)}")
-    return [_parse_stats_row(row) for row in reader]
-
-
-def load_sideload(path) -> list[AggregateStats]:
-    """Externally supplied baseline rows (same columns as our CSV output)."""
-    return read_results(path)
+    return [AggregateStats.from_dict(row) for row in reader]
 
 
 def merge_stats(*groups) -> list[AggregateStats]:

@@ -158,7 +158,7 @@ def init_positions(domain: SearchDomain, n_particles: int, rng: np.random.Genera
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A benchmark problem: component evaluator plus protocol metadata.
+    """A benchmark problem to minimize: component evaluator plus protocol metadata.
 
     `components` maps a position to the tuple of raw objective values
     (length 1 for single-objective functions); `evaluate` scalarizes them
@@ -168,13 +168,10 @@ class ObjectiveSpec:
     name: str
     domain: SearchDomain
     components: Callable[[np.ndarray], tuple[float, ...]]
-    sense: str = "minimize"
     known_optimum_value: float | None = None
     scalarization_weights: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        if self.sense not in ("minimize", "maximize"):
-            raise ValueError(f"unknown sense {self.sense!r}")
         w = np.asarray(self.scalarization_weights, dtype=float)
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("scalarization weights must be >= 0 and sum to 1")
@@ -186,17 +183,6 @@ class ObjectiveSpec:
     def evaluate(self, x) -> float:
         return scalarize(self.components(np.asarray(x, dtype=float)),
                          self.scalarization_weights)
-
-    def is_better(self, a: float, b: float) -> bool:
-        """True when fitness a beats fitness b under this objective's sense."""
-        return a < b if self.sense == "minimize" else a > b
-
-    def meets_threshold(self, value: float, threshold: float | None) -> bool:
-        if threshold is None:
-            return False
-        if self.sense == "minimize":
-            return value <= threshold
-        return value >= threshold
 
 
 # (lower, upper, init_lower, init_upper) per coordinate for the box domains.
@@ -211,6 +197,8 @@ FUNCTION_NAMES = ("sphere", "rosenbrock", "rastrigin", "binh4", "schaffer_n1")
 
 # binh4 is intrinsically 2-D and schaffer_n1 1-D; the benchmark protocol may
 # still sweep a nominal dimension over them, which these functions ignore.
+# Their evaluators also check a fixed box, their default domain, so a domain
+# override must stay inside it.
 _FIXED_DIMS = {"binh4": 2, "schaffer_n1": 1}
 
 EQUAL_WEIGHTS = (0.5, 0.5)
@@ -236,7 +224,8 @@ def make_objective(
     dim : search-space dimension; required for the three scalable functions,
         ignored by binh4 (always 2-D) and schaffer_n1 (always 1-D).
     lower, upper, init_lower, init_upper : optional per-coordinate overrides
-        for the domain; scalars broadcast across coordinates.
+        for the domain; scalars broadcast across coordinates.  binh4 and
+        schaffer_n1 reject bounds outside their default box.
     weights : scalarization weights for the two-objective functions
         (default equal weights).
     bound : half-width of the schaffer_n1 domain (its init range is the
@@ -266,6 +255,9 @@ def make_objective(
     ]
     bounds = [np.broadcast_to(np.asarray(b, dtype=float), (dim,)).copy() for b in chosen]
     domain = SearchDomain(*bounds)
+    if name in _FIXED_DIMS and (np.any(domain.lower < defaults[0])
+                                or np.any(domain.upper > defaults[1])):
+        raise ValueError(f"{name} domain must lie inside [{defaults[0]}, {defaults[1]}]")
 
     if name == "sphere":
         components = lambda x: (eval_sphere(x),)
@@ -290,7 +282,6 @@ def make_objective(
         name=name,
         domain=domain,
         components=components,
-        sense="minimize",
         known_optimum_value=known,
         scalarization_weights=weights,
     )

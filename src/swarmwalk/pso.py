@@ -12,12 +12,12 @@ with every attraction term zeroed out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
-from swarmwalk.results import RunResult, mean_best_fitness
+from swarmwalk.results import RunResult, run_loop
 
 __all__ = [
     "PsoConfig",
@@ -79,45 +79,42 @@ def inertia_weight(config: PsoConfig, iteration: int) -> float:
     return config.w_start + (config.w_end - config.w_start) * fraction
 
 
-def _velocity_limit(config: PsoConfig, domain: SearchDomain) -> np.ndarray | None:
-    if config.v_max is None:
-        return None
-    return config.v_max * domain.width
-
-
 def pso_update_velocity(
-    velocity,
-    position,
-    personal_best,
+    velocities,
+    positions,
+    personal_bests,
     global_best,
     w: float,
     config: PsoConfig,
     rng: np.random.Generator,
-    domain: SearchDomain | None = None,
+    domain: SearchDomain,
 ) -> np.ndarray:
-    """One particle's new velocity: w*v + c1*R1*(pbest - x) + c2*R2*(gbest - x)."""
-    v = np.asarray(velocity, dtype=float)
-    x = np.asarray(position, dtype=float)
-    if config.r_per_dimension:
-        r1, r2 = rng.random((2, x.shape[0]))
-    else:
-        r1, r2 = rng.random(2)
+    """New (N, D) velocities w*v + c1*R1*(pbest - x) + c2*R2*(gbest - x), v_max-clipped.
+
+    Draws all R1 of the swarm, then all R2.
+    """
+    x = np.asarray(positions, dtype=float)
+    shape = x.shape if config.r_per_dimension else x.shape[:-1] + (1,)
+    r1 = rng.random(shape)
+    r2 = rng.random(shape)
     new_v = (
-        w * v
-        + config.c1 * r1 * (np.asarray(personal_best, dtype=float) - x)
-        + config.c2 * r2 * (np.asarray(global_best, dtype=float) - x)
+        w * np.asarray(velocities, dtype=float)
+        + config.c1 * r1 * (personal_bests - x)
+        + config.c2 * r2 * (global_best - x)
     )
     if config.v_max is not None:
-        if domain is None:
-            raise ValueError("v_max clamping needs the search domain")
-        limit = _velocity_limit(config, domain)
+        limit = config.v_max * domain.width
         new_v = np.clip(new_v, -limit, limit)
     return new_v
 
 
-def pso_update_position(position, velocity, domain: SearchDomain) -> np.ndarray:
-    """New position = x + v, clamped to the box."""
-    return domain.clamp(np.asarray(position, dtype=float) + velocity)
+def pso_update_position(positions, velocities, domain: SearchDomain,
+                        bounce_damping: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped positions x + v, and velocities reflected and damped where x + v left the box."""
+    v = np.asarray(velocities, dtype=float)
+    raw = np.asarray(positions, dtype=float) + v
+    hit = (raw < domain.lower) | (raw > domain.upper)
+    return domain.clamp(raw), np.where(hit, -bounce_damping * v, v)
 
 
 @dataclass
@@ -127,10 +124,9 @@ class PsoState:
     fitnesses: np.ndarray
     personal_best_positions: np.ndarray
     personal_best_fitnesses: np.ndarray
-    global_best_position: np.ndarray
-    global_best_fitness: float
+    best_position: np.ndarray
+    best_fitness: float
     iteration: int
-    best_fitness_trace: list[float] = field(default_factory=list)
 
 
 def init_state(objective: ObjectiveSpec, config: PsoConfig,
@@ -138,16 +134,15 @@ def init_state(objective: ObjectiveSpec, config: PsoConfig,
     """Asymmetric-init positions, zero velocities, bests seeded from the start."""
     positions = init_positions(objective.domain, config.swarm_size, rng)
     fitnesses = np.array([objective.evaluate(p) for p in positions])
-    best = int(np.argmin(fitnesses) if objective.sense == "minimize"
-               else np.argmax(fitnesses))
+    best = int(np.argmin(fitnesses))
     return PsoState(
         positions=positions,
         velocities=np.zeros_like(positions),
         fitnesses=fitnesses,
         personal_best_positions=positions.copy(),
         personal_best_fitnesses=fitnesses.copy(),
-        global_best_position=positions[best].copy(),
-        global_best_fitness=float(fitnesses[best]),
+        best_position=positions[best].copy(),
+        best_fitness=float(fitnesses[best]),
         iteration=0,
     )
 
@@ -155,45 +150,27 @@ def init_state(objective: ObjectiveSpec, config: PsoConfig,
 def pso_step(state: PsoState, objective: ObjectiveSpec, config: PsoConfig,
              rng: np.random.Generator) -> PsoState:
     """Advance the swarm one iteration (batched R1 draws, then batched R2)."""
-    n = config.swarm_size
-    w = inertia_weight(config, state.iteration)
-    if config.r_per_dimension:
-        r1 = rng.random((n, config.dim))
-        r2 = rng.random((n, config.dim))
-    else:
-        r1 = rng.random((n, 1))
-        r2 = rng.random((n, 1))
-
-    velocities = (
-        w * state.velocities
-        + config.c1 * r1 * (state.personal_best_positions - state.positions)
-        + config.c2 * r2 * (state.global_best_position - state.positions)
+    velocities = pso_update_velocity(
+        state.velocities, state.positions, state.personal_best_positions,
+        state.best_position, inertia_weight(config, state.iteration),
+        config, rng, objective.domain,
     )
-    limit = _velocity_limit(config, objective.domain)
-    if limit is not None:
-        velocities = np.clip(velocities, -limit, limit)
-    raw = state.positions + velocities
-    positions = objective.domain.clamp(raw)
-    hit = (raw < objective.domain.lower) | (raw > objective.domain.upper)
-    velocities = np.where(hit, -config.bounce_damping * velocities, velocities)
+    positions, velocities = pso_update_position(
+        state.positions, velocities, objective.domain, config.bounce_damping)
     fitnesses = np.array([objective.evaluate(p) for p in positions])
 
-    if objective.sense == "minimize":
-        improved = fitnesses < state.personal_best_fitnesses
-    else:
-        improved = fitnesses > state.personal_best_fitnesses
+    improved = fitnesses < state.personal_best_fitnesses
     personal_best_positions = np.where(improved[:, None], positions,
                                        state.personal_best_positions)
     personal_best_fitnesses = np.where(improved, fitnesses,
                                        state.personal_best_fitnesses)
 
-    best = int(np.argmin(personal_best_fitnesses) if objective.sense == "minimize"
-               else np.argmax(personal_best_fitnesses))
-    global_best_fitness = state.global_best_fitness
-    global_best_position = state.global_best_position
-    if objective.is_better(float(personal_best_fitnesses[best]), global_best_fitness):
-        global_best_fitness = float(personal_best_fitnesses[best])
-        global_best_position = personal_best_positions[best].copy()
+    best = int(np.argmin(personal_best_fitnesses))
+    best_fitness = state.best_fitness
+    best_position = state.best_position
+    if personal_best_fitnesses[best] < best_fitness:
+        best_fitness = float(personal_best_fitnesses[best])
+        best_position = personal_best_positions[best].copy()
 
     return PsoState(
         positions=positions,
@@ -201,37 +178,13 @@ def pso_step(state: PsoState, objective: ObjectiveSpec, config: PsoConfig,
         fitnesses=fitnesses,
         personal_best_positions=personal_best_positions,
         personal_best_fitnesses=personal_best_fitnesses,
-        global_best_position=global_best_position,
-        global_best_fitness=global_best_fitness,
+        best_position=best_position,
+        best_fitness=best_fitness,
         iteration=state.iteration + 1,
-        best_fitness_trace=state.best_fitness_trace + [global_best_fitness],
     )
 
 
 def pso_run(objective: ObjectiveSpec, config: PsoConfig,
             best_fraction: float = 0.8) -> RunResult:
     """Full seeded baseline run with the same result contract as rwpso_run."""
-    if config.dim != objective.domain.dim:
-        raise ValueError(
-            f"config dim {config.dim} does not match objective dim {objective.domain.dim}"
-        )
-    rng = np.random.default_rng(config.seed)
-    state = init_state(objective, config, rng)
-    while (
-        state.iteration < config.max_iterations
-        and not objective.meets_threshold(state.global_best_fitness,
-                                          config.fitness_threshold)
-    ):
-        state = pso_step(state, objective, config, rng)
-    return RunResult(
-        algorithm="pso",
-        function=objective.name,
-        population=config.swarm_size,
-        dimension=config.dim,
-        seed=config.seed,
-        iterations_used=state.iteration,
-        best_fitness=state.global_best_fitness,
-        best_position=state.global_best_position,
-        trace=np.asarray(state.best_fitness_trace),
-        mean_best_80=mean_best_fitness(state.fitnesses, best_fraction, objective.sense),
-    )
+    return run_loop("pso", objective, config, best_fraction, init_state, pso_step)

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RunResult", "AggregateStats", "mean_best_fitness"]
+__all__ = ["RunResult", "AggregateStats", "mean_best_fitness", "run_loop"]
 
 
-def mean_best_fitness(fitnesses, fraction: float = 0.8, sense: str = "minimize") -> float:
+def mean_best_fitness(fitnesses, fraction: float = 0.8) -> float:
     """Average of the best ceil(fraction * N) fitness values.
 
     This is the per-run swarm statistic reported by the benchmark tables:
@@ -21,13 +21,8 @@ def mean_best_fitness(fitnesses, fraction: float = 0.8, sense: str = "minimize")
         raise ValueError("fitnesses must be a non-empty vector")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if sense not in ("minimize", "maximize"):
-        raise ValueError(f"unknown sense {sense!r}")
     count = math.ceil(fraction * f.size)
-    ordered = np.sort(f)
-    if sense == "maximize":
-        ordered = ordered[::-1]
-    return float(ordered[:count].mean())
+    return float(np.sort(f)[:count].mean())
 
 
 @dataclass(frozen=True)
@@ -35,7 +30,7 @@ class RunResult:
     """One seeded optimizer run.
 
     `trace` holds the best-so-far fitness after each completed iteration, so
-    its length equals `iterations_used` and it is monotone for minimization.
+    its length equals `iterations_used` and it never increases.
     `mean_best_80` is the mean fitness of the best fraction of the *final*
     swarm (fraction 0.8 by default, hence the name).
     """
@@ -64,6 +59,41 @@ class RunResult:
             "trace": np.asarray(self.trace, dtype=float).tolist(),
             "mean_best_80": self.mean_best_80,
         }
+
+
+def run_loop(algorithm: str, objective, config, best_fraction: float,
+             init_state, step) -> RunResult:
+    """One seeded run of either optimizer: `init_state`, then `step` until the
+    iteration budget or the fitness threshold is met.
+
+    States carry `positions`, `fitnesses`, `iteration`, `best_fitness` and
+    `best_position`.
+    """
+    if config.dim != objective.domain.dim:
+        raise ValueError(
+            f"config dim {config.dim} does not match objective dim {objective.domain.dim}"
+        )
+    rng = np.random.default_rng(config.seed)
+    state = init_state(objective, config, rng)
+    threshold = config.fitness_threshold
+    trace = []
+    while state.iteration < config.max_iterations and (
+        threshold is None or state.best_fitness > threshold
+    ):
+        state = step(state, objective, config, rng)
+        trace.append(state.best_fitness)
+    return RunResult(
+        algorithm=algorithm,
+        function=objective.name,
+        population=config.swarm_size,
+        dimension=config.dim,
+        seed=config.seed,
+        iterations_used=state.iteration,
+        best_fitness=state.best_fitness,
+        best_position=state.best_position,
+        trace=np.asarray(trace),
+        mean_best_80=mean_best_fitness(state.fitnesses, best_fraction),
+    )
 
 
 @dataclass(frozen=True)

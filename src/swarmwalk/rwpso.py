@@ -12,16 +12,15 @@ best memory are kept; the best-so-far trace is recorded for reporting only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from swarmwalk.graph import build_swarm_graph
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
-from swarmwalk.results import RunResult, mean_best_fitness
+from swarmwalk.results import RunResult, run_loop
 
 __all__ = [
-    "DISPLACEMENT_MODES",
     "SIGMA_MODES",
     "RwpsoConfig",
     "RwpsoState",
@@ -35,12 +34,6 @@ __all__ = [
     "rwpso_step",
     "rwpso_run",
 ]
-
-# step_split adds the walk's negative-step probability itself to the
-# position (the split formula taken literally); toward_target adds the
-# walk's expected per-step drift, which actually points at the target.
-# toward_target is the default.
-DISPLACEMENT_MODES = ("toward_target", "step_split")
 
 # fixed: sigma is an absolute scale shared by every coordinate.
 # range_scaled: sigma scales the domain width per coordinate.
@@ -68,12 +61,10 @@ class RwpsoConfig:
     max_iterations: int
     seed: int = 0
     walk_horizon: int = 2
-    displacement_mode: str = "toward_target"
     gaussian_mu: float = 0.0
     gaussian_sigma_mode: str = "displacement_scaled"
     gaussian_sigma: float = 0.7
     fitness_threshold: float | None = None
-    boundary_policy: str = "clamp"
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -84,28 +75,25 @@ class RwpsoConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.walk_horizon < 1:
             raise ValueError("walk_horizon must be >= 1")
-        if self.displacement_mode not in DISPLACEMENT_MODES:
-            raise ValueError(f"unknown displacement_mode {self.displacement_mode!r}")
         if self.gaussian_sigma_mode not in SIGMA_MODES:
             raise ValueError(f"unknown gaussian_sigma_mode {self.gaussian_sigma_mode!r}")
         if self.gaussian_sigma <= 0.0:
             raise ValueError("gaussian_sigma must be > 0")
-        if self.boundary_policy != "clamp":
-            raise ValueError("only the clamp boundary policy is supported")
 
 
-def select_target(prob_row, r: float) -> int:
-    """Pick a target index from one hop distribution and one uniform draw.
+def select_target(prob_rows, r) -> np.ndarray:
+    """One target per source j from hop distribution prob_rows[j] and draw r[j].
 
-    Returns the argmin index when r falls below the row minimum, otherwise
-    the argmax index; ties resolve to the lowest index.
+    The argmin when r[j] falls below the row minimum, otherwise the argmax;
+    ties resolve to the lowest index.
     """
-    row = np.asarray(prob_row, dtype=float)
-    if row.ndim != 1 or row.size == 0:
-        raise ValueError("probability row must be a non-empty vector")
-    if r < row.min():
-        return int(np.argmin(row))
-    return int(np.argmax(row))
+    rows = np.asarray(prob_rows, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError("probability rows must be a non-empty (N, M) array")
+    if r.shape != rows.shape[:1]:
+        raise ValueError("need one uniform draw per probability row")
+    return np.where(r < rows.min(axis=1), rows.argmin(axis=1), rows.argmax(axis=1))
 
 
 def compute_delta(displacement: float, walk_horizon: int) -> float:
@@ -120,16 +108,13 @@ def compute_delta(displacement: float, walk_horizon: int) -> float:
     return (1.0 - displacement / walk_horizon) / 2.0
 
 
-def displacement_vector(position, target, config: RwpsoConfig) -> np.ndarray:
-    """Per-dimension movement term K toward (or derived from) the target."""
-    p = np.asarray(position, dtype=float)
-    t = np.asarray(target, dtype=float)
+def displacement_vector(positions, targets, config: RwpsoConfig) -> np.ndarray:
+    """Movement term K, the walk's per-step drift: (targets - positions) / walk_horizon."""
+    p = np.asarray(positions, dtype=float)
+    t = np.asarray(targets, dtype=float)
     if p.shape != t.shape:
-        raise ValueError("position and target must share one dimension")
-    gap = t - p
-    if config.displacement_mode == "toward_target":
-        return gap / config.walk_horizon
-    return (1.0 - gap / config.walk_horizon) / 2.0
+        raise ValueError("positions and targets must share one shape")
+    return (t - p) / config.walk_horizon
 
 
 def resolve_sigma(config: RwpsoConfig, domain: SearchDomain, displacement=None) -> np.ndarray:
@@ -137,7 +122,7 @@ def resolve_sigma(config: RwpsoConfig, domain: SearchDomain, displacement=None) 
 
     `displacement` (target minus position) is required in displacement_scaled
     mode and ignored otherwise; that mode uses one isotropic scale per
-    particle, factor * mean(|displacement|) over the coordinates.
+    particle (row), factor * mean(|displacement|) over the coordinates.
     """
     if config.gaussian_sigma_mode == "fixed":
         return np.full(config.dim, config.gaussian_sigma)
@@ -151,15 +136,15 @@ def resolve_sigma(config: RwpsoConfig, domain: SearchDomain, displacement=None) 
 
 
 def gaussian_term(config: RwpsoConfig, domain: SearchDomain,
-                  rng: np.random.Generator, displacement=None) -> np.ndarray:
-    """One Gaussian perturbation vector, independent per dimension."""
+                  rng: np.random.Generator, displacement) -> np.ndarray:
+    """One draw of Gaussian perturbations shaped like `displacement` (targets - positions)."""
     sigma = resolve_sigma(config, domain, displacement)
-    return rng.normal(config.gaussian_mu, sigma)
+    return rng.normal(config.gaussian_mu, sigma, size=np.shape(displacement))
 
 
-def update_position(position, k, g, domain: SearchDomain) -> np.ndarray:
-    """New position = old + movement term + Gaussian term, clamped to the box."""
-    return domain.clamp(np.asarray(position, dtype=float) + k + g)
+def update_position(positions, k, g, domain: SearchDomain) -> np.ndarray:
+    """New positions = old + movement term + Gaussian term, clamped to the box."""
+    return domain.clamp(np.asarray(positions, dtype=float) + k + g)
 
 
 @dataclass
@@ -171,18 +156,13 @@ class RwpsoState:
     iteration: int
     best_fitness: float
     best_position: np.ndarray
-    best_fitness_trace: list[float] = field(default_factory=list)
-
-
-def _best_index(fitnesses: np.ndarray, sense: str) -> int:
-    return int(np.argmin(fitnesses) if sense == "minimize" else np.argmax(fitnesses))
 
 
 def init_state(objective: ObjectiveSpec, config: RwpsoConfig,
                rng: np.random.Generator) -> RwpsoState:
     positions = init_positions(objective.domain, config.swarm_size, rng)
     fitnesses = np.array([objective.evaluate(p) for p in positions])
-    best = _best_index(fitnesses, objective.sense)
+    best = int(np.argmin(fitnesses))
     return RwpsoState(
         positions=positions,
         fitnesses=fitnesses,
@@ -200,64 +180,31 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     normals for the perturbation; the batch draw order (all uniforms, then
     the normal matrix) is part of the seeded-determinism contract.
     """
-    graph = build_swarm_graph(state.positions, state.fitnesses, objective.sense)
-    rows = graph.prob_rows
+    graph = build_swarm_graph(state.positions, state.fitnesses)
     r = rng.random(config.swarm_size)
-    targets = np.where(r < rows.min(axis=1),
-                       np.argmin(rows, axis=1), np.argmax(rows, axis=1))
+    targets = state.positions[select_target(graph.prob_rows, r)]
+    k = displacement_vector(state.positions, targets, config)
+    g = gaussian_term(config, objective.domain, rng, targets - state.positions)
+    positions = update_position(state.positions, k, g, objective.domain)
+    fitnesses = np.array([objective.evaluate(p) for p in positions])
 
-    gap = state.positions[targets] - state.positions
-    if config.displacement_mode == "toward_target":
-        k = gap / config.walk_horizon
-    else:
-        k = (1.0 - gap / config.walk_horizon) / 2.0
-
-    sigma = resolve_sigma(config, objective.domain, gap)
-    g = rng.normal(config.gaussian_mu, sigma, size=gap.shape)
-
-    new_positions = objective.domain.clamp(state.positions + k + g)
-    new_fitnesses = np.array([objective.evaluate(p) for p in new_positions])
-
-    best = _best_index(new_fitnesses, objective.sense)
+    best = int(np.argmin(fitnesses))
     best_fitness = state.best_fitness
     best_position = state.best_position
-    if objective.is_better(float(new_fitnesses[best]), best_fitness):
-        best_fitness = float(new_fitnesses[best])
-        best_position = new_positions[best].copy()
+    if fitnesses[best] < best_fitness:
+        best_fitness = float(fitnesses[best])
+        best_position = positions[best].copy()
 
     return RwpsoState(
-        positions=new_positions,
-        fitnesses=new_fitnesses,
+        positions=positions,
+        fitnesses=fitnesses,
         iteration=state.iteration + 1,
         best_fitness=best_fitness,
         best_position=best_position,
-        best_fitness_trace=state.best_fitness_trace + [best_fitness],
     )
 
 
 def rwpso_run(objective: ObjectiveSpec, config: RwpsoConfig,
               best_fraction: float = 0.8) -> RunResult:
     """Full seeded run: initialize, iterate until the budget or threshold."""
-    if config.dim != objective.domain.dim:
-        raise ValueError(
-            f"config dim {config.dim} does not match objective dim {objective.domain.dim}"
-        )
-    rng = np.random.default_rng(config.seed)
-    state = init_state(objective, config, rng)
-    while (
-        state.iteration < config.max_iterations
-        and not objective.meets_threshold(state.best_fitness, config.fitness_threshold)
-    ):
-        state = rwpso_step(state, objective, config, rng)
-    return RunResult(
-        algorithm="rwpso",
-        function=objective.name,
-        population=config.swarm_size,
-        dimension=config.dim,
-        seed=config.seed,
-        iterations_used=state.iteration,
-        best_fitness=state.best_fitness,
-        best_position=state.best_position,
-        trace=np.asarray(state.best_fitness_trace),
-        mean_best_80=mean_best_fitness(state.fitnesses, best_fraction, objective.sense),
-    )
+    return run_loop("rwpso", objective, config, best_fraction, init_state, rwpso_step)

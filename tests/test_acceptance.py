@@ -38,7 +38,7 @@ def test_criterion_1_five_particle_graph_oracle():
         [-2.0, 4.0], [5.0, 5.0], [8.0, -1.0], [4.0, -6.0], [-4.0, -3.0],
     ])
     fitnesses = np.linalg.norm(positions, axis=1)  # distance to the origin
-    graph = build_swarm_graph(positions, fitnesses, "minimize")
+    graph = build_swarm_graph(positions, fitnesses)
 
     ranks = [int(r) for r in graph.alpha]
     ranks_ok = ranks == [5, 3, 1, 2, 4]
@@ -64,7 +64,7 @@ def test_criterion_2_row_stochasticity_and_rank_permutations():
         dim = int(rng.integers(1, 31))
         positions = rng.uniform(-100.0, 100.0, size=(n, dim))
         fitnesses = rng.normal(size=n)
-        graph = build_swarm_graph(positions, fitnesses, "minimize")
+        graph = build_swarm_graph(positions, fitnesses)
         worst_gap = max(worst_gap, float(np.abs(graph.prob_rows.sum(axis=1) - 1.0).max()))
         if sorted(graph.alpha) != list(range(1, n + 1)):
             _report("criterion 2 (row stochasticity)", False,
@@ -126,19 +126,18 @@ def test_criterion_4_step_split_identities():
 
 def test_criterion_5_drift_telescoping():
     n = 25
-    start = np.array([-40.0, 12.5, 7.0])
-    target = np.array([18.0, -3.25, 0.0])
+    start = np.array([[-40.0, 12.5, 7.0]])
+    target = np.array([[18.0, -3.25, 0.0]])
     domain = SearchDomain.uniform(3, -1000.0, 1000.0, -1.0, 1.0)
     cfg = RwpsoConfig(
         swarm_size=2, dim=3, max_iterations=n, walk_horizon=n,
-        displacement_mode="toward_target",
         gaussian_sigma_mode="fixed", gaussian_sigma=1e-12,
     )
     rng = np.random.default_rng(5)
     drift = displacement_vector(start, target, cfg)
     position = start
     for _ in range(n):
-        position = update_position(position, drift, gaussian_term(cfg, domain, rng), domain)
+        position = update_position(position, drift, gaussian_term(cfg, domain, rng, drift), domain)
     gap = float(np.abs(position - target).max())
     _report(
         "criterion 5 (drift telescoping)",

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from swarmwalk import cli
 from swarmwalk.cli import cli_main
 
 TINY_CONFIG = {
@@ -86,6 +87,14 @@ class TestRunCommand:
 
     def test_missing_config_file_fails(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "rwpso_options": {"walk_horizn": 3}}),
+                          encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 1
+        assert "walk_horizn" in capsys.readouterr().err
 
 
 class TestTableCommand:

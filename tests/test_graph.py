@@ -28,7 +28,7 @@ ORIGIN_DISTANCES = np.linalg.norm(FIVE_POINTS, axis=1)
 class TestFivePointOracle:
     def test_ranks(self):
         np.testing.assert_array_equal(
-            compute_ranks(ORIGIN_DISTANCES, "minimize"), [5, 3, 1, 2, 4]
+            compute_ranks(ORIGIN_DISTANCES), [5, 3, 1, 2, 4]
         )
 
     def test_distances_from_first_particle(self):
@@ -44,11 +44,11 @@ class TestFivePointOracle:
 
     def test_denominator(self):
         a = build_distance_matrix(FIVE_POINTS)
-        alpha = compute_ranks(ORIGIN_DISTANCES, "minimize")
+        alpha = compute_ranks(ORIGIN_DISTANCES)
         assert float((alpha * a[:, 0]).sum()) == pytest.approx(89.83, abs=0.05)
 
     def test_probabilities_from_first_particle(self):
-        graph = build_swarm_graph(FIVE_POINTS, ORIGIN_DISTANCES, "minimize")
+        graph = build_swarm_graph(FIVE_POINTS, ORIGIN_DISTANCES)
         expected = (0.05, 0.23, 0.12, 0.25, 0.32)
         for got, want in zip(graph.prob_rows[0], expected):
             assert got == pytest.approx(want, abs=0.02)
@@ -83,24 +83,14 @@ class TestComputeRanks:
     def test_all_equal_breaks_ties_by_index(self):
         np.testing.assert_array_equal(compute_ranks(np.zeros(4)), [4, 3, 2, 1])
 
-    def test_maximize_flips_order(self):
-        np.testing.assert_array_equal(
-            compute_ranks([3.0, 1.0, 2.0], "maximize"), [3, 1, 2]
-        )
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             compute_ranks([1.0, np.nan])
 
-    def test_rejects_unknown_sense(self):
-        with pytest.raises(ValueError):
-            compute_ranks([1.0, 2.0], "sideways")
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50),
-           st.sampled_from(["minimize", "maximize"]))
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     @settings(max_examples=100, deadline=None)
-    def test_always_a_permutation(self, fits, sense):
-        ranks = compute_ranks(np.array(fits), sense)
+    def test_always_a_permutation(self, fits):
+        ranks = compute_ranks(np.array(fits))
         assert sorted(ranks) == list(range(1, len(fits) + 1))
 
 
@@ -142,7 +132,7 @@ class TestTransitionProbabilities:
 
 class TestSelfTerm:
     def test_best_particle_self_probability_formula(self):
-        graph = build_swarm_graph(FIVE_POINTS, ORIGIN_DISTANCES, "minimize")
+        graph = build_swarm_graph(FIVE_POINTS, ORIGIN_DISTANCES)
         j = int(np.argmax(graph.alpha))  # the rank-N particle
         denom = float((graph.alpha * graph.distances[:, j]).sum())
         assert graph.prob_rows[j, j] == pytest.approx(graph.size / denom, abs=1e-12)

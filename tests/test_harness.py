@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmwalk import harness
 from swarmwalk.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
     derive_seed,
-    load_sideload,
     load_spec,
     merge_stats,
     read_results,
@@ -42,9 +42,6 @@ class TestMeanBestFitness:
 
     def test_singleton(self):
         assert mean_best_fitness([7.5], 0.8) == 7.5
-
-    def test_maximize_takes_the_top(self):
-        assert mean_best_fitness([1.0, 2.0, 3.0, 4.0, 5.0], 0.4, "maximize") == 4.5
 
     def test_unsorted_input(self):
         assert mean_best_fitness([5.0, 1.0, 4.0, 2.0, 3.0], 0.8) == 2.5
@@ -117,6 +114,27 @@ class TestSpecValidation:
                               runs_per_cell=1, max_iterations=5)
         assert len(spec.cells()) == 4
 
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"rwpso_options": {"walk_horizn": 3}},
+                     "rwpso.*sphere.*walk_horizn", id="misspelled-key"),
+        pytest.param({"algorithms": ("pso",), "pso_options": {"vmax": 0.1}},
+                     "pso.*sphere.*vmax", id="misspelled-pso-key"),
+        pytest.param({"rwpso_options": {"displacement_mode": "toward_target"}},
+                     "rwpso.*displacement_mode", id="removed-key"),
+        pytest.param({"rwpso_options": {"walk_horizon": 0}},
+                     "rwpso.*sphere.*walk_horizon", id="bad-value"),
+        pytest.param({"functions": ("rastrigin",), "algorithms": ("pso",),
+                      "pso_presets": {"rastrigin": {"v_max": -1.0}}},
+                     "pso.*rastrigin.*v_max", id="bad-preset-value"),
+        pytest.param({"functions": ("rosenbrock",), "dimensions": (1,)},
+                     "rosenbrock", id="bad-dimension"),
+        pytest.param({"functions": ("binh4",), "objective_options": {"binh4": {"lower": -10.0}}},
+                     "binh4", id="bad-domain"),
+    ])
+    def test_bad_config_fails_at_load(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**{**TINY, **overrides})
+
     def test_cells_are_canonically_sorted(self):
         spec = ExperimentSpec(functions=("sphere", "rastrigin"),
                               algorithms=("rwpso", "pso"),
@@ -168,9 +186,12 @@ class TestRunCell:
         stats, _ = run_cell(spec, ("rwpso", "binh4", 6, 2))
         assert stats.success_rate == 0.0
 
-    def test_run_error_names_the_seed(self):
-        spec = ExperimentSpec(**{**TINY,
-                                 "rwpso_options": {"walk_horizon": 0}})
+    def test_run_error_names_the_seed(self, monkeypatch):
+        def broken_run(objective, config, best_fraction):
+            raise ValueError("objective input must be finite")
+
+        monkeypatch.setattr(harness, "rwpso_run", broken_run)
+        spec = ExperimentSpec(**TINY)
         with pytest.raises(RuntimeError, match="seed"):
             run_cell(spec, ("rwpso", "sphere", 6, 2))
 
@@ -204,11 +225,18 @@ class TestRunExperiment:
             {**spec.to_dict(), "workers": 2}))
         assert write_results(serial.aggregates) == write_results(parallel.aggregates)
 
-    def test_failed_cells_are_reported_and_others_still_run(self):
-        # rosenbrock rejects dimension 1, sphere accepts it
+    def test_failed_cells_are_reported_and_others_still_run(self, monkeypatch):
+        real_run = harness.rwpso_run
+
+        def run_failing_on_rosenbrock(objective, config, best_fraction):
+            if objective.name == "rosenbrock":
+                raise ValueError("objective input must be finite")
+            return real_run(objective, config, best_fraction)
+
+        monkeypatch.setattr(harness, "rwpso_run", run_failing_on_rosenbrock)
         spec = ExperimentSpec(functions=("sphere", "rosenbrock"),
                               algorithms=("rwpso",),
-                              population_sizes=(4,), dimensions=(1,),
+                              population_sizes=(4,), dimensions=(2,),
                               runs_per_cell=1, max_iterations=5)
         outcome = run_experiment(spec)
         assert len(outcome.failures) == 1
@@ -264,7 +292,7 @@ class TestSideload:
         )
         side = tmp_path / "baseline.csv"
         write_results([baseline], None, side)
-        merged = merge_stats(outcome.aggregates, load_sideload(side))
+        merged = merge_stats(outcome.aggregates, read_results(side))
         assert baseline in merged
         keys = [s.cell_key for s in merged]
         assert keys == sorted(keys)
@@ -273,7 +301,7 @@ class TestSideload:
         bad = tmp_path / "bad.csv"
         bad.write_text("algorithm,function\nqpso,sphere\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_sideload(bad)
+            read_results(bad)
 
 
 def test_load_spec_from_file(tmp_path):

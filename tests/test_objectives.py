@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from swarmwalk.objectives import (
     FUNCTION_NAMES,
-    ObjectiveSpec,
     SearchDomain,
     eval_binh4,
     eval_rastrigin,
@@ -232,11 +231,18 @@ class TestMakeObjective:
                              init_lower=0.0, init_upper=1.0)
         np.testing.assert_array_equal(obj.domain.upper, np.ones(3))
 
-    def test_sense_validation(self):
-        obj = make_objective("sphere", 2)
-        assert obj.is_better(1.0, 2.0)
-        assert obj.meets_threshold(0.005, 1e-2)
-        assert not obj.meets_threshold(0.005, None)
+    def test_binh4_domain_must_stay_in_its_box(self):
+        with pytest.raises(ValueError, match="binh4"):
+            make_objective("binh4", lower=-10.0, upper=10.0, init_lower=0.0, init_upper=4.0)
         with pytest.raises(ValueError):
-            ObjectiveSpec(name="x", domain=obj.domain, components=obj.components,
-                          sense="sideways")
+            make_objective("binh4", upper=5.0)
+        obj = make_objective("binh4", lower=-1.0, upper=3.0, init_lower=0.0, init_upper=3.0)
+        assert obj.evaluate(obj.domain.lower) == pytest.approx(1.25)
+
+    def test_schaffer_domain_must_stay_in_its_box(self):
+        with pytest.raises(ValueError, match="schaffer_n1"):
+            make_objective("schaffer_n1", lower=-300.0, upper=300.0)
+        with pytest.raises(ValueError):
+            make_objective("schaffer_n1", bound=10.0, lower=-20.0, init_lower=5.0)
+        obj = make_objective("schaffer_n1", lower=-50.0, upper=100.0)
+        assert obj.evaluate(obj.domain.lower) == pytest.approx((2500.0 + 2704.0) / 2)

@@ -34,55 +34,71 @@ class _FixedRng:
 
 
 class TestVelocityUpdate:
+    DOMAIN = SearchDomain.uniform(2, -10.0, 10.0, -1.0, 1.0)  # width 20
+
     def test_vanishes_at_consensus(self):
-        x = np.array([1.0, 2.0])
-        v = pso_update_velocity([3.0, -1.0], x, x, x, 0.0,
-                                config(r_per_dimension=False), _FixedRng([0.5, 0.5]))
-        np.testing.assert_array_equal(v, [0.0, 0.0])
+        x = np.array([[1.0, 2.0]])
+        v = pso_update_velocity([[3.0, -1.0]], x, x, x[0], 0.0,
+                                config(r_per_dimension=False), _FixedRng([0.5, 0.5]),
+                                self.DOMAIN)
+        np.testing.assert_array_equal(v, [[0.0, 0.0]])
 
     def test_pure_inertia(self):
         cfg = config(c1=0.0, c2=0.0, w_start=1.0, w_end=1.0, r_per_dimension=False)
-        v0 = np.array([2.0, -3.0])
-        v = pso_update_velocity(v0, [0.0, 0.0], [5.0, 5.0], [9.0, 9.0], 1.0,
-                                cfg, _FixedRng([0.7, 0.1]))
+        v0 = np.array([[2.0, -3.0]])
+        v = pso_update_velocity(v0, [[0.0, 0.0]], [[5.0, 5.0]], [9.0, 9.0], 1.0,
+                                cfg, _FixedRng([0.7, 0.1]), self.DOMAIN)
         np.testing.assert_array_equal(v, v0)
 
     def test_hand_value_with_scripted_draw(self):
         # v=0, c1=2, R1=0.5, c2=0, pbest - x = (3,) -> new velocity (3,)
         cfg = config(dim=1, c1=2.0, c2=0.0, r_per_dimension=False)
-        v = pso_update_velocity([0.0], [0.0], [3.0], [0.0], 0.0,
-                                cfg, _FixedRng([0.5, 0.9]))
-        np.testing.assert_array_equal(v, [3.0])
+        dom = SearchDomain.uniform(1, -10.0, 10.0, -1.0, 1.0)
+        v = pso_update_velocity([[0.0]], [[0.0]], [[3.0]], [0.0], 0.0,
+                                cfg, _FixedRng([0.5, 0.9]), dom)
+        np.testing.assert_array_equal(v, [[3.0]])
+
+    def test_draws_all_r1_then_all_r2(self):
+        # two particles, one coordinate: the stream is R1 of both, then R2
+        cfg = config(dim=1, c1=1.0, c2=1.0, r_per_dimension=True)
+        dom = SearchDomain.uniform(1, -10.0, 10.0, -1.0, 1.0)
+        v = pso_update_velocity(np.zeros((2, 1)), np.zeros((2, 1)), np.ones((2, 1)),
+                                [0.0], 0.0, cfg, _FixedRng([0.1, 0.2, 0.3, 0.4]), dom)
+        np.testing.assert_allclose(v, [[0.1], [0.2]])
+        v = pso_update_velocity(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)),
+                                [1.0], 0.0, cfg, _FixedRng([0.1, 0.2, 0.3, 0.4]), dom)
+        np.testing.assert_allclose(v, [[0.3], [0.4]])
 
     def test_velocity_clamp(self):
         cfg = config(v_max=0.1, r_per_dimension=False)
-        dom = SearchDomain.uniform(2, -10.0, 10.0, -1.0, 1.0)  # width 20
-        v = pso_update_velocity([0.0, 0.0], [0.0, 0.0], [50.0, -50.0],
+        v = pso_update_velocity([[0.0, 0.0]], [[0.0, 0.0]], [[50.0, -50.0]],
                                 [50.0, -50.0], 0.0, cfg, _FixedRng([1.0, 1.0]),
-                                domain=dom)
-        np.testing.assert_array_equal(v, [2.0, -2.0])
-
-    def test_clamp_needs_domain(self):
-        cfg = config(v_max=0.1)
-        with pytest.raises(ValueError):
-            pso_update_velocity([0.0], [0.0], [1.0], [1.0], 0.5, cfg,
-                                _FixedRng([0.5, 0.5]))
+                                self.DOMAIN)
+        np.testing.assert_array_equal(v, [[2.0, -2.0]])
 
 
 class TestPositionUpdate:
     DOMAIN = SearchDomain.uniform(2, -10.0, 10.0, -1.0, 1.0)
 
     def test_zero_velocity_identity(self):
-        p = np.array([1.0, -1.0])
-        np.testing.assert_array_equal(pso_update_position(p, np.zeros(2), self.DOMAIN), p)
+        p = np.array([[1.0, -1.0]])
+        x, v = pso_update_position(p, np.zeros((1, 2)), self.DOMAIN, 0.5)
+        np.testing.assert_array_equal(x, p)
+        np.testing.assert_array_equal(v, np.zeros((1, 2)))
 
     def test_hand_value(self):
-        got = pso_update_position([1.0, 1.0], np.array([0.5, -0.5]), self.DOMAIN)
-        np.testing.assert_array_equal(got, [1.5, 0.5])
+        x, v = pso_update_position([[1.0, 1.0]], np.array([[0.5, -0.5]]), self.DOMAIN, 0.5)
+        np.testing.assert_array_equal(x, [[1.5, 0.5]])
+        np.testing.assert_array_equal(v, [[0.5, -0.5]])
 
     def test_overshoot_clamps(self):
-        got = pso_update_position([9.0, -9.0], np.array([5.0, -5.0]), self.DOMAIN)
-        np.testing.assert_array_equal(got, [10.0, -10.0])
+        x, _ = pso_update_position([[9.0, -9.0]], np.array([[5.0, -5.0]]), self.DOMAIN, 0.5)
+        np.testing.assert_array_equal(x, [[10.0, -10.0]])
+
+    def test_overshoot_reflects_and_damps_the_velocity(self):
+        _, v = pso_update_position([[9.0, 0.0], [-9.0, 0.0]],
+                                   np.array([[5.0, 1.0], [-4.0, -1.0]]), self.DOMAIN, 0.5)
+        np.testing.assert_array_equal(v, [[-2.5, 1.0], [2.0, -1.0]])
 
 
 class TestInertiaSchedule:
@@ -123,7 +139,7 @@ class TestBestTracking:
         for _ in range(30):
             state = pso_step(state, obj, cfg, rng)
             assert np.all(state.personal_best_fitnesses <= state.fitnesses + 1e-15)
-            assert state.global_best_fitness == pytest.approx(
+            assert state.best_fitness == pytest.approx(
                 state.personal_best_fitnesses.min()
             )
 

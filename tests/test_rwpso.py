@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmwalk.graph import build_swarm_graph
@@ -32,19 +32,28 @@ def config(**kwargs) -> RwpsoConfig:
 
 class TestSelectTarget:
     def test_small_draw_picks_minimum_holder(self):
-        assert select_target(FIVE_POINT_ROW, 0.03) == 0
+        np.testing.assert_array_equal(select_target(FIVE_POINT_ROW[None], [0.03]), [0])
 
     def test_large_draw_picks_maximum_holder(self):
-        assert select_target(FIVE_POINT_ROW, 0.5) == 4
+        np.testing.assert_array_equal(select_target(FIVE_POINT_ROW[None], [0.5]), [4])
+
+    def test_one_target_per_row(self):
+        rows = np.stack([FIVE_POINT_ROW, FIVE_POINT_ROW[::-1]])
+        np.testing.assert_array_equal(select_target(rows, [0.03, 0.03]), [0, 4])
+        np.testing.assert_array_equal(select_target(rows, [0.5, 0.5]), [4, 0])
 
     def test_uniform_row_ties_break_low(self):
-        row = np.full(5, 0.2)
-        assert select_target(row, 0.1) == 0
-        assert select_target(row, 0.9) == 0
+        rows = np.full((1, 5), 0.2)
+        np.testing.assert_array_equal(select_target(rows, [0.1]), [0])
+        np.testing.assert_array_equal(select_target(rows, [0.9]), [0])
 
     def test_empty_row(self):
         with pytest.raises(ValueError):
-            select_target(np.array([]), 0.5)
+            select_target(np.empty((1, 0)), [0.5])
+
+    def test_needs_one_draw_per_row(self):
+        with pytest.raises(ValueError):
+            select_target(np.full((2, 2), 0.5), [0.5])
 
     @given(
         st.lists(st.floats(0.01, 10.0), min_size=2, max_size=30),
@@ -54,9 +63,15 @@ class TestSelectTarget:
     @settings(max_examples=100, deadline=None)
     def test_invariant_under_positive_rescaling(self, weights, r, scale):
         row = np.array(weights) / np.sum(weights)
+        # rescaling rounds, so entries an ulp apart can swap order; the
+        # property holds for exact ties and for extremes set apart
+        ordered = np.sort(row)
+        gaps = np.array([ordered[1] - ordered[0], ordered[-1] - ordered[-2]])
+        assume(np.all((gaps == 0.0) | (gaps > 1e-9)) and abs(r - ordered[0]) > 1e-9)
         rescaled = row * scale
         rescaled = rescaled / rescaled.sum()
-        assert select_target(row, r) == select_target(rescaled, r)
+        np.testing.assert_array_equal(select_target(row[None], [r]),
+                                      select_target(rescaled[None], [r]))
 
 
 class TestComputeDelta:
@@ -79,24 +94,19 @@ class TestComputeDelta:
 
 class TestDisplacementVector:
     def test_toward_self_is_zero(self):
-        cfg = config(walk_horizon=10, displacement_mode="toward_target")
-        p = np.array([1.5, -2.0])
-        np.testing.assert_array_equal(displacement_vector(p, p, cfg), [0.0, 0.0])
+        cfg = config(walk_horizon=10)
+        p = np.array([[1.5, -2.0]])
+        np.testing.assert_array_equal(displacement_vector(p, p, cfg), [[0.0, 0.0]])
 
     def test_toward_target_drift(self):
-        cfg = config(walk_horizon=10, displacement_mode="toward_target")
-        k = displacement_vector([0.0, 0.0], [10.0, -10.0], cfg)
-        np.testing.assert_array_equal(k, [1.0, -1.0])
-
-    def test_step_split_mode_adds_the_split_probability(self):
-        cfg = config(walk_horizon=10, displacement_mode="step_split")
-        k = displacement_vector([0.0, 0.0], [10.0, -10.0], cfg)
-        np.testing.assert_array_equal(k, [0.0, 1.0])
+        cfg = config(walk_horizon=10)
+        k = displacement_vector([[0.0, 0.0], [1.0, 1.0]], [[10.0, -10.0], [1.0, 1.0]], cfg)
+        np.testing.assert_array_equal(k, [[1.0, -1.0], [0.0, 0.0]])
 
     def test_dimension_mismatch(self):
         cfg = config()
         with pytest.raises(ValueError):
-            displacement_vector([0.0, 0.0], [1.0, 2.0, 3.0], cfg)
+            displacement_vector([[0.0, 0.0]], [[1.0, 2.0, 3.0]], cfg)
 
 
 class TestWalkOracle:
@@ -107,9 +117,9 @@ class TestWalkOracle:
     def test_drift_equals_walk_expectation(self, n, ratio):
         d = ratio * n  # keep the step split a valid probability
         delta = compute_delta(d, n)
-        cfg = config(dim=1, walk_horizon=n, displacement_mode="toward_target")
-        k = displacement_vector([0.0], [d], cfg)
-        assert walk_expectation(n, 1.0 - delta) == pytest.approx(n * k[0], abs=1e-9)
+        cfg = config(dim=1, walk_horizon=n)
+        k = displacement_vector([[0.0]], [[d]], cfg)
+        assert walk_expectation(n, 1.0 - delta) == pytest.approx(n * k[0, 0], abs=1e-9)
 
     def test_monte_carlo_walk_reaches_displacement(self):
         n, d = 20, 7.0
@@ -128,16 +138,27 @@ class TestGaussianTerm:
         cfg = config(dim=6, gaussian_mu=1.25, gaussian_sigma_mode="fixed",
                      gaussian_sigma=1e-12)
         dom = SearchDomain.uniform(6, -10, 10, -1, 1)
-        g = gaussian_term(cfg, dom, np.random.default_rng(0))
-        np.testing.assert_allclose(g, np.full(6, 1.25), atol=1e-6)
+        g = gaussian_term(cfg, dom, np.random.default_rng(0), np.zeros((2, 6)))
+        np.testing.assert_allclose(g, np.full((2, 6), 1.25), atol=1e-6)
 
     def test_standard_moments(self):
         cfg = config(dim=1, gaussian_sigma_mode="fixed", gaussian_sigma=1.0)
         dom = SearchDomain.uniform(1, -10, 10, -1, 1)
-        rng = np.random.default_rng(1)
-        draws = np.array([gaussian_term(cfg, dom, rng)[0] for _ in range(100_000)])
+        draws = gaussian_term(cfg, dom, np.random.default_rng(1), np.zeros((100_000, 1)))
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
         assert draws.std() == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("mode", ["fixed", "range_scaled", "displacement_scaled"])
+    def test_one_block_draw_equals_row_by_row_draws(self, mode):
+        # numpy fills the (N, D) block in row-major order, so drawing the
+        # swarm at once consumes the stream like N single-particle draws
+        cfg = config(dim=3, gaussian_sigma_mode=mode, gaussian_sigma=0.4)
+        dom = SearchDomain.uniform(3, -10, 10, -1, 1)
+        gap = np.random.default_rng(2).normal(size=(5, 3))
+        block = gaussian_term(cfg, dom, np.random.default_rng(3), gap)
+        rng = np.random.default_rng(3)
+        rows = [gaussian_term(cfg, dom, rng, gap[j:j + 1]) for j in range(5)]
+        np.testing.assert_array_equal(block, np.concatenate(rows))
 
     def test_range_scaled_sigma(self):
         cfg = config(dim=2, gaussian_sigma_mode="range_scaled", gaussian_sigma=0.05)
@@ -156,7 +177,7 @@ class TestGaussianTerm:
         cfg = config(gaussian_sigma_mode="displacement_scaled")
         dom = SearchDomain.uniform(2, -10, 10, -1, 1)
         with pytest.raises(ValueError):
-            gaussian_term(cfg, dom, np.random.default_rng(0))
+            resolve_sigma(cfg, dom)
 
     def test_invalid_sigma_rejected_at_config(self):
         with pytest.raises(ValueError):
@@ -169,25 +190,26 @@ class TestUpdatePosition:
     DOMAIN = SearchDomain.uniform(2, -10.0, 10.0, -1.0, 1.0)
 
     def test_identity(self):
-        p = np.array([2.0, -3.0])
+        p = np.array([[2.0, -3.0]])
         np.testing.assert_array_equal(
-            update_position(p, np.zeros(2), np.zeros(2), self.DOMAIN), p
+            update_position(p, np.zeros((1, 2)), np.zeros((1, 2)), self.DOMAIN), p
         )
 
     def test_sum_of_terms(self):
-        got = update_position([0.0, 0.0], [1.0, -1.0], [0.5, 0.5], self.DOMAIN)
-        np.testing.assert_array_equal(got, [1.5, -0.5])
+        got = update_position([[0.0, 0.0]], [[1.0, -1.0]], [[0.5, 0.5]], self.DOMAIN)
+        np.testing.assert_array_equal(got, [[1.5, -0.5]])
 
     def test_clamps_overshoot(self):
-        got = update_position([9.0, 9.0], [5.0, 5.0], [0.0, 0.0], self.DOMAIN)
-        np.testing.assert_array_equal(got, [10.0, 10.0])
+        got = update_position([[9.0, 9.0], [-9.0, 0.0]], [[5.0, 5.0], [-5.0, 0.0]],
+                              np.zeros((2, 2)), self.DOMAIN)
+        np.testing.assert_array_equal(got, [[10.0, 10.0], [-10.0, 0.0]])
 
 
 class TestStep:
     def test_swarm_at_optimum_is_a_fixed_point(self):
         obj = make_objective("sphere", 2, lower=-10, upper=10,
                              init_lower=0, init_upper=0)
-        cfg = config(swarm_size=2, dim=2, displacement_mode="toward_target",
+        cfg = config(swarm_size=2, dim=2,
                      gaussian_sigma_mode="fixed", gaussian_sigma=1e-12)
         rng = np.random.default_rng(0)
         state = init_state(obj, cfg, rng)
@@ -204,22 +226,26 @@ class TestStep:
         np.testing.assert_array_equal(s1.positions, s2.positions)
         np.testing.assert_array_equal(s1.fitnesses, s2.fitnesses)
 
-    def test_step_matches_single_particle_operations(self):
-        # the batched update must agree with the audited per-particle ops
+    def test_step_composes_the_operators(self):
+        # one step is target choice, drift, noise and clamp, drawing all
+        # uniforms before the normal block
         obj = make_objective("sphere", 4)
         cfg = config(swarm_size=7, dim=4)
         state = init_state(obj, cfg, np.random.default_rng(3))
-        graph = build_swarm_graph(state.positions, state.fitnesses, obj.sense)
-        rows = graph.prob_rows
-        r = np.random.default_rng(9).random(cfg.swarm_size)
-        expected_targets = [select_target(rows[j], r[j]) for j in range(cfg.swarm_size)]
-        batched = np.where(r < rows.min(axis=1),
-                           rows.argmin(axis=1), rows.argmax(axis=1))
-        np.testing.assert_array_equal(batched, expected_targets)
-        for j, t in enumerate(expected_targets):
-            k = displacement_vector(state.positions[j], state.positions[t], cfg)
-            gap = state.positions[t] - state.positions[j]
-            np.testing.assert_allclose(k, gap / cfg.walk_horizon)
+        rng = np.random.default_rng(9)
+        r = rng.random(7)
+        rows = build_swarm_graph(state.positions, state.fitnesses).prob_rows
+        chosen = select_target(rows, r)
+        # a single particle is a one-row input and gets the same target
+        singles = [select_target(rows[j:j + 1], r[j:j + 1])[0] for j in range(7)]
+        np.testing.assert_array_equal(singles, chosen)
+        targets = state.positions[chosen]
+        k = displacement_vector(state.positions, targets, cfg)
+        g = gaussian_term(cfg, obj.domain, rng, targets - state.positions)
+        expected = update_position(state.positions, k, g, obj.domain)
+        new = rwpso_step(state, obj, cfg, np.random.default_rng(9))
+        np.testing.assert_array_equal(new.positions, expected)
+        np.testing.assert_array_equal(new.fitnesses, [obj.evaluate(p) for p in expected])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
@@ -240,14 +266,14 @@ class TestDriftTelescoping:
         target = np.array([4.0, -3.0, 0.5])
         start = np.array([-2.0, 5.0, 1.5])
         dom = SearchDomain.uniform(3, -100.0, 100.0, -1.0, 1.0)
-        cfg = config(dim=3, walk_horizon=n, displacement_mode="toward_target",
+        cfg = config(dim=3, walk_horizon=n,
                      gaussian_sigma_mode="fixed", gaussian_sigma=1e-12)
         rng = np.random.default_rng(2)
-        k = displacement_vector(start, target, cfg)
-        p = start
+        k = displacement_vector(start[None], target[None], cfg)
+        p = start[None]
         for _ in range(n):
-            p = update_position(p, k, gaussian_term(cfg, dom, rng), dom)
-        np.testing.assert_allclose(p, target, atol=1e-6)
+            p = update_position(p, k, gaussian_term(cfg, dom, rng, k), dom)
+        np.testing.assert_allclose(p[0], target, atol=1e-6)
 
 
 class TestRun:
@@ -298,7 +324,7 @@ class TestRun:
             config(swarm_size=1)
         with pytest.raises(ValueError):
             config(walk_horizon=0)
-        with pytest.raises(ValueError):
-            config(displacement_mode="teleport")
-        with pytest.raises(ValueError):
-            config(boundary_policy="reflect")
+        with pytest.raises(TypeError):  # no longer a config field
+            config(displacement_mode="toward_target")
+        with pytest.raises(TypeError):
+            config(boundary_policy="clamp")
