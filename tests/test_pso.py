@@ -92,12 +92,10 @@ class TestPositionUpdate:
         np.testing.assert_array_equal(v, [[0.5, -0.5]])
 
     def test_overshoot_clamps(self):
-        x, _ = pso_update_position([[9.0, -9.0]], np.array([[5.0, -5.0]]), self.DOMAIN, 0.5)
-        np.testing.assert_array_equal(x, [[10.0, -10.0]])
-
-    def test_overshoot_reflects_and_damps_the_velocity(self):
-        _, v = pso_update_position([[9.0, 0.0], [-9.0, 0.0]],
+        # an overshooting coordinate's velocity is reflected and damped
+        x, v = pso_update_position([[9.0, 0.0], [-9.0, 0.0]],
                                    np.array([[5.0, 1.0], [-4.0, -1.0]]), self.DOMAIN, 0.5)
+        np.testing.assert_array_equal(x, [[10.0, 1.0], [-10.0, -1.0]])
         np.testing.assert_array_equal(v, [[-2.5, 1.0], [2.0, -1.0]])
 
 
