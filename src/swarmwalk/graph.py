@@ -1,10 +1,16 @@
 """Per-iteration swarm graph: pairwise distances, fitness ranks, hop probabilities.
 
-The swarm is viewed as a complete weighted graph rebuilt every iteration:
+The swarm is viewed as a complete weighted graph of its current positions:
 nodes are particles, edge weights are Euclidean distances, and every node's
 self-loop weight is pinned to 1.  Fitness ranks (N for the best particle down
 to 1 for the worst) bias a random walker on this graph; the probability of
 hopping from source j to node i is rank_i * weight_ij, normalized over all i.
+
+The distance matrix can be carried from one iteration to the next with only
+the rows and columns of moved particles recomputed.  That is bit-identical to
+a full rebuild: IEEE subtraction is antisymmetric (x_i - x_j == -(x_j - x_i)
+exactly), so the squares, their per-pair sums over the coordinates and the
+square roots do not depend on which side of the pair computes them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ __all__ = [
     "COINCIDENT_DISTANCE",
     "SwarmGraph",
     "build_distance_matrix",
+    "update_distance_matrix",
     "compute_ranks",
+    "hop_probabilities",
     "transition_probabilities",
     "build_swarm_graph",
 ]
@@ -30,19 +38,40 @@ SELF_WEIGHT = 1.0
 COINCIDENT_DISTANCE = 1e-9
 
 
-def build_distance_matrix(positions) -> np.ndarray:
-    """Symmetric N x N matrix of pairwise distances with diagonal SELF_WEIGHT."""
+def build_distance_matrix(positions, rows=None) -> np.ndarray:
+    """Distances from the particles `rows` to every particle, shape (len(rows), N).
+
+    With `rows` None this is the symmetric N x N matrix.  Each row's own
+    entry is SELF_WEIGHT, and an exact zero distance between two different
+    particles becomes COINCIDENT_DISTANCE.
+    """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2:
         raise ValueError("positions must be an (N, dim) array")
     if pos.shape[0] < 2:
         raise ValueError("need at least 2 particles")
-    diff = pos[:, None, :] - pos[None, :, :]
-    matrix = np.sqrt(np.sum(diff * diff, axis=-1))
-    off_diagonal = ~np.eye(pos.shape[0], dtype=bool)
-    matrix[off_diagonal & (matrix == 0.0)] = COINCIDENT_DISTANCE
-    np.fill_diagonal(matrix, SELF_WEIGHT)
-    return matrix
+    rows = np.arange(pos.shape[0]) if rows is None else np.asarray(rows, dtype=int)
+    diff = pos[rows, None, :] - pos[None, :, :]
+    np.multiply(diff, diff, out=diff)
+    block = np.sqrt(np.sum(diff, axis=-1))
+    block[block == 0.0] = COINCIDENT_DISTANCE
+    block[np.arange(rows.shape[0]), rows] = SELF_WEIGHT
+    return block
+
+
+def update_distance_matrix(matrix, positions, moved) -> np.ndarray:
+    """Copy of `matrix` with the rows and columns of the `moved` particles recomputed.
+
+    `matrix` holds the distances of the previous positions and `moved` is a
+    boolean mask over the particles; the result equals
+    build_distance_matrix(positions) bit for bit.
+    """
+    rows = np.flatnonzero(moved)
+    block = build_distance_matrix(positions, rows)
+    updated = np.array(matrix, dtype=float)
+    updated[rows] = block
+    updated[:, rows] = block.T
+    return updated
 
 
 def compute_ranks(fitnesses) -> np.ndarray:
@@ -60,6 +89,15 @@ def compute_ranks(fitnesses) -> np.ndarray:
     ranks = np.empty(f.shape[0], dtype=int)
     ranks[order] = np.arange(f.shape[0], 0, -1)
     return ranks
+
+
+def hop_probabilities(distances, fitnesses) -> np.ndarray:
+    """Column-stochastic hop matrix: entry (i, j) is rank_i * d_ij / sum_k rank_k * d_kj.
+
+    Column j is the hop distribution out of source particle j.
+    """
+    weighted = compute_ranks(fitnesses)[:, None] * distances
+    return weighted / weighted.sum(axis=0, keepdims=True)
 
 
 def transition_probabilities(alpha, distances, source: int) -> np.ndarray:
@@ -109,12 +147,9 @@ class SwarmGraph:
 def build_swarm_graph(positions, fitnesses) -> SwarmGraph:
     """Assemble the distance matrix, ranks, and all hop distributions at once."""
     matrix = build_distance_matrix(positions)
-    alpha = compute_ranks(fitnesses)
-    weighted = alpha[:, None] * matrix  # entry (i, j): rank_i * distance_ij
-    prob = weighted / weighted.sum(axis=0, keepdims=True)
     return SwarmGraph(
         positions=np.asarray(positions, dtype=float).copy(),
         distances=matrix,
-        alpha=alpha,
-        prob_rows=prob.T.copy(),
+        alpha=compute_ranks(fitnesses),
+        prob_rows=hop_probabilities(matrix, fitnesses).T.copy(),
     )

@@ -1,6 +1,7 @@
 """Velocity-free particle mover driven by rank-biased random walks.
 
-Each iteration rebuilds the swarm graph, then every particle draws a uniform
+Each iteration brings the swarm graph up to date (only the distances of
+particles that moved are recomputed), then every particle draws a uniform
 r and hops: if r falls below the smallest entry of its hop distribution it
 targets the particle holding that smallest probability (usually itself, so
 good particles tend to stay put), otherwise it targets the particle holding
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmwalk.graph import build_swarm_graph
+from swarmwalk.graph import build_distance_matrix, hop_probabilities, update_distance_matrix
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
 from swarmwalk.results import RunResult, run_loop
 
@@ -149,10 +150,14 @@ def update_position(positions, k, g, domain: SearchDomain) -> np.ndarray:
 
 @dataclass
 class RwpsoState:
-    """Mutable-by-replacement snapshot of one run; steps return fresh states."""
+    """Mutable-by-replacement snapshot of one run; steps return fresh states.
+
+    `distances` is build_distance_matrix(positions), carried across steps.
+    """
 
     positions: np.ndarray
     fitnesses: np.ndarray
+    distances: np.ndarray
     iteration: int
     best_fitness: float
     best_position: np.ndarray
@@ -166,6 +171,7 @@ def init_state(objective: ObjectiveSpec, config: RwpsoConfig,
     return RwpsoState(
         positions=positions,
         fitnesses=fitnesses,
+        distances=build_distance_matrix(positions),
         iteration=0,
         best_fitness=float(fitnesses[best]),
         best_position=positions[best].copy(),
@@ -180,13 +186,15 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     normals for the perturbation; the batch draw order (all uniforms, then
     the normal matrix) is part of the seeded-determinism contract.
     """
-    graph = build_swarm_graph(state.positions, state.fitnesses)
+    prob_rows = hop_probabilities(state.distances, state.fitnesses).T
     r = rng.random(config.swarm_size)
-    targets = state.positions[select_target(graph.prob_rows, r)]
+    targets = state.positions[select_target(prob_rows, r)]
     k = displacement_vector(state.positions, targets, config)
     g = gaussian_term(config, objective.domain, rng, targets - state.positions)
     positions = update_position(state.positions, k, g, objective.domain)
     fitnesses = np.array([objective.evaluate(p) for p in positions])
+    moved = np.any(positions != state.positions, axis=1)
+    distances = update_distance_matrix(state.distances, positions, moved)
 
     best = int(np.argmin(fitnesses))
     best_fitness = state.best_fitness
@@ -198,6 +206,7 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     return RwpsoState(
         positions=positions,
         fitnesses=fitnesses,
+        distances=distances,
         iteration=state.iteration + 1,
         best_fitness=best_fitness,
         best_position=best_position,

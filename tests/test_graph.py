@@ -10,7 +10,9 @@ from swarmwalk.graph import (
     build_distance_matrix,
     build_swarm_graph,
     compute_ranks,
+    hop_probabilities,
     transition_probabilities,
+    update_distance_matrix,
 )
 
 # Worked five-particle configuration: ranks come from distance to the origin
@@ -75,6 +77,76 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             build_distance_matrix(np.zeros(5))
 
+    @given(st.integers(2, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_matching_rows_of_the_full_matrix(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-5.12, 5.12, size=(n, dim))
+        pos[rng.integers(n)] = pos[0]  # a coincident pair, unless it picked 0 itself
+        rows = np.flatnonzero(rng.random(n) < 0.5)
+        block = build_distance_matrix(pos, rows)
+        assert block.shape == (rows.size, n)
+        assert block.tobytes() == build_distance_matrix(pos)[rows].tobytes()
+
+
+# How each particle of a swarm in [-5.12, 5.12]^dim changes between two
+# iterations: stays put, moves at random, lands exactly on particle 0, or is
+# clamped onto the upper box corner (where it meets every other clamped one).
+MOVES = ("stay", "move", "onto", "corner")
+
+
+def moved_swarm(rng, moves, dim):
+    before = rng.uniform(-5.12, 5.12, size=(len(moves), dim))
+    after = before.copy()
+    for i, move in enumerate(moves):
+        if move == "move":
+            after[i] = rng.uniform(-5.12, 5.12, size=dim)
+        elif move == "corner":
+            after[i] = 5.12
+    for i, move in enumerate(moves):
+        if move == "onto":
+            after[i] = after[0]
+    return before, after
+
+
+def assert_update_matches_rebuild(before, after):
+    moved = np.any(after != before, axis=1)
+    carried = build_distance_matrix(before)
+    updated = update_distance_matrix(carried, after, moved)
+    assert updated.tobytes() == build_distance_matrix(after).tobytes()
+    # the carried matrix belongs to the earlier state and is left as it was
+    assert carried.tobytes() == build_distance_matrix(before).tobytes()
+
+
+class TestUpdateDistanceMatrix:
+    @pytest.mark.parametrize("moves", [
+        ["stay"] * 6,
+        ["stay", "move", "stay", "move", "move", "stay"],
+        ["move"] * 6,
+        ["stay", "stay", "onto", "move", "onto", "stay"],
+        ["move", "corner", "stay", "corner", "corner", "move"],
+    ], ids=["none-moved", "some-moved", "all-moved", "coincident", "collapsed-corner"])
+    @pytest.mark.parametrize("dim", [2, 10, 30])
+    def test_named_cases_match_a_full_rebuild(self, moves, dim):
+        before, after = moved_swarm(np.random.default_rng(dim), moves, dim)
+        assert_update_matches_rebuild(before, after)
+
+    def test_coincident_and_collapsed_entries(self):
+        moves = ["stay", "onto", "corner", "corner", "move"]
+        before, after = moved_swarm(np.random.default_rng(1), moves, 3)
+        updated = update_distance_matrix(
+            build_distance_matrix(before), after, np.any(after != before, axis=1))
+        assert updated[0, 1] == updated[1, 0] == COINCIDENT_DISTANCE
+        assert updated[2, 3] == updated[3, 2] == COINCIDENT_DISTANCE
+        np.testing.assert_array_equal(np.diag(updated), np.ones(5))
+
+    @given(st.lists(st.sampled_from(MOVES), min_size=2, max_size=40),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_full_rebuild_bit_for_bit(self, moves, dim, seed):
+        before, after = moved_swarm(np.random.default_rng(seed), moves, dim)
+        assert_update_matches_rebuild(before, after)
+
 
 class TestComputeRanks:
     def test_hand_ordering(self):
@@ -110,6 +182,19 @@ class TestTransitionProbabilities:
             np.testing.assert_allclose(
                 graph.prob_rows[j],
                 transition_probabilities(graph.alpha, graph.distances, j),
+                atol=1e-15,
+            )
+
+    def test_hop_matrix_columns_are_the_hop_distributions(self):
+        rng = np.random.default_rng(6)
+        pos = rng.normal(size=(8, 3))
+        fits = rng.normal(size=8)
+        hop = hop_probabilities(build_distance_matrix(pos), fits)
+        np.testing.assert_allclose(hop.sum(axis=0), np.ones(8), atol=1e-12)
+        for j in range(8):
+            np.testing.assert_allclose(
+                hop[:, j],
+                transition_probabilities(compute_ranks(fits), build_distance_matrix(pos), j),
                 atol=1e-15,
             )
 

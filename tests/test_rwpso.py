@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmwalk.graph import build_swarm_graph
+from swarmwalk.graph import build_distance_matrix, build_swarm_graph
+from swarmwalk.harness import DEFAULT_RWPSO_PRESETS
 from swarmwalk.objectives import SearchDomain, make_objective
 from swarmwalk.rwpso import (
     RwpsoConfig,
@@ -246,6 +247,19 @@ class TestStep:
         new = rwpso_step(state, obj, cfg, np.random.default_rng(9))
         np.testing.assert_array_equal(new.positions, expected)
         np.testing.assert_array_equal(new.fitnesses, [obj.evaluate(p) for p in expected])
+
+    def test_carried_distances_equal_a_rebuild(self):
+        obj = make_objective("rastrigin", 10)
+        cfg = config(swarm_size=24, dim=10, **DEFAULT_RWPSO_PRESETS["rastrigin"])
+        rng = np.random.default_rng(4)
+        state = init_state(obj, cfg, rng)
+        unmoved = 0
+        for _ in range(20):
+            new = rwpso_step(state, obj, cfg, rng)
+            unmoved += int(np.sum(np.all(new.positions == state.positions, axis=1)))
+            state = new
+            assert state.distances.tobytes() == build_distance_matrix(state.positions).tobytes()
+        assert unmoved > 0  # the partial update, not only full rewrites, was exercised
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
