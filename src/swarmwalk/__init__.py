@@ -12,7 +12,9 @@ from swarmwalk.graph import (
     build_distance_matrix,
     build_swarm_graph,
     compute_ranks,
+    hop_probabilities,
     transition_probabilities,
+    update_distance_matrix,
 )
 from swarmwalk.harness import (
     ALGORITHMS,
@@ -96,6 +98,7 @@ __all__ = [
     "eval_sphere",
     "format_table",
     "gaussian_term",
+    "hop_probabilities",
     "init_positions",
     "load_spec",
     "make_objective",
@@ -115,6 +118,7 @@ __all__ = [
     "select_target",
     "simple_walk",
     "transition_probabilities",
+    "update_distance_matrix",
     "update_position",
     "walk_expectation",
     "write_results",

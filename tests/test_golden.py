@@ -4,7 +4,7 @@ The CSV and JSON that `swarmwalk run` writes are a pure function of the
 experiment config.  These digests pin them across versions: a change that
 moves any seeded number, or the draw order behind it, fails here.  A change
 that means to move them must say so and update the digests on purpose.
-The digests were recorded with numpy 2.4.6 (`RECORDED_WITH_NUMPY`).
+The digests were recorded with the numpy version in `RECORDED_WITH_NUMPY`.
 """
 
 import hashlib
