@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -315,15 +316,28 @@ def _run_cell_task(args: tuple[ExperimentSpec, Cell]):
         return cell, None, [], str(exc)
 
 
+def _cell_result(cell: Cell, future):
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return cell, None, [], (
+            f"cell {cell} lost: worker process crashed (BrokenProcessPool: {exc})"
+        )
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
-    """Run every cell; failed cells are reported and the rest still run."""
+    """Run every cell; failed cells are reported and the rest still run.
+
+    When a worker process dies, its cell and every cell still pending in the
+    broken pool fail; cells that completed before the crash are kept.
+    """
     cells = spec.cells()
-    tasks = [(spec, cell) for cell in cells]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            raw = list(pool.map(_run_cell_task, tasks))
+            futures = [(cell, pool.submit(_run_cell_task, (spec, cell))) for cell in cells]
+            raw = [_cell_result(cell, future) for cell, future in futures]
     else:
-        raw = [_run_cell_task(task) for task in tasks]
+        raw = [_run_cell_task((spec, cell)) for cell in cells]
 
     by_cell = {cell: (stats, results, error) for cell, stats, results, error in raw}
     outcome = ExperimentOutcome(aggregates=[], runs=[])

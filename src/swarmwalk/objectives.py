@@ -84,8 +84,10 @@ class SearchDomain:
 
 
 def _check_finite(x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x.reshape(1)
+    if not np.isfinite(x).all():
         raise ValueError("objective input must be finite")
     return x
 
@@ -93,7 +95,7 @@ def _check_finite(x) -> np.ndarray:
 def eval_sphere(x) -> float:
     """f(x) = sum(x_i^2); minimum f(0, ..., 0) = 0."""
     x = _check_finite(x)
-    return float(np.sum(x * x))
+    return float((x * x).sum())
 
 
 def eval_rosenbrock(x) -> float:
@@ -105,14 +107,14 @@ def eval_rosenbrock(x) -> float:
     if x.shape[0] < 2:
         raise ValueError("rosenbrock needs at least 2 dimensions")
     head, tail = x[:-1], x[1:]
-    return float(np.sum(100.0 * (tail - head * head) ** 2 + (head - 1.0) ** 2))
+    return float((100.0 * (tail - head * head) ** 2 + (head - 1.0) ** 2).sum())
 
 
 def eval_rastrigin(x, amplitude: float = 10.0) -> float:
     """f(x) = A n + sum_i (x_i^2 - A cos(2 pi x_i)); minimum f(0, ..., 0) = 0."""
     x = _check_finite(x)
     n = x.shape[0]
-    return float(amplitude * n + np.sum(x * x - amplitude * np.cos(2.0 * np.pi * x)))
+    return float(amplitude * n + (x * x - amplitude * np.cos(2.0 * np.pi * x)).sum())
 
 
 def eval_binh4(x: float, y: float) -> tuple[float, float]:
@@ -158,16 +160,16 @@ def init_positions(domain: SearchDomain, n_particles: int, rng: np.random.Genera
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A benchmark problem to minimize: component evaluator plus protocol metadata.
+    """A benchmark problem to minimize: fitness function plus protocol metadata.
 
-    `components` maps a position to the tuple of raw objective values
-    (length 1 for single-objective functions); `evaluate` scalarizes them
-    with `scalarization_weights`.  Evaluators are pure and deterministic.
+    `fitness` maps a float position to its scalar fitness, the objective
+    values already weighted by `scalarization_weights`.  Evaluators are pure
+    and deterministic.
     """
 
     name: str
     domain: SearchDomain
-    components: Callable[[np.ndarray], tuple[float, ...]]
+    fitness: Callable[[np.ndarray], float]
     known_optimum_value: float | None = None
     scalarization_weights: tuple[float, ...] = (1.0,)
 
@@ -181,8 +183,11 @@ class ObjectiveSpec:
         return self.domain.dim
 
     def evaluate(self, x) -> float:
-        return scalarize(self.components(np.asarray(x, dtype=float)),
-                         self.scalarization_weights)
+        return self.fitness(np.asarray(x, dtype=float))
+
+    def evaluate_batch(self, positions) -> np.ndarray:
+        """Fitness of each row of an (N, dim) array, one `evaluate` call per row."""
+        return np.array([self.evaluate(p) for p in positions])
 
 
 # (lower, upper, init_lower, init_upper) per coordinate for the box domains.
@@ -259,17 +264,6 @@ def make_objective(
                                 or np.any(domain.upper > defaults[1])):
         raise ValueError(f"{name} domain must lie inside [{defaults[0]}, {defaults[1]}]")
 
-    if name == "sphere":
-        components = lambda x: (eval_sphere(x),)
-    elif name == "rosenbrock":
-        components = lambda x: (eval_rosenbrock(x),)
-    elif name == "rastrigin":
-        components = lambda x: (eval_rastrigin(x, amplitude),)
-    elif name == "binh4":
-        components = lambda x: eval_binh4(float(x[0]), float(x[1]))
-    else:
-        components = lambda x: eval_schaffer_n1(float(x[0]), bound)
-
     n_objectives = 2 if name in ("binh4", "schaffer_n1") else 1
     if weights is None:
         weights = EQUAL_WEIGHTS if n_objectives == 2 else (1.0,)
@@ -277,11 +271,26 @@ def make_objective(
     if len(weights) != n_objectives:
         raise ValueError(f"{name} needs {n_objectives} scalarization weights")
 
+    # One weight scales one value: v * w equals scalarize's one-term dot
+    # product bit for bit.  A two-term dot may fuse a multiply-add, so the
+    # two-objective functions keep scalarize.
+    w = weights[0]
+    if name == "sphere":
+        fitness = lambda x: eval_sphere(x) * w
+    elif name == "rosenbrock":
+        fitness = lambda x: eval_rosenbrock(x) * w
+    elif name == "rastrigin":
+        fitness = lambda x: eval_rastrigin(x, amplitude) * w
+    elif name == "binh4":
+        fitness = lambda x: scalarize(eval_binh4(float(x[0]), float(x[1])), weights)
+    else:
+        fitness = lambda x: scalarize(eval_schaffer_n1(float(x[0]), bound), weights)
+
     known = 0.0 if name in ("sphere", "rosenbrock", "rastrigin") else None
     return ObjectiveSpec(
         name=name,
         domain=domain,
-        components=components,
+        fitness=fitness,
         known_optimum_value=known,
         scalarization_weights=weights,
     )

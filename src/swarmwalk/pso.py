@@ -133,7 +133,7 @@ def init_state(objective: ObjectiveSpec, config: PsoConfig,
                rng: np.random.Generator) -> PsoState:
     """Asymmetric-init positions, zero velocities, bests seeded from the start."""
     positions = init_positions(objective.domain, config.swarm_size, rng)
-    fitnesses = np.array([objective.evaluate(p) for p in positions])
+    fitnesses = objective.evaluate_batch(positions)
     best = int(np.argmin(fitnesses))
     return PsoState(
         positions=positions,
@@ -157,7 +157,7 @@ def pso_step(state: PsoState, objective: ObjectiveSpec, config: PsoConfig,
     )
     positions, velocities = pso_update_position(
         state.positions, velocities, objective.domain, config.bounce_damping)
-    fitnesses = np.array([objective.evaluate(p) for p in positions])
+    fitnesses = objective.evaluate_batch(positions)
 
     improved = fitnesses < state.personal_best_fitnesses
     personal_best_positions = np.where(improved[:, None], positions,

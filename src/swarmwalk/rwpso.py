@@ -166,7 +166,7 @@ class RwpsoState:
 def init_state(objective: ObjectiveSpec, config: RwpsoConfig,
                rng: np.random.Generator) -> RwpsoState:
     positions = init_positions(objective.domain, config.swarm_size, rng)
-    fitnesses = np.array([objective.evaluate(p) for p in positions])
+    fitnesses = objective.evaluate_batch(positions)
     best = int(np.argmin(fitnesses))
     return RwpsoState(
         positions=positions,
@@ -192,7 +192,7 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     k = displacement_vector(state.positions, targets, config)
     g = gaussian_term(config, objective.domain, rng, targets - state.positions)
     positions = update_position(state.positions, k, g, objective.domain)
-    fitnesses = np.array([objective.evaluate(p) for p in positions])
+    fitnesses = objective.evaluate_batch(positions)
     moved = np.any(positions != state.positions, axis=1)
     distances = update_distance_matrix(state.distances, positions, moved)
 

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmwalk import harness
+from swarmwalk.cli import cli_main
 from swarmwalk.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -29,6 +33,43 @@ TINY = dict(
     max_iterations=15,
     base_seed=123,
 )
+
+CRASH_SPEC = dict(
+    functions=("rastrigin", "rosenbrock", "sphere"),
+    algorithms=("rwpso",),
+    population_sizes=(4,),
+    dimensions=(2,),
+    runs_per_cell=1,
+    max_iterations=5,
+    workers=2,
+)
+
+
+@pytest.fixture
+def crashing_last_cell(monkeypatch, tmp_path):
+    """Make the worker that runs the last cell die once the other cells returned.
+
+    The patched `run_cell` reaches the workers only when they are forked.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs the fork start method")
+    cells = ExperimentSpec(**CRASH_SPEC).cells()
+    real_run_cell = harness.run_cell
+
+    def run_cell_or_die(spec, cell):
+        if cell == cells[-1]:
+            deadline = time.monotonic() + 30.0
+            while (len(list(tmp_path.glob("done-*"))) < len(cells) - 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(0.5)  # let the last finished worker hand back its result
+            os._exit(1)
+        result = real_run_cell(spec, cell)
+        (tmp_path / f"done-{cells.index(cell)}").touch()
+        return result
+
+    monkeypatch.setattr(harness, "run_cell", run_cell_or_die)
+    return cells[-1]
 
 
 class TestMeanBestFitness:
@@ -242,6 +283,29 @@ class TestRunExperiment:
         assert len(outcome.failures) == 1
         assert "rosenbrock" in outcome.failures[0]
         assert [s.function for s in outcome.aggregates] == ["sphere"]
+
+    def test_crashed_worker_fails_its_cell_and_keeps_the_rest(self, crashing_last_cell):
+        spec = ExperimentSpec(**CRASH_SPEC)
+        outcome = run_experiment(spec)
+        assert len(outcome.failures) == 1
+        assert str(crashing_last_cell) in outcome.failures[0]
+        assert "worker process crashed (BrokenProcessPool" in outcome.failures[0]
+        # run_cell is the module's unpatched original
+        completed = [run_cell(spec, cell) for cell in spec.cells()[:-1]]
+        assert outcome.aggregates == [stats for stats, _ in completed]
+        assert [run.to_dict() for run in outcome.runs] == [
+            run.to_dict() for _, runs in completed for run in runs]
+
+    def test_cli_writes_completed_cells_after_a_crash(self, crashing_last_cell,
+                                                      tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(ExperimentSpec(**CRASH_SPEC).to_dict()),
+                          encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        functions = [row.function for row in read_results(out)]
+        assert functions == ["rastrigin", "rosenbrock"]
+        assert "worker process crashed" in capsys.readouterr().err
 
 
 class TestWriteAndRead:

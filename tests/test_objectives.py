@@ -23,6 +23,7 @@ class TestSphere:
 
     def test_hand_value(self):
         assert eval_sphere([1.0, 2.0, 3.0]) == 14.0
+        assert eval_sphere(3.0) == 9.0
 
     def test_single_negative(self):
         assert eval_sphere([-5.0]) == 25.0
@@ -48,9 +49,10 @@ class TestRosenbrock:
     def test_hand_value(self):
         assert eval_rosenbrock([0.0, 0.0]) == 1.0
 
-    def test_needs_two_dims(self):
+    @pytest.mark.parametrize("x", [[1.0], 1.0])
+    def test_needs_two_dims(self, x):
         with pytest.raises(ValueError):
-            eval_rosenbrock([1.0])
+            eval_rosenbrock(x)
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=10))
     def test_non_negative(self, xs):
@@ -64,6 +66,7 @@ class TestRastrigin:
     def test_hand_values(self):
         assert eval_rastrigin([1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
         assert eval_rastrigin([0.5]) == pytest.approx(20.25, abs=1e-12)
+        assert eval_rastrigin(0.5) == eval_rastrigin([0.5])
 
     @given(st.lists(st.floats(-5.12, 5.12), min_size=1, max_size=20))
     def test_even_function(self, xs):
@@ -191,6 +194,40 @@ class TestMakeObjective:
             obj = make_objective(name, 10)
             mid = (obj.domain.init_lower + obj.domain.init_upper) / 2.0
             assert np.isfinite(obj.evaluate(mid))
+
+    @pytest.mark.parametrize("name", FUNCTION_NAMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_through_evaluate(self, name, bad):
+        obj = make_objective(name, 10)
+        point = (obj.domain.init_lower + obj.domain.init_upper) / 2.0
+        point[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            obj.evaluate(point)
+
+    @pytest.mark.parametrize("name", FUNCTION_NAMES)
+    def test_evaluate_batch_matches_per_row_evaluate(self, name):
+        obj = make_objective(name, 10)
+        positions = init_positions(obj.domain, 16, np.random.default_rng(5))
+        batch = obj.evaluate_batch(positions)
+        assert batch.shape == (16,) and batch.dtype == np.float64
+        np.testing.assert_array_equal(batch, [obj.evaluate(p) for p in positions])
+
+    @pytest.mark.parametrize("name, evaluator", [
+        ("sphere", eval_sphere),
+        ("rosenbrock", eval_rosenbrock),
+        ("rastrigin", eval_rastrigin),
+    ])
+    @pytest.mark.parametrize("weight", [1.0, 1.0 - 5e-10, 1.0 + 9e-10])
+    def test_single_weight_scales_like_scalarize(self, name, evaluator, weight):
+        obj = make_objective(name, 8, weights=(weight,))
+        rng = np.random.default_rng(11)
+        points = np.vstack([
+            np.zeros(8), np.ones(8), obj.domain.lower, obj.domain.upper,
+            rng.uniform(obj.domain.lower, obj.domain.upper, size=(200, 8)),
+        ])
+        for x in points:
+            expected = scalarize((evaluator(x),), obj.scalarization_weights)
+            assert np.float64(obj.evaluate(x)).tobytes() == np.float64(expected).tobytes()
 
     def test_fixed_dimension_functions_ignore_requested_dim(self):
         assert make_objective("binh4", 30).dim == 2
