@@ -316,26 +316,36 @@ def _run_cell_task(args: tuple[ExperimentSpec, Cell]):
         return cell, None, [], str(exc)
 
 
-def _cell_result(cell: Cell, future):
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        return cell, None, [], (
-            f"cell {cell} lost: worker process crashed (BrokenProcessPool: {exc})"
-        )
+def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
+    """Each cell's task result, or the `BrokenProcessPool` that lost the cell."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_cell_task, (spec, cell)) for cell in cells]
+        raw = []
+        for future in futures:
+            try:
+                raw.append(future.result())
+            except BrokenProcessPool as exc:
+                raw.append(exc)
+    return raw
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     """Run every cell; failed cells are reported and the rest still run.
 
-    When a worker process dies, its cell and every cell still pending in the
-    broken pool fail; cells that completed before the crash are kept.
+    When a worker process dies, its pool loses every cell still pending in
+    it.  Each lost cell then reruns alone in a fresh one-worker pool, so
+    only a cell whose own rerun crashes fails; the others produce the same
+    output as an uninterrupted sweep, since seeds depend only on the cell.
     """
     cells = spec.cells()
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [(cell, pool.submit(_run_cell_task, (spec, cell))) for cell in cells]
-            raw = [_cell_result(cell, future) for cell, future in futures]
+        raw = _run_in_pool(spec, cells, spec.workers)
+        for i, cell in enumerate(cells):
+            if isinstance(raw[i], BrokenProcessPool):
+                (raw[i],) = _run_in_pool(spec, [cell], 1)
+                if isinstance(raw[i], BrokenProcessPool):
+                    raw[i] = (cell, None, [], f"cell {cell} lost: worker process "
+                              f"crashed (BrokenProcessPool: {raw[i]})")
     else:
         raw = [_run_cell_task((spec, cell)) for cell in cells]
 

@@ -9,6 +9,7 @@ does not contain the optimum, so an optimizer has to travel, not just refine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,19 +84,32 @@ class SearchDomain:
         )
 
 
-def _check_finite(x) -> np.ndarray:
+def _as_point(x) -> np.ndarray:
+    """A float vector view of `x`; a 0-d input becomes a vector of one."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
+    return x.reshape(1) if x.ndim == 0 else x
+
+
+def _check_finite(x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise ValueError("objective input must be finite")
-    return x
+
+
+# Each evaluator guards finiteness with one value it can test with
+# math.isfinite, not with a pass of its own over the input: a nan or +-inf
+# entry makes x.x (and sphere's sum of squares) non-finite.  Only when that
+# value is not finite does _check_finite look at the entries, so a finite
+# point whose squares overflow still evaluates to inf.  The guard never
+# enters the returned value.
 
 
 def eval_sphere(x) -> float:
     """f(x) = sum(x_i^2); minimum f(0, ..., 0) = 0."""
-    x = _check_finite(x)
-    return float((x * x).sum())
+    x = _as_point(x)
+    value = float(np.add.reduce(x * x))
+    if not math.isfinite(value):
+        _check_finite(x)
+    return value
 
 
 def eval_rosenbrock(x) -> float:
@@ -103,18 +117,23 @@ def eval_rosenbrock(x) -> float:
 
     Needs at least two coordinates.
     """
-    x = _check_finite(x)
+    x = _as_point(x)
+    if not math.isfinite(x.dot(x)):
+        _check_finite(x)
     if x.shape[0] < 2:
         raise ValueError("rosenbrock needs at least 2 dimensions")
     head, tail = x[:-1], x[1:]
-    return float((100.0 * (tail - head * head) ** 2 + (head - 1.0) ** 2).sum())
+    return float(np.add.reduce(100.0 * (tail - head * head) ** 2 + (head - 1.0) ** 2))
 
 
 def eval_rastrigin(x, amplitude: float = 10.0) -> float:
     """f(x) = A n + sum_i (x_i^2 - A cos(2 pi x_i)); minimum f(0, ..., 0) = 0."""
-    x = _check_finite(x)
-    n = x.shape[0]
-    return float(amplitude * n + (x * x - amplitude * np.cos(2.0 * np.pi * x)).sum())
+    x = _as_point(x)
+    if not math.isfinite(x.dot(x)):
+        _check_finite(x)
+    # A n + sum as one Python float addition: the same IEEE sum as numpy's
+    return amplitude * x.shape[0] + float(
+        np.add.reduce(x * x - amplitude * np.cos(2.0 * np.pi * x)))
 
 
 def eval_binh4(x: float, y: float) -> tuple[float, float]:
@@ -162,9 +181,9 @@ def init_positions(domain: SearchDomain, n_particles: int, rng: np.random.Genera
 class ObjectiveSpec:
     """A benchmark problem to minimize: fitness function plus protocol metadata.
 
-    `fitness` maps a float position to its scalar fitness, the objective
-    values already weighted by `scalarization_weights`.  Evaluators are pure
-    and deterministic.
+    `fitness` maps a position (array-like; it converts the position itself)
+    to its scalar fitness, the objective values already weighted by
+    `scalarization_weights`.  Evaluators are pure and deterministic.
     """
 
     name: str
@@ -183,7 +202,7 @@ class ObjectiveSpec:
         return self.domain.dim
 
     def evaluate(self, x) -> float:
-        return self.fitness(np.asarray(x, dtype=float))
+        return self.fitness(x)
 
     def evaluate_batch(self, positions) -> np.ndarray:
         """Fitness of each row of an (N, dim) array, one `evaluate` call per row."""

@@ -44,6 +44,9 @@ CRASH_SPEC = dict(
     workers=2,
 )
 
+# Six cells: (pso, rwpso) x (rastrigin, rosenbrock, sphere).
+SIX_CELL_SPEC = dict(CRASH_SPEC, algorithms=("rwpso", "pso"))
+
 
 @pytest.fixture
 def crashing_last_cell(monkeypatch, tmp_path):
@@ -292,6 +295,29 @@ class TestRunExperiment:
         assert "worker process crashed (BrokenProcessPool" in outcome.failures[0]
         # run_cell is the module's unpatched original
         completed = [run_cell(spec, cell) for cell in spec.cells()[:-1]]
+        assert outcome.aggregates == [stats for stats, _ in completed]
+        assert [run.to_dict() for run in outcome.runs] == [
+            run.to_dict() for _, runs in completed for run in runs]
+
+    def test_crash_of_the_first_cell_loses_no_other_cell(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs the fork start method")
+        spec = ExperimentSpec(**SIX_CELL_SPEC)
+        cells = spec.cells()
+        assert len(cells) == 6
+        real_run_cell = harness.run_cell
+
+        def run_cell_or_die(spec, cell):
+            if cell == cells[0]:
+                os._exit(1)
+            return real_run_cell(spec, cell)
+
+        monkeypatch.setattr(harness, "run_cell", run_cell_or_die)
+        outcome = run_experiment(spec)
+        assert len(outcome.failures) == 1
+        assert str(cells[0]) in outcome.failures[0]
+        assert "lost: worker process crashed (BrokenProcessPool" in outcome.failures[0]
+        completed = [real_run_cell(spec, cell) for cell in cells[1:]]
         assert outcome.aggregates == [stats for stats, _ in completed]
         assert [run.to_dict() for run in outcome.runs] == [
             run.to_dict() for _, runs in completed for run in runs]

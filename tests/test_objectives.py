@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,66 @@ class TestRastrigin:
     def test_even_function(self, xs):
         x = np.array(xs)
         assert eval_rastrigin(x) == pytest.approx(eval_rastrigin(-x), rel=1e-12, abs=1e-9)
+
+
+GUARDED = [
+    ("sphere", eval_sphere),
+    ("rosenbrock", eval_rosenbrock),
+    ("rastrigin", eval_rastrigin),
+]
+
+# Finite entries up to 1e300 (whose squares overflow) mixed with nan and +-inf
+GUARD_ENTRIES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([1e154, -1e200, 1e300]),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+class TestFiniteGuard:
+    """The evaluators reject exactly the inputs with a nan or +-inf entry."""
+
+    @pytest.mark.parametrize("name, evaluator", GUARDED)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_non_finite_raises_without_warning(self, name, evaluator, bad, where):
+        obj = make_objective(name, 6)
+        point = np.full(6, 0.5)
+        point[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                evaluator(point)
+            with pytest.raises(ValueError, match="finite"):
+                obj.evaluate(point)
+            with pytest.raises(ValueError, match="finite"):
+                evaluator(list(point))
+
+    @pytest.mark.parametrize("evaluator", [eval_sphere, eval_rastrigin])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_raises(self, evaluator, bad):
+        with pytest.raises(ValueError, match="finite"):
+            evaluator(bad)
+
+    @pytest.mark.parametrize("name, evaluator", GUARDED)
+    @pytest.mark.parametrize("x", [[1e154] * 3, [1e200, 1.0]])
+    def test_overflowing_squares_evaluate_to_inf(self, name, evaluator, x):
+        obj = make_objective(name, len(x))
+        with np.errstate(over="ignore"):
+            assert evaluator(x) == np.inf
+            assert obj.evaluate(np.array(x)) == np.inf
+
+    @pytest.mark.parametrize("name, evaluator", GUARDED)
+    @given(xs=st.lists(GUARD_ENTRIES, min_size=2, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_raises_exactly_on_non_finite_input(self, name, evaluator, xs):
+        x = np.array(xs)
+        with np.errstate(over="ignore"):
+            if np.isfinite(x).all():
+                assert not np.isnan(evaluator(x))
+            else:
+                with pytest.raises(ValueError, match="finite"):
+                    evaluator(x)
 
 
 class TestTwoObjectiveFunctions:
