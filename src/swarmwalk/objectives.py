@@ -85,7 +85,7 @@ class SearchDomain:
 
 
 def _as_point(x) -> np.ndarray:
-    """A float vector view of `x`; a 0-d input becomes a vector of one."""
+    """`x` as a float vector; a 0-d input becomes a vector of one."""
     x = np.asarray(x, dtype=float)
     return x.reshape(1) if x.ndim == 0 else x
 
