@@ -8,12 +8,9 @@ baseline, and an experiment harness with a CLI.
 """
 
 from swarmwalk.graph import (
-    SwarmGraph,
     build_distance_matrix,
-    build_swarm_graph,
     compute_ranks,
     hop_probabilities,
-    transition_probabilities,
     update_distance_matrix,
 )
 from swarmwalk.harness import (
@@ -57,13 +54,7 @@ from swarmwalk.rwpso import (
     select_target,
     update_position,
 )
-from swarmwalk.walk import (
-    WalkSpec,
-    biased_walk,
-    constrained_biased_walk,
-    simple_walk,
-    walk_expectation,
-)
+from swarmwalk.walk import biased_walk, constrained_biased_walk, simple_walk, walk_expectation
 
 __version__ = "0.1.0"
 
@@ -81,11 +72,8 @@ __all__ = [
     "RwpsoConfig",
     "RwpsoState",
     "SearchDomain",
-    "SwarmGraph",
-    "WalkSpec",
     "biased_walk",
     "build_distance_matrix",
-    "build_swarm_graph",
     "compute_delta",
     "compute_ranks",
     "constrained_biased_walk",
@@ -117,7 +105,6 @@ __all__ = [
     "scalarize",
     "select_target",
     "simple_walk",
-    "transition_probabilities",
     "update_distance_matrix",
     "update_position",
     "walk_expectation",

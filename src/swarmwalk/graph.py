@@ -15,21 +15,15 @@ square roots do not depend on which side of the pair computes them.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SELF_WEIGHT",
     "COINCIDENT_DISTANCE",
-    "SwarmGraph",
     "build_distance_matrix",
     "update_distance_matrix",
     "compute_ranks",
     "hop_probabilities",
-    "transition_probabilities",
-    "build_swarm_graph",
 ]
 
 SELF_WEIGHT = 1.0
@@ -99,57 +93,3 @@ def hop_probabilities(distances, fitnesses) -> np.ndarray:
     weighted = compute_ranks(fitnesses)[:, None] * distances
     return weighted / weighted.sum(axis=0, keepdims=True)
 
-
-def transition_probabilities(alpha, distances, source: int) -> np.ndarray:
-    """Hop distribution from `source`: P_i = alpha_i * A[i, source] / sum_k alpha_k * A[k, source]."""
-    alpha = np.asarray(alpha, dtype=float)
-    matrix = np.asarray(distances, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if alpha.shape != (matrix.shape[0],):
-        raise ValueError("rank vector length must match the matrix size")
-    if not 0 <= source < matrix.shape[0]:
-        raise IndexError(f"source {source} out of range")
-    weights = alpha * matrix[:, source]
-    return weights / weights.sum()
-
-
-@dataclass(frozen=True)
-class SwarmGraph:
-    """Immutable per-iteration snapshot of the swarm graph.
-
-    `prob_rows[j]` is the full hop distribution out of source particle j
-    (so prob_rows[j][i] is the probability of hopping from j to i).
-    """
-
-    positions: np.ndarray
-    distances: np.ndarray
-    alpha: np.ndarray
-    prob_rows: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.alpha.shape[0]
-
-    def to_json_dict(self) -> dict:
-        """Debug dump: {"positions", "A", "alpha", "prob_rows"} as plain lists."""
-        return {
-            "positions": self.positions.tolist(),
-            "A": self.distances.tolist(),
-            "alpha": self.alpha.tolist(),
-            "prob_rows": self.prob_rows.tolist(),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-
-def build_swarm_graph(positions, fitnesses) -> SwarmGraph:
-    """Assemble the distance matrix, ranks, and all hop distributions at once."""
-    matrix = build_distance_matrix(positions)
-    return SwarmGraph(
-        positions=np.asarray(positions, dtype=float).copy(),
-        distances=matrix,
-        alpha=compute_ranks(fitnesses),
-        prob_rows=hop_probabilities(matrix, fitnesses).T.copy(),
-    )

@@ -13,6 +13,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -81,6 +83,10 @@ CSV_COLUMNS = (
 Cell = tuple[str, str, int, int]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a sweep needs; fully expressible as a JSON config file.
@@ -118,12 +124,17 @@ class ExperimentSpec:
     objective_options: dict[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("runs_per_cell", "max_iterations", "workers"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("population_sizes", "dimensions"):
+            values = tuple(getattr(self, key))
+            if not all(_is_real(v) and float(v).is_integer() for v in values):
+                raise ValueError(f"{key} must hold integers, got {list(values)!r}")
+            object.__setattr__(self, key, tuple(int(v) for v in values))
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "population_sizes",
-                           tuple(int(p) for p in self.population_sizes))
-        object.__setattr__(self, "dimensions",
-                           tuple(int(d) for d in self.dimensions))
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
         for algorithm in self.algorithms:
@@ -134,9 +145,12 @@ class ExperimentSpec:
         for function in self.functions:
             if function not in FUNCTION_NAMES:
                 raise ValueError(f"unknown function {function!r}; choose from {FUNCTION_NAMES}")
-        for function in self.fitness_thresholds:
+        for function, threshold in self.fitness_thresholds.items():
             if function not in FUNCTION_NAMES:
                 raise ValueError(f"threshold for unknown function {function!r}")
+            if threshold is not None and not (_is_real(threshold) and math.isfinite(threshold)):
+                raise ValueError(f"threshold for {function} must be a finite number "
+                                 f"or null, got {threshold!r}")
         for presets in (self.rwpso_presets, self.pso_presets, self.objective_options):
             for function in presets:
                 if function not in FUNCTION_NAMES:

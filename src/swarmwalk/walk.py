@@ -10,12 +10,9 @@ these walks as the reference model for its per-step drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "WalkSpec",
     "simple_walk",
     "biased_walk",
     "constrained_biased_walk",
@@ -41,14 +38,8 @@ def biased_walk(n: int, p: float, rng: np.random.Generator, *, path: bool = Fals
     Returns the integer final position S_n, or the whole trajectory
     (S_0 = 0 included, length n + 1) when `path` is true.
     """
-    n = _check_steps(n)
-    p = _check_probability(p)
-    steps = np.where(rng.random(n) < p, 1, -1)
-    if path:
-        positions = np.zeros(n + 1, dtype=int)
-        np.cumsum(steps, out=positions[1:])
-        return positions
-    return int(steps.sum())
+    walk = constrained_biased_walk(n, p, 1.0, 1.0, rng, path=path)
+    return walk.astype(int) if path else int(walk)
 
 
 def simple_walk(n: int, rng: np.random.Generator, *, path: bool = False):
@@ -83,24 +74,3 @@ def walk_expectation(n: int, p: float, step_plus: float = 1.0,
     p = _check_probability(p)
     return n * (p * float(step_plus) - (1.0 - p) * float(step_minus))
 
-
-@dataclass(frozen=True)
-class WalkSpec:
-    """Parameters of one walk; `sample` draws it, `expectation` is its mean."""
-
-    steps: int
-    bias: float = 0.5
-    step_plus: float = 1.0
-    step_minus: float = 1.0
-
-    def __post_init__(self):
-        _check_steps(self.steps)
-        _check_probability(self.bias)
-
-    def sample(self, rng: np.random.Generator, *, path: bool = False):
-        return constrained_biased_walk(
-            self.steps, self.bias, self.step_plus, self.step_minus, rng, path=path
-        )
-
-    def expectation(self) -> float:
-        return walk_expectation(self.steps, self.bias, self.step_plus, self.step_minus)

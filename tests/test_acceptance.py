@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from swarmwalk.cli import cli_main
-from swarmwalk.graph import build_swarm_graph, compute_ranks
+from swarmwalk.graph import build_distance_matrix, compute_ranks, hop_probabilities
 from swarmwalk.harness import ExperimentSpec, run_experiment
 from swarmwalk.objectives import SearchDomain, make_objective
 from swarmwalk.pso import PsoConfig, pso_run
@@ -38,21 +38,23 @@ def test_criterion_1_five_particle_graph_oracle():
         [-2.0, 4.0], [5.0, 5.0], [8.0, -1.0], [4.0, -6.0], [-4.0, -3.0],
     ])
     fitnesses = np.linalg.norm(positions, axis=1)  # distance to the origin
-    graph = build_swarm_graph(positions, fitnesses)
+    alpha = compute_ranks(fitnesses)
+    distances = build_distance_matrix(positions)
+    prob_rows = hop_probabilities(distances, fitnesses).T
 
-    ranks = [int(r) for r in graph.alpha]
+    ranks = [int(r) for r in alpha]
     ranks_ok = ranks == [5, 3, 1, 2, 4]
-    denominator = float((graph.alpha * graph.distances[:, 0]).sum())
+    denominator = float((alpha * distances[:, 0]).sum())
     denominator_ok = abs(denominator - 89.83) <= 0.05
     expected = (0.05, 0.23, 0.12, 0.25, 0.32)
     probs_ok = all(
-        abs(got - want) <= 0.02 for got, want in zip(graph.prob_rows[0], expected)
+        abs(got - want) <= 0.02 for got, want in zip(prob_rows[0], expected)
     )
     _report(
         "criterion 1 (five-particle graph oracle)",
         ranks_ok and denominator_ok and probs_ok,
         f"ranks={ranks}, denominator={denominator:.4f}, "
-        f"probs={np.round(graph.prob_rows[0], 3).tolist()}",
+        f"probs={np.round(prob_rows[0], 3).tolist()}",
     )
 
 
@@ -64,9 +66,11 @@ def test_criterion_2_row_stochasticity_and_rank_permutations():
         dim = int(rng.integers(1, 31))
         positions = rng.uniform(-100.0, 100.0, size=(n, dim))
         fitnesses = rng.normal(size=n)
-        graph = build_swarm_graph(positions, fitnesses)
-        worst_gap = max(worst_gap, float(np.abs(graph.prob_rows.sum(axis=1) - 1.0).max()))
-        if sorted(graph.alpha) != list(range(1, n + 1)):
+        ranks = compute_ranks(fitnesses)
+        # contiguous rows, so each row sum is numpy's pairwise sum of that row
+        prob_rows = hop_probabilities(build_distance_matrix(positions), fitnesses).T.copy()
+        worst_gap = max(worst_gap, float(np.abs(prob_rows.sum(axis=1) - 1.0).max()))
+        if sorted(ranks) != list(range(1, n + 1)):
             _report("criterion 2 (row stochasticity)", False,
                     f"rank vector not a permutation for swarm size {n}")
     _report(

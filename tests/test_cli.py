@@ -1,8 +1,11 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import swarmwalk
 from swarmwalk import cli
 from swarmwalk.cli import cli_main
 
@@ -88,13 +91,21 @@ class TestRunCommand:
     def test_missing_config_file_fails(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
-    def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("overrides, flags, named", [
+        pytest.param({"rwpso_options": {"walk_horizn": 3}}, [], "walk_horizn",
+                     id="misspelled-key"),
+        pytest.param({}, ["--threshold", "nan"], "threshold", id="nan-threshold"),
+        pytest.param({"runs_per_cell": "3"}, [], "runs_per_cell", id="string-runs"),
+    ])
+    def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                             overrides, flags, named):
         monkeypatch.setattr(cli, "run_experiment", pytest.fail)
         config = tmp_path / "exp.json"
-        config.write_text(json.dumps({**TINY_CONFIG, "rwpso_options": {"walk_horizn": 3}}),
-                          encoding="utf-8")
-        assert cli_main(["run", "--config", str(config)]) == 1
-        assert "walk_horizn" in capsys.readouterr().err
+        config.write_text(json.dumps({**TINY_CONFIG, **overrides}), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
 
 class TestTableCommand:
@@ -133,7 +144,22 @@ class TestTraceCommand:
         assert code == 0
         assert out.read_text(encoding="utf-8").startswith("iteration,best_fitness")
 
+    def test_non_finite_threshold_is_rejected(self, capsys):
+        assert cli_main(["trace", "--threshold", "inf", "--max-iter", "5"]) == 1
+        assert "threshold for sphere" in capsys.readouterr().err
+
 
 def test_help_exits_zero():
     assert cli_main(["--help"]) == 0
     assert cli_main(["run", "--help"]) == 0
+
+
+def test_every_export_resolves():
+    modules = [swarmwalk] + [importlib.import_module(f"swarmwalk.{info.name}")
+                             for info in pkgutil.iter_modules(swarmwalk.__path__)]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing {missing}"
+    namespace: dict = {}
+    exec("from swarmwalk import *", namespace)
+    assert set(swarmwalk.__all__) <= set(namespace)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +6,8 @@ from hypothesis import strategies as st
 from swarmwalk.graph import (
     COINCIDENT_DISTANCE,
     build_distance_matrix,
-    build_swarm_graph,
     compute_ranks,
-    transition_probabilities,
+    hop_probabilities,
     update_distance_matrix,
 )
 
@@ -49,11 +46,12 @@ class TestFivePointOracle:
         assert float((alpha * a[:, 0]).sum()) == pytest.approx(89.83, abs=0.05)
 
     def test_probabilities_from_first_particle(self):
-        graph = build_swarm_graph(FIVE_POINTS, ORIGIN_DISTANCES)
+        a = build_distance_matrix(FIVE_POINTS)
+        column = hop_probabilities(a, ORIGIN_DISTANCES)[:, 0]
         expected = (0.05, 0.23, 0.12, 0.25, 0.32)
-        for got, want in zip(graph.prob_rows[0], expected):
+        for got, want in zip(column, expected):
             assert got == pytest.approx(want, abs=0.02)
-        assert graph.prob_rows[0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert column.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDistanceMatrix:
@@ -163,25 +161,8 @@ class TestTransitionProbabilities:
     def test_two_particle_closed_form(self):
         d = 3.5
         a = np.array([[1.0, d], [d, 1.0]])
-        row = transition_probabilities([2, 1], a, 0)
-        np.testing.assert_allclose(row, [2.0 / (2.0 + d), d / (2.0 + d)])
-
-    def test_matches_graph_rows(self):
-        rng = np.random.default_rng(5)
-        pos = rng.normal(size=(9, 3))
-        fits = rng.normal(size=9)
-        graph = build_swarm_graph(pos, fits)
-        for j in range(9):
-            np.testing.assert_allclose(
-                graph.prob_rows[j],
-                transition_probabilities(graph.alpha, graph.distances, j),
-                atol=1e-15,
-            )
-
-    def test_source_out_of_range(self):
-        a = build_distance_matrix(np.eye(3))
-        with pytest.raises(IndexError):
-            transition_probabilities([1, 2, 3], a, 3)
+        column = hop_probabilities(a, [0.0, 1.0])[:, 0]  # ranks [2, 1]
+        np.testing.assert_allclose(column, [2.0 / (2.0 + d), d / (2.0 + d)])
 
     @given(st.integers(2, 60), st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -189,18 +170,20 @@ class TestTransitionProbabilities:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(-50, 50, size=(n, dim))
         fits = rng.normal(size=n)
-        graph = build_swarm_graph(pos, fits)
-        sums = graph.prob_rows.sum(axis=1)
+        probs = hop_probabilities(build_distance_matrix(pos), fits)
+        sums = probs.sum(axis=0)
         np.testing.assert_allclose(sums, np.ones(n), atol=1e-12)
-        assert np.all(graph.prob_rows > 0.0) and np.all(graph.prob_rows < 1.0)
+        assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 
 class TestSelfTerm:
     def test_best_particle_self_probability_formula(self):
-        graph = build_swarm_graph(FIVE_POINTS, ORIGIN_DISTANCES)
-        j = int(np.argmax(graph.alpha))  # the rank-N particle
-        denom = float((graph.alpha * graph.distances[:, j]).sum())
-        assert graph.prob_rows[j, j] == pytest.approx(graph.size / denom, abs=1e-12)
+        a = build_distance_matrix(FIVE_POINTS)
+        ranks = compute_ranks(ORIGIN_DISTANCES)
+        probs = hop_probabilities(a, ORIGIN_DISTANCES)
+        j = int(np.argmax(ranks))  # the rank-N particle
+        denom = float((ranks * a[:, j]).sum())
+        assert probs[j, j] == pytest.approx(ranks.size / denom, abs=1e-12)
 
     def test_well_separated_swarm_self_probability_is_row_minimum(self):
         # pairwise distances all exceed the swarm size, so every rank-weighted
@@ -209,18 +192,8 @@ class TestSelfTerm:
         pos = np.zeros((n, 2))
         pos[:, 0] = np.arange(n) * (n + 5.0)
         fits = np.arange(n, dtype=float)
-        graph = build_swarm_graph(pos, fits)
+        probs = hop_probabilities(build_distance_matrix(pos), fits)
         for j in range(n):
-            row = graph.prob_rows[j]
-            assert row[j] == pytest.approx(row.min(), abs=1e-15)
+            column = probs[:, j]
+            assert column[j] == pytest.approx(column.min(), abs=1e-15)
 
-
-class TestJsonDump:
-    def test_schema_and_round_trip(self):
-        graph = build_swarm_graph(FIVE_POINTS, ORIGIN_DISTANCES)
-        doc = json.loads(graph.to_json())
-        assert set(doc) == {"positions", "A", "alpha", "prob_rows"}
-        np.testing.assert_allclose(doc["A"], graph.distances)
-        np.testing.assert_array_equal(doc["alpha"], graph.alpha)
-        np.testing.assert_allclose(doc["prob_rows"], graph.prob_rows)
-        np.testing.assert_allclose(doc["positions"], FIVE_POINTS)

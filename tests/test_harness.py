@@ -174,10 +174,31 @@ class TestSpecValidation:
                      "rosenbrock", id="bad-dimension"),
         pytest.param({"functions": ("binh4",), "objective_options": {"binh4": {"lower": -10.0}}},
                      "binh4", id="bad-domain"),
+        pytest.param({"fitness_thresholds": {"sphere": float("nan")}},
+                     "threshold for sphere", id="nan-threshold"),
+        pytest.param({"fitness_thresholds": {"sphere": float("inf")}},
+                     "threshold for sphere", id="inf-threshold"),
+        pytest.param({"fitness_thresholds": {"sphere": "0.1"}},
+                     "threshold for sphere", id="string-threshold"),
+        pytest.param({"fitness_thresholds": {"sphere": True}},
+                     "threshold for sphere", id="bool-threshold"),
+        pytest.param({"runs_per_cell": 2.5}, "runs_per_cell", id="fractional-runs"),
+        pytest.param({"runs_per_cell": "3"}, "runs_per_cell", id="string-runs"),
+        pytest.param({"max_iterations": 2.5}, "max_iterations", id="fractional-max-iterations"),
+        pytest.param({"workers": True}, "workers", id="bool-workers"),
+        pytest.param({"population_sizes": (5.7,)}, "population_sizes",
+                     id="fractional-population"),
+        pytest.param({"dimensions": ("2",)}, "dimensions", id="string-dimension"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**{**TINY, **overrides})
+
+    def test_integral_counts_still_load(self):
+        spec = ExperimentSpec(**{**TINY, "population_sizes": [6.0], "dimensions": (2.0,),
+                                 "fitness_thresholds": {"sphere": 1}})
+        assert spec.population_sizes == (6,) and spec.dimensions == (2,)
+        assert spec.threshold_for("sphere") == 1
 
     def test_cells_are_canonically_sorted(self):
         spec = ExperimentSpec(functions=("sphere", "rastrigin"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmwalk.graph import build_distance_matrix, build_swarm_graph
+from swarmwalk.graph import build_distance_matrix, hop_probabilities
 from swarmwalk.harness import DEFAULT_RWPSO_PRESETS
 from swarmwalk.objectives import SearchDomain, make_objective
 from swarmwalk.rwpso import (
@@ -235,7 +235,7 @@ class TestStep:
         state = init_state(obj, cfg, np.random.default_rng(3))
         rng = np.random.default_rng(9)
         r = rng.random(7)
-        rows = build_swarm_graph(state.positions, state.fitnesses).prob_rows
+        rows = hop_probabilities(state.distances, state.fitnesses).T
         chosen = select_target(rows, r)
         # a single particle is a one-row input and gets the same target
         singles = [select_target(rows[j:j + 1], r[j:j + 1])[0] for j in range(7)]
