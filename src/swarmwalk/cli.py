@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from swarmwalk.harness import (
     ALGORITHMS,
@@ -95,20 +96,14 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         for function in selected:
             thresholds[function] = args.threshold
         overrides["fitness_thresholds"] = thresholds
-    if not overrides:
-        return spec
-    merged = spec.to_dict()
-    merged.update({k: list(v) if isinstance(v, tuple) else v
-                   for k, v in overrides.items()})
-    return ExperimentSpec.from_dict(merged)
+    return replace(spec, **overrides) if overrides else spec
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    sideload = read_results(args.sideload) if args.sideload else []
     outcome = run_experiment(spec)
-    aggregates = outcome.aggregates
-    if args.sideload:
-        aggregates = merge_stats(aggregates, read_results(args.sideload))
+    aggregates = merge_stats(outcome.aggregates, sideload)
     text = write_results(aggregates, outcome.runs, args.out, args.format)
     if args.out is None:
         sys.stdout.write(text)

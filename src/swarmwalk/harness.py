@@ -14,10 +14,9 @@ import hashlib
 import io
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from swarmwalk.objectives import FUNCTION_NAMES, make_objective
 from swarmwalk.pso import PsoConfig, pso_run
-from swarmwalk.results import AggregateStats, RunResult
+from swarmwalk.results import AggregateStats, RunResult, _is_real, check_field_types
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 
 __all__ = [
@@ -68,23 +67,9 @@ DEFAULT_RWPSO_PRESETS: dict[str, dict] = {
 }
 DEFAULT_PSO_PRESETS: dict[str, dict] = {}
 
-CSV_COLUMNS = (
-    "algorithm",
-    "function",
-    "population",
-    "dimension",
-    "runs",
-    "mean_iterations",
-    "mean_best_fitness",
-    "std_best_fitness",
-    "success_rate",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(AggregateStats))
 
 Cell = tuple[str, str, int, int]
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -124,10 +109,7 @@ class ExperimentSpec:
     objective_options: dict[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in ("runs_per_cell", "max_iterations", "workers"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+        check_field_types(self)
         for key in ("population_sizes", "dimensions"):
             values = tuple(getattr(self, key))
             if not all(_is_real(v) and float(v).is_integer() for v in values):
@@ -151,10 +133,12 @@ class ExperimentSpec:
             if threshold is not None and not (_is_real(threshold) and math.isfinite(threshold)):
                 raise ValueError(f"threshold for {function} must be a finite number "
                                  f"or null, got {threshold!r}")
-        for presets in (self.rwpso_presets, self.pso_presets, self.objective_options):
-            for function in presets:
+        for key in ("rwpso_presets", "pso_presets", "objective_options"):
+            for function, options in getattr(self, key).items():
                 if function not in FUNCTION_NAMES:
                     raise ValueError(f"options for unknown function {function!r}")
+                if not isinstance(options, dict):
+                    raise ValueError(f"{key} for {function} must be an object, got {options!r}")
         if self.runs_per_cell < 1:
             raise ValueError("runs_per_cell must be >= 1")
         if self.max_iterations < 1:
@@ -193,27 +177,13 @@ class ExperimentSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "functions": list(self.functions),
-            "algorithms": list(self.algorithms),
-            "population_sizes": list(self.population_sizes),
-            "dimensions": list(self.dimensions),
-            "runs_per_cell": self.runs_per_cell,
-            "max_iterations": self.max_iterations,
-            "base_seed": self.base_seed,
-            "best_fraction": self.best_fraction,
-            "fitness_thresholds": dict(self.fitness_thresholds),
-            "workers": self.workers,
-            "rwpso_options": dict(self.rwpso_options),
-            "pso_options": dict(self.pso_options),
-            "rwpso_presets": {k: dict(v) for k, v in self.rwpso_presets.items()},
-            "pso_presets": {k: dict(v) for k, v in self.pso_presets.items()},
-            "objective_options": {k: dict(v) for k, v in self.objective_options.items()},
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        known = set(cls.__dataclass_fields__)
+        if not isinstance(data, dict):
+            raise ValueError(f"an experiment config must be an object, got {data!r}")
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
@@ -395,8 +365,7 @@ def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for entry in stats:
-            row = entry.to_dict()
-            writer.writerow([_format_number(row[column]) for column in CSV_COLUMNS])
+            writer.writerow([_format_number(getattr(entry, c)) for c in CSV_COLUMNS])
         text = buffer.getvalue()
     elif fmt == "json":
         document: dict = {"aggregates": [entry.to_dict() for entry in stats]}
@@ -414,19 +383,36 @@ def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
 
 
 def read_results(path) -> list[AggregateStats]:
-    """Load aggregate rows back from a CSV or JSON results file."""
+    """Load aggregate rows back from a CSV or JSON results file.
+
+    A malformed file raises ValueError naming the file, and the row and
+    field at fault.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
-    if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        return [AggregateStats.from_dict(row) for row in json.loads(text)["aggregates"]]
-    reader = csv.DictReader(io.StringIO(text))
-    missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"results file {path} lacks columns: {sorted(missing)}")
-    return [AggregateStats.from_dict(row) for row in reader]
+    try:
+        if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
+            document = json.loads(text)
+            rows = document.get("aggregates") if isinstance(document, dict) else None
+            if not isinstance(rows, list):
+                raise ValueError('no "aggregates" list')
+        else:
+            rows = csv.DictReader(io.StringIO(text))
+            missing = set(CSV_COLUMNS) - set(rows.fieldnames or ())
+            if missing:
+                raise ValueError(f"lacks columns: {sorted(missing)}")
+        stats = []
+        for number, row in enumerate(rows, 1):
+            try:
+                stats.append(AggregateStats.from_dict(row))
+            except ValueError as exc:
+                raise ValueError(f"row {number}: {exc}") from None
+        return stats
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"results file {path}: {exc}") from exc
 
 
 def merge_stats(*groups) -> list[AggregateStats]:
@@ -435,24 +421,17 @@ def merge_stats(*groups) -> list[AggregateStats]:
     return sorted(combined, key=lambda s: s.cell_key)
 
 
+# format() spec of each numeric table column; the other columns print as is.
+_TABLE_FORMATS = {"mean_iterations": ".1f", "mean_best_fitness": ".6g",
+                  "std_best_fitness": ".6g", "success_rate": ".2f"}
+
+
 def format_table(stats) -> str:
     """Aligned plain-text comparison table of aggregate rows."""
-    header = list(CSV_COLUMNS)
-    rows = [header]
-    for entry in stats:
-        record = entry.to_dict()
-        rows.append([
-            record["algorithm"],
-            record["function"],
-            str(record["population"]),
-            str(record["dimension"]),
-            str(record["runs"]),
-            f"{record['mean_iterations']:.1f}",
-            f"{record['mean_best_fitness']:.6g}",
-            f"{record['std_best_fitness']:.6g}",
-            f"{record['success_rate']:.2f}",
-        ])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    rows = [list(CSV_COLUMNS)]
+    rows += [[format(getattr(entry, c), _TABLE_FORMATS.get(c, "")) for c in CSV_COLUMNS]
+             for entry in stats]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_COLUMNS))]
     lines = []
     for index, row in enumerate(rows):
         lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
-from swarmwalk.results import RunResult, run_loop
+from swarmwalk.results import RunResult, check_field_types, run_loop
 
 __all__ = [
     "PsoConfig",
@@ -54,6 +54,7 @@ class PsoConfig:
     bounce_damping: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.dim < 1:

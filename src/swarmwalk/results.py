@@ -3,11 +3,40 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-__all__ = ["RunResult", "AggregateStats", "mean_best_fitness", "run_loop"]
+__all__ = ["RunResult", "AggregateStats", "check_field_types", "mean_best_fitness", "run_loop"]
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Declared annotation (its text, as `from __future__ import annotations`
+# leaves it; containers by their outer type) -> the check a value must pass
+# and how an error names the type.  A bool is never a number.
+_TYPE_RULES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (_is_real, "a number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a number or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)), "a list"),
+}
+
+
+def check_field_types(record) -> None:
+    """Raise ValueError naming the first field of the dataclass `record` whose
+    value does not have its declared type (of a container, only the outer one)."""
+    for f in fields(record):
+        check, kind = _TYPE_RULES[f.type.split("[")[0]]
+        value = getattr(record, f.name)
+        if not check(value):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 def mean_best_fitness(fitnesses, fraction: float = 0.8) -> float:
@@ -47,18 +76,9 @@ class RunResult:
     mean_best_80: float
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "function": self.function,
-            "population": self.population,
-            "dimension": self.dimension,
-            "seed": self.seed,
-            "iterations_used": self.iterations_used,
-            "best_fitness": self.best_fitness,
-            "best_position": np.asarray(self.best_position, dtype=float).tolist(),
-            "trace": np.asarray(self.trace, dtype=float).tolist(),
-            "mean_best_80": self.mean_best_80,
-        }
+        return {**asdict(self),
+                "best_position": np.asarray(self.best_position, dtype=float).tolist(),
+                "trace": np.asarray(self.trace, dtype=float).tolist()}
 
 
 def run_loop(algorithm: str, objective, config, best_fraction: float,
@@ -122,28 +142,27 @@ class AggregateStats:
         return (self.algorithm, self.function, self.population, self.dimension)
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "function": self.function,
-            "population": self.population,
-            "dimension": self.dimension,
-            "runs": self.runs,
-            "mean_iterations": self.mean_iterations,
-            "mean_best_fitness": self.mean_best_fitness,
-            "std_best_fitness": self.std_best_fitness,
-            "success_rate": self.success_rate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateStats":
-        return cls(
-            algorithm=str(data["algorithm"]),
-            function=str(data["function"]),
-            population=int(data["population"]),
-            dimension=int(data["dimension"]),
-            runs=int(data["runs"]),
-            mean_iterations=float(data["mean_iterations"]),
-            mean_best_fitness=float(data["mean_best_fitness"]),
-            std_best_fitness=float(data["std_best_fitness"]),
-            success_rate=float(data["success_rate"]),
-        )
+        """One row of a results file: a JSON object or a CSV record.
+
+        Each field holds a value of its declared type or the text of one (a
+        CSV cell); a missing or unparsable field raises ValueError naming it.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a row must be an object, got {data!r}")
+        values = {}
+        for f in fields(cls):
+            check, kind = _TYPE_RULES[f.type]
+            value = data.get(f.name)
+            if value is None:
+                raise ValueError(f"missing field {f.name!r}")
+            if not (isinstance(value, str) or check(value)):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            try:
+                values[f.name] = {"str": str, "int": int, "float": float}[f.type](value)
+            except ValueError:
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}") from None
+        return cls(**values)

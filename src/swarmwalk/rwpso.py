@@ -19,7 +19,7 @@ import numpy as np
 
 from swarmwalk.graph import build_distance_matrix, hop_probabilities, update_distance_matrix
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
-from swarmwalk.results import RunResult, run_loop
+from swarmwalk.results import RunResult, check_field_types, run_loop
 
 __all__ = [
     "SIGMA_MODES",
@@ -68,6 +68,7 @@ class RwpsoConfig:
     fitness_threshold: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.dim < 1:

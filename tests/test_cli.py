@@ -8,6 +8,7 @@ import pytest
 import swarmwalk
 from swarmwalk import cli
 from swarmwalk.cli import cli_main
+from swarmwalk.harness import CSV_COLUMNS
 
 TINY_CONFIG = {
     "functions": ["sphere"],
@@ -96,6 +97,8 @@ class TestRunCommand:
                      id="misspelled-key"),
         pytest.param({}, ["--threshold", "nan"], "threshold", id="nan-threshold"),
         pytest.param({"runs_per_cell": "3"}, [], "runs_per_cell", id="string-runs"),
+        pytest.param({"base_seed": 7.0}, [], "base_seed", id="float-seed"),
+        pytest.param({"functions": "sphere"}, [], "functions", id="string-functions"),
     ])
     def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              overrides, flags, named):
@@ -121,6 +124,37 @@ class TestTableCommand:
 
     def test_missing_results_file(self, tmp_path):
         assert cli_main(["table", str(tmp_path / "nope.csv")]) == 1
+
+
+ROW = dict(zip(CSV_COLUMNS, ["qpso", "sphere", 6, 2, 50, 5.0, 0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("name, text, named", [
+    pytest.param("r.json", json.dumps({"aggregates": [
+                     {k: v for k, v in ROW.items() if k != "population"}]}),
+                 "population", id="json-missing-key"),
+    pytest.param("r.json", json.dumps({"rows": [ROW]}), "aggregates",
+                 id="json-without-aggregates"),
+    pytest.param("r.json", json.dumps([ROW]), "aggregates", id="json-list"),
+    pytest.param("r.json", json.dumps({"aggregates": [{**ROW, "population": 6.5}]}),
+                 "population", id="json-fractional-population"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,0.0,0.0\n",
+                 "success_rate", id="csv-missing-value"),
+])
+@pytest.mark.parametrize("command", ["table", "run --sideload"])
+def test_malformed_results_file_is_one_error_line(tmp_path, monkeypatch, capsys, config_path,
+                                                  command, name, text, named):
+    monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    if command == "table":
+        argv = ["table", str(bad)]
+    else:
+        argv = ["run", "--config", str(config_path), "--sideload", str(bad)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and str(bad) in err
 
 
 class TestTraceCommand:

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,35 @@ def crashing_last_cell(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "run_cell", run_cell_or_die)
     return cells[-1]
+
+
+BASELINE_ROW = dict(algorithm="qpso", function="sphere", population=6, dimension=2,
+                    runs=50, mean_iterations=5.0, mean_best_fitness=0.0,
+                    std_best_fitness=0.0, success_rate=1.0)
+
+
+def _json_rows(*rows):
+    return json.dumps({"aggregates": list(rows)})
+
+
+# (file name, contents, what the error names) of results files that
+# `read_results` must reject with a ValueError.
+MALFORMED_RESULTS = [
+    pytest.param("r.json", _json_rows({k: v for k, v in BASELINE_ROW.items()
+                                       if k != "population"}),
+                 "row 1: missing field 'population'", id="json-missing-key"),
+    pytest.param("r.json", json.dumps({"rows": [BASELINE_ROW]}), "aggregates",
+                 id="json-without-aggregates"),
+    pytest.param("r.json", json.dumps([BASELINE_ROW]), "aggregates", id="json-list"),
+    pytest.param("r.json", _json_rows({**BASELINE_ROW, "population": 6.5}),
+                 "population must be an integer, got 6.5", id="json-fractional-population"),
+    pytest.param("r.json", _json_rows(BASELINE_ROW, 5), "row 2: a row must be an object",
+                 id="json-row-not-object"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,0.0,0.0\n",
+                 "row 1: missing field 'success_rate'", id="csv-missing-value"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,0.0,0.0,high\n",
+                 "success_rate must be a number, got 'high'", id="csv-unparsable-value"),
+]
 
 
 class TestMeanBestFitness:
@@ -189,6 +219,20 @@ class TestSpecValidation:
         pytest.param({"population_sizes": (5.7,)}, "population_sizes",
                      id="fractional-population"),
         pytest.param({"dimensions": ("2",)}, "dimensions", id="string-dimension"),
+        pytest.param({"population_sizes": 5}, "population_sizes", id="scalar-population"),
+        pytest.param({"fitness_thresholds": [1]}, "fitness_thresholds", id="list-thresholds"),
+        pytest.param({"best_fraction": "0.5"}, "best_fraction", id="string-best-fraction"),
+        pytest.param({"best_fraction": True}, "best_fraction", id="bool-best-fraction"),
+        pytest.param({"base_seed": 7.0}, "base_seed", id="float-seed"),
+        pytest.param({"base_seed": "7"}, "base_seed", id="string-seed"),
+        pytest.param({"base_seed": True}, "base_seed", id="bool-seed"),
+        pytest.param({"functions": "sphere"}, "functions", id="string-functions"),
+        pytest.param({"rwpso_options": {"walk_horizon": 2.5}},
+                     "rwpso.*sphere.*walk_horizon", id="fractional-walk-horizon"),
+        pytest.param({"algorithms": ("pso",), "pso_options": {"r_per_dimension": "no"}},
+                     "pso.*sphere.*r_per_dimension", id="string-r-per-dimension"),
+        pytest.param({"objective_options": {"binh4": 5}}, "objective_options for binh4",
+                     id="scalar-objective-options"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -413,6 +457,31 @@ class TestSideload:
         bad.write_text("algorithm,function\nqpso,sphere\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_results(bad)
+
+    @pytest.mark.parametrize("name, text, named", MALFORMED_RESULTS)
+    def test_malformed_file_names_the_fault(self, tmp_path, name, text, named):
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=named) as info:
+            read_results(bad)
+        assert str(bad) in str(info.value)
+
+
+def test_format_table_matches_readme_sample():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sample = readme.split("Sample output", 1)[1].split("```\n")[1]
+    rows = [
+        ("pso", "rastrigin", 276.9, 140.247, 17.4566, 1.0),
+        ("pso", "sphere", 404.3, 0.205712, 0.357483, 1.0),
+        ("rwpso", "rastrigin", 500.0, 111.735, 21.4256, 0.0),
+        ("rwpso", "sphere", 104.2, 0.0216966, 0.00651373, 1.0),
+    ]
+    stats = [AggregateStats(algorithm=algorithm, function=function, population=20,
+                            dimension=10, runs=10, mean_iterations=iterations,
+                            mean_best_fitness=mean, std_best_fitness=std,
+                            success_rate=success)
+             for algorithm, function, iterations, mean, std, success in rows]
+    assert harness.format_table(stats) == sample
 
 
 def test_load_spec_from_file(tmp_path):
