@@ -101,7 +101,12 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    sideload = read_results(args.sideload) if args.sideload else []
+    sideload = merge_stats(read_results(args.sideload)) if args.sideload else []
+    swept = set(spec.cells())
+    for entry in sideload:
+        if entry.cell_key in swept:
+            raise ValueError(f"sideload {args.sideload} holds cell {entry.cell_key}, "
+                             f"which the sweep runs")
     outcome = run_experiment(spec)
     aggregates = merge_stats(outcome.aggregates, sideload)
     text = write_results(aggregates, outcome.runs, args.out, args.format)

@@ -31,6 +31,22 @@ SELF_WEIGHT = 1.0
 # drops out of the hop distribution.
 COINCIDENT_DISTANCE = 1e-9
 
+# build_distance_matrix sums an (M, N) block plane by plane once
+# M * N >= PLANE_MIN_ENTRIES_PER_DIM * D.  Below that, the fixed cost of the
+# plane body's ufunc calls, which grows with D, outweighs the broadcast
+# body's per-distance reduction cost.  Measured on a 2-vCPU Xeon VM, numpy
+# 2.4.6, the plane body's time over the broadcast body's crosses 1 at
+# M * N of about 40 (D=3), 640 (D=10), 640-960 (D=20), 1440-1600 (D=30) and
+# 2500-3800 (D=64), and is 0.45-0.6 at N=160, D=10-30.
+PLANE_MIN_ENTRIES_PER_DIM = 64
+# numpy sums a float64 row of at most this many values with the fixed
+# eight-accumulator tree the plane body replays, and longer rows by halves.
+PAIRWISE_BLOCK = 128
+# Coordinate planes squared per ufunc call past the first eight (a divisor
+# of 8).  Four keeps the workspace within L2 at N=160 and still amortizes
+# the per-call cost at N=40-80.
+PLANE_GROUP = 4
+
 
 def build_distance_matrix(positions, rows=None) -> np.ndarray:
     """Distances from the particles `rows` to every particle, shape (len(rows), N).
@@ -38,6 +54,21 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     With `rows` None this is the symmetric N x N matrix.  Each row's own
     entry is SELF_WEIGHT, and an exact zero distance between two different
     particles becomes COINCIDENT_DISTANCE.
+
+    Each distance is the square root of numpy's sum of the D squared gaps,
+    bit for bit, whichever of two bodies computes it.  A block of fewer than
+    PLANE_MIN_ENTRIES_PER_DIM * D distances, or one with D > PAIRWISE_BLOCK,
+    builds the (M, N, D) gaps and sums them with np.sum.  A larger block
+    builds no such temporary: it squares the gaps of a few coordinate
+    planes at a time into one workspace of at most 8 + PLANE_GROUP (M, N)
+    planes, and replays the order in which numpy sums a float64 row of at
+    most PAIRWISE_BLOCK values.  Below D = 8 that is one running sum.  From
+    D = 8 on, plane k is added into accumulator k % 8 up to the last
+    multiple of eight, the accumulators combine as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remaining planes are added
+    one by one.  So the result depends on numpy's internal summation order.
+    The N=160 distance digests in tests/test_golden.py run this body and
+    fail loudly under a numpy that sums differently.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2:
@@ -45,11 +76,41 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     if pos.shape[0] < 2:
         raise ValueError("need at least 2 particles")
     rows = np.arange(pos.shape[0]) if rows is None else np.asarray(rows, dtype=int)
-    diff = pos[rows, None, :] - pos[None, :, :]
-    np.multiply(diff, diff, out=diff)
-    block = np.sqrt(np.sum(diff, axis=-1))
+    (n, dim), m = pos.shape, rows.shape[0]
+    if m * n < PLANE_MIN_ENTRIES_PER_DIM * dim or dim > PAIRWISE_BLOCK:
+        gaps = pos[rows, None, :] - pos[None, :, :]
+        np.multiply(gaps, gaps, out=gaps)
+        squared = np.sum(gaps, axis=-1)
+    else:
+        cols = pos.T.copy()
+        sub = cols[:, rows]
+        lanes = min(dim, 8)
+        work = np.empty((lanes + min(dim - lanes, PLANE_GROUP), m, n))
+
+        def squared_gaps(lo, hi, out):
+            np.subtract(sub[lo:hi, :, None], cols[lo:hi, None, :], out=out)
+            return np.multiply(out, out, out=out)
+
+        acc = squared_gaps(0, lanes, work[:lanes])
+        if dim < 8:
+            for k in range(1, dim):
+                acc[0] += acc[k]
+        else:
+            head = dim - dim % 8
+            for lo in range(8, head, PLANE_GROUP):
+                lane = lo % 8
+                acc[lane:lane + PLANE_GROUP] += squared_gaps(lo, lo + PLANE_GROUP, work[8:])
+            acc[0:8:2] += acc[1:8:2]
+            acc[0:8:4] += acc[2:8:4]
+            acc[0] += acc[4]
+            for lo in range(head, dim, PLANE_GROUP):
+                hi = min(lo + PLANE_GROUP, dim)
+                for plane in squared_gaps(lo, hi, work[8:8 + hi - lo]):
+                    acc[0] += plane
+        squared = acc[0]
+    block = np.sqrt(squared)
     block[block == 0.0] = COINCIDENT_DISTANCE
-    block[np.arange(rows.shape[0]), rows] = SELF_WEIGHT
+    block[np.arange(m), rows] = SELF_WEIGHT
     return block
 
 

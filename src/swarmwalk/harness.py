@@ -163,6 +163,17 @@ class ExperimentSpec:
                                       self.population_sizes[0], dims[0], seed=0)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"bad {algorithm} options for {function}: {exc}") from exc
+        # The loop above builds configs only for the listed functions and
+        # algorithms; a key in any other option block must still be a field.
+        for algorithm, config_class in (("rwpso", RwpsoConfig), ("pso", PsoConfig)):
+            known = {f.name for f in fields(config_class)}
+            blocks = {f"{algorithm}_options": getattr(self, f"{algorithm}_options")}
+            for function, options in getattr(self, f"{algorithm}_presets").items():
+                blocks[f"{algorithm}_presets for {function}"] = options
+            for where, options in blocks.items():
+                unknown = sorted(set(options) - known)
+                if unknown:
+                    raise ValueError(f"unknown {config_class.__name__} keys in {where}: {unknown}")
 
     def threshold_for(self, function: str) -> float | None:
         if function in self.fitness_thresholds:
@@ -416,9 +427,16 @@ def read_results(path) -> list[AggregateStats]:
 
 
 def merge_stats(*groups) -> list[AggregateStats]:
-    """Combine aggregate lists into one canonically sorted table."""
-    combined = [entry for group in groups for entry in group]
-    return sorted(combined, key=lambda s: s.cell_key)
+    """Combine aggregate lists into one canonically sorted table.
+
+    Each cell may appear once: a second row for a cell raises ValueError.
+    """
+    combined = sorted((entry for group in groups for entry in group),
+                      key=lambda s: s.cell_key)
+    for before, after in zip(combined, combined[1:]):
+        if before.cell_key == after.cell_key:
+            raise ValueError(f"cell {after.cell_key} appears twice")
+    return combined
 
 
 # format() spec of each numeric table column; the other columns print as is.

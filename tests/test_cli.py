@@ -99,6 +99,8 @@ class TestRunCommand:
         pytest.param({"runs_per_cell": "3"}, [], "runs_per_cell", id="string-runs"),
         pytest.param({"base_seed": 7.0}, [], "base_seed", id="float-seed"),
         pytest.param({"functions": "sphere"}, [], "functions", id="string-functions"),
+        pytest.param({"rwpso_presets": {"binh4": {"walk_horizn": 3}}}, [], "walk_horizn",
+                     id="misspelled-unlisted-preset"),
     ])
     def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              overrides, flags, named):
@@ -155,6 +157,39 @@ def test_malformed_results_file_is_one_error_line(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and str(bad) in err
+
+
+SIDELOAD_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+class TestDuplicateCells:
+    def test_table_refuses_a_cell_twice(self, tmp_path, config_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["table", str(out), "--sideload", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cell ('rwpso', 'sphere', 6, 2) appears twice\n"
+
+    @pytest.mark.parametrize("rows, named", [
+        pytest.param(["rwpso,sphere,6,2,50,5.0,0.0,0.0,1.0"], "rwpso', 'sphere', 6, 2",
+                     id="swept-cell"),
+        pytest.param(["qpso,sphere,6,2,50,5.0,0.0,0.0,1.0"] * 2, "qpso', 'sphere', 6, 2",
+                     id="twice-in-sideload"),
+    ])
+    def test_run_refuses_a_clashing_sideload_before_any_run(self, tmp_path, monkeypatch,
+                                                            capsys, config_path, rows, named):
+        monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+        side = tmp_path / "side.csv"
+        side.write_text(SIDELOAD_HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        argv = ["run", "--config", str(config_path), "--sideload", str(side), "--out", str(out)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
 
 
 class TestTraceCommand:

@@ -49,6 +49,14 @@ VARIANTS = {
         "dimensions": [10, 30],
         "max_iterations": 60,
     },
+    # N=160 puts the walker's distance builds, full and most row updates,
+    # on the plane-by-plane kernel; rastrigin's preset leaves some particles
+    # unmoved, so row blocks of many sizes occur.
+    "large": {
+        "functions": ["sphere", "rastrigin"],
+        "population_sizes": [160],
+        "dimensions": [30],
+    },
 }
 
 DIGESTS = {
@@ -60,6 +68,8 @@ DIGESTS = {
     ("range_sigma_scalar_r", "json"): "8dd6519f41adced7c5ab72653669ff7017ca163e81c9efbe45a9ab8f3c343d0f",
     ("wide", "csv"): "9117f0268841c47032299956b6c575112f5ee8723b6ff3bc2789c5645f4a4ac0",
     ("wide", "json"): "cd38db9ac985d73dfc9d42f7317fdfd79e67f43f0adef40ae405a27a7c0e42af",
+    ("large", "csv"): "273f183a977660871b8257071e71a2013e98ccbd01f08adf037dc86da54332b8",
+    ("large", "json"): "026bf9c096357c0fb88e0a5575d82433a328f81cc2e5b889209967fd63fa3562",
 }
 
 
@@ -163,5 +173,43 @@ def test_distance_matrix_digest(dim):
     matrix = build_distance_matrix(_distance_swarm(dim))
     assert np.count_nonzero(matrix == COINCIDENT_DISTANCE) == 2
     assert _digest(matrix) == DISTANCE_DIGESTS[dim], (
+        f"digests recorded with numpy {RECORDED_WITH_NUMPY}, running numpy {np.__version__}"
+    )
+
+
+# N=160 swarms put both the full build and a 126-row block (about 0.79 N,
+# the walker's mean moved share on sphere N=160 D=30) above the plane
+# kernel's cut-over.  D=3 uses its single running sum, 8 only its eight
+# accumulators, 10 and 17 add tail planes and 30 all three parts.
+LARGE_DISTANCE_DIMS = (3, 8, 10, 17, 30)
+LARGE_BLOCK_ROWS = np.sort(np.random.default_rng(3006).permutation(160)[:126])
+
+
+def _large_distance_swarm(dim: int) -> np.ndarray:
+    positions = np.random.default_rng(2000 + dim).uniform(-5.0, 5.0, size=(160, dim))
+    positions[101] = positions[17]  # one coincident pair
+    return positions
+
+
+LARGE_DISTANCE_DIGESTS = {
+    ("full", 3): "6a3dab7108a1715c7607b43836a1c2422ff0707dd6d8175915e95af0def79555",
+    ("full", 8): "ea5f71193ed0b4dfaf29bb26dc1abec0f3fa3345bb9e2dab1009c03d8938c091",
+    ("full", 10): "b6ce5bfe79e14ce7a2d9f6de609bea1fdc68825baf2317223022db50c24a1351",
+    ("full", 17): "ce30080f79034cb2da91adf784095e600ecb2c019ca10e1b304d8c7572ae7a24",
+    ("full", 30): "5e00ff10cabbb045f3415b756800200eeebea798bf624d85fc2bbf494f6b8781",
+    ("rows", 3): "e2d7f9c280182f5ed2e4f2976e43022d001e161592d0829600d2647d10fdbf21",
+    ("rows", 8): "6835ea4b0ed5cc9f6d34c2f9e57614b66ac8054e42c57e67ebf375d16bdd66ed",
+    ("rows", 10): "6e151ca4aed2e194265bc0e4750630cc7922d01a5fd3b644b44d0f5611426765",
+    ("rows", 17): "51a36374ff7617f8f736b8a889ac8f723cf556616f730be3a7eeb64c40da1e4f",
+    ("rows", 30): "5fcb189555a27e4a85f15ac45c9065cd99d4a4719d6149feae4767265f75c08a",
+}
+
+
+@pytest.mark.parametrize("part, dim", sorted(LARGE_DISTANCE_DIGESTS))
+def test_large_distance_matrix_digest(part, dim):
+    rows = None if part == "full" else LARGE_BLOCK_ROWS
+    matrix = build_distance_matrix(_large_distance_swarm(dim), rows)
+    assert np.count_nonzero(matrix == COINCIDENT_DISTANCE) == 2
+    assert _digest(matrix) == LARGE_DISTANCE_DIGESTS[(part, dim)], (
         f"digests recorded with numpy {RECORDED_WITH_NUMPY}, running numpy {np.__version__}"
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from swarmwalk.graph import (
     COINCIDENT_DISTANCE,
+    PLANE_GROUP,
+    PLANE_MIN_ENTRIES_PER_DIM,
     build_distance_matrix,
     compute_ranks,
     hop_probabilities,
@@ -85,6 +89,60 @@ class TestDistanceMatrix:
         assert block.shape == (rows.size, n)
         assert block.tobytes() == build_distance_matrix(pos)[rows].tobytes()
 
+
+
+def numpy_sum_distances(pos, rows):
+    """The distances as np.sum gives them, with the coincident and self fix-ups."""
+    d = pos[rows, None, :] - pos[None, :, :]
+    block = np.sqrt(np.sum(d * d, axis=-1))
+    block[block == 0.0] = COINCIDENT_DISTANCE
+    block[np.arange(rows.size), rows] = 1.0
+    return block
+
+
+def block_rows(rng, n, m):
+    """m sorted rows of n that hold the coincident pair (1, n - 1) when m >= 2."""
+    rest = rng.permutation(np.arange(2, n - 1))[:max(m - 2, 0)]
+    return np.sort(np.concatenate([[1, n - 1][:m], rest])).astype(int)
+
+
+# D = 8 is the first dimension numpy sums with its eight accumulators, 9, 15
+# and 17 add tail planes, 128 is the longest row it sums in one tree, and
+# 129 and 256 are split by it (so they take the broadcast body).
+ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 64, 127, 128, 129, 256)
+
+
+class TestMatchesNumpySum:
+    @pytest.mark.parametrize("n", (24, 80, 160))
+    @pytest.mark.parametrize("dim", ORACLE_DIMS)
+    def test_bit_for_bit(self, dim, n):
+        rng = np.random.default_rng(1000 * n + dim)
+        swarm = rng.uniform(-5.12, 5.12, size=(n, dim))
+        swarm[n - 1] = swarm[1]  # a coincident pair
+        # the fewest rows a block needs to take the plane body (when D <= 128)
+        cut = -(-PLANE_MIN_ENTRIES_PER_DIM * dim // n)
+        sizes = sorted({1, round(0.79 * n), cut - 1, cut, n} & set(range(1, n + 1)))
+        # a spread swarm, one scaled to ~1e-8 and one collapsed around a point
+        for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8):
+            for rows in [np.arange(n)] + [block_rows(rng, n, m) for m in sizes]:
+                got = build_distance_matrix(pos, rows)
+                want = numpy_sum_distances(pos, rows)
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("m", (126, 160))
+    def test_large_block_builds_no_gap_temporary(self, m):
+        pos = np.random.default_rng(m).uniform(-5.12, 5.12, size=(160, 30))
+        rows = np.arange(m)
+        tracemalloc.start()
+        try:
+            build_distance_matrix(pos, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the plane workspace, the result and its masks; the (M, N, D) gaps
+        # alone would take 30 planes
+        assert peak < (8 + PLANE_GROUP + 4) * m * 160 * 8
 
 # How each particle of a swarm in [-5.12, 5.12]^dim changes between two
 # iterations: stays put, moves at random, lands exactly on particle 0, or is

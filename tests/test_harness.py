@@ -233,6 +233,12 @@ class TestSpecValidation:
                      "pso.*sphere.*r_per_dimension", id="string-r-per-dimension"),
         pytest.param({"objective_options": {"binh4": 5}}, "objective_options for binh4",
                      id="scalar-objective-options"),
+        pytest.param({"rwpso_presets": {"binh4": {"walk_horizn": 3}}},
+                     r"rwpso_presets for binh4.*walk_horizn", id="misspelled-unlisted-preset"),
+        pytest.param({"pso_presets": {"sphere": {"vmax": 0.1}}},
+                     r"pso_presets for sphere.*vmax", id="misspelled-unused-algorithm-preset"),
+        pytest.param({"pso_options": {"vmax": 0.1}}, r"pso_options.*vmax",
+                     id="misspelled-unused-algorithm-option"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -451,6 +457,14 @@ class TestSideload:
         assert baseline in merged
         keys = [s.cell_key for s in merged]
         assert keys == sorted(keys)
+
+    def test_duplicate_cell_refused(self):
+        spec = ExperimentSpec(**TINY)
+        outcome = run_experiment(spec)
+        with pytest.raises(ValueError, match=r"cell \('rwpso', 'sphere', 6, 2\) appears twice"):
+            merge_stats(outcome.aggregates, outcome.aggregates)
+        with pytest.raises(ValueError, match="appears twice"):
+            merge_stats(outcome.aggregates * 2)
 
     def test_missing_columns_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
