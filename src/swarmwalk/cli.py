@@ -118,10 +118,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    stats = read_results(args.results_path)
-    if args.sideload:
-        stats = merge_stats(stats, read_results(args.sideload))
-    sys.stdout.write(format_table(stats))
+    sideload = read_results(args.sideload) if args.sideload else []
+    sys.stdout.write(format_table(merge_stats(read_results(args.results_path), sideload)))
     return 0
 
 

@@ -82,8 +82,9 @@ class ExperimentSpec:
     per function and lose to the global options on conflicts.
     `objective_options` maps function name to make_objective keyword
     overrides (domain bounds, weights, ...).  Construction builds every
-    objective and optimizer config the sweep will use, so a bad key or value
-    fails here rather than in the middle of a sweep.
+    objective the sweep will use and an optimizer config for every algorithm
+    and function, so a bad key or value in any option or preset block fails
+    here rather than in the middle of a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -154,26 +155,20 @@ class ExperimentSpec:
         for function in self.functions:
             options = self.objective_options.get(function, {})
             try:
-                dims = [make_objective(function, d, **options).dim for d in self.dimensions]
+                for dimension in self.dimensions:
+                    make_objective(function, dimension, **options)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad objective for {function}: {exc}") from exc
-            for algorithm in self.algorithms:
+        # Every option and preset block must build a config, also for a
+        # function or algorithm the sweep does not run.  The sweep's own come
+        # first, so an error in a global option names one of them.
+        for function in dict.fromkeys([*self.functions, *FUNCTION_NAMES]):
+            for algorithm in dict.fromkeys([*self.algorithms, *ALGORITHMS]):
                 try:
                     _optimizer_config(self, algorithm, function,
-                                      self.population_sizes[0], dims[0], seed=0)
+                                      self.population_sizes[0], self.dimensions[0], seed=0)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"bad {algorithm} options for {function}: {exc}") from exc
-        # The loop above builds configs only for the listed functions and
-        # algorithms; a key in any other option block must still be a field.
-        for algorithm, config_class in (("rwpso", RwpsoConfig), ("pso", PsoConfig)):
-            known = {f.name for f in fields(config_class)}
-            blocks = {f"{algorithm}_options": getattr(self, f"{algorithm}_options")}
-            for function, options in getattr(self, f"{algorithm}_presets").items():
-                blocks[f"{algorithm}_presets for {function}"] = options
-            for where, options in blocks.items():
-                unknown = sorted(set(options) - known)
-                if unknown:
-                    raise ValueError(f"unknown {config_class.__name__} keys in {where}: {unknown}")
 
     def threshold_for(self, function: str) -> float | None:
         if function in self.fitness_thresholds:

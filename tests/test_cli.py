@@ -172,6 +172,13 @@ class TestDuplicateCells:
         assert captured.out == ""
         assert captured.err == "error: cell ('rwpso', 'sphere', 6, 2) appears twice\n"
 
+    def test_table_refuses_a_cell_twice_in_one_file(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text(SIDELOAD_HEADER + "qpso,sphere,6,2,50,5.0,0.0,0.0,1.0\n" * 2,
+                           encoding="utf-8")
+        assert cli_main(["table", str(results)]) == 1
+        assert capsys.readouterr().err == "error: cell ('qpso', 'sphere', 6, 2) appears twice\n"
+
     @pytest.mark.parametrize("rows, named", [
         pytest.param(["rwpso,sphere,6,2,50,5.0,0.0,0.0,1.0"], "rwpso', 'sphere', 6, 2",
                      id="swept-cell"),

@@ -234,11 +234,13 @@ class TestSpecValidation:
         pytest.param({"objective_options": {"binh4": 5}}, "objective_options for binh4",
                      id="scalar-objective-options"),
         pytest.param({"rwpso_presets": {"binh4": {"walk_horizn": 3}}},
-                     r"rwpso_presets for binh4.*walk_horizn", id="misspelled-unlisted-preset"),
+                     "rwpso.*binh4.*walk_horizn", id="misspelled-unlisted-preset"),
+        pytest.param({"rwpso_presets": {"binh4": {"walk_horizon": 0}}},
+                     "rwpso.*binh4.*walk_horizon", id="bad-unlisted-preset-value"),
         pytest.param({"pso_presets": {"sphere": {"vmax": 0.1}}},
-                     r"pso_presets for sphere.*vmax", id="misspelled-unused-algorithm-preset"),
-        pytest.param({"pso_options": {"vmax": 0.1}}, r"pso_options.*vmax",
-                     id="misspelled-unused-algorithm-option"),
+                     "pso.*sphere.*vmax", id="misspelled-unused-algorithm-preset"),
+        pytest.param({"pso_options": {"v_max": -1.0}}, "pso.*sphere.*v_max",
+                     id="bad-unused-algorithm-option"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
