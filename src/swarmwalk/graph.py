@@ -35,10 +35,11 @@ COINCIDENT_DISTANCE = 1e-9
 # M * N >= PLANE_MIN_ENTRIES_PER_DIM * D.  Below that, the fixed cost of the
 # plane body's ufunc calls, which grows with D, outweighs the broadcast
 # body's per-distance reduction cost.  Measured on a 2-vCPU Xeon VM, numpy
-# 2.4.6, the plane body's time over the broadcast body's crosses 1 at
-# M * N of about 40 (D=3), 640 (D=10), 640-960 (D=20), 1440-1600 (D=30) and
-# 2500-3800 (D=64), and is 0.45-0.6 at N=160, D=10-30.
-PLANE_MIN_ENTRIES_PER_DIM = 64
+# 2.4.6 (plane time over broadcast time, medians of 21 alternated timings):
+# at M * N = 48 D it is 0.95-1.11, at 64 D 0.87-0.98 for D = 10 and 20 but
+# 0.91-1.05 for D = 30, and from 72 D on at most 0.95 at every N from 40 to
+# 160 tried; at N=160, D=10-30 it is 0.45-0.75.
+PLANE_MIN_ENTRIES_PER_DIM = 80
 # numpy sums a float64 row of at most this many values with the fixed
 # eight-accumulator tree the plane body replays, and longer rows by halves.
 PAIRWISE_BLOCK = 128
