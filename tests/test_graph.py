@@ -90,7 +90,6 @@ class TestDistanceMatrix:
         assert block.tobytes() == build_distance_matrix(pos)[rows].tobytes()
 
 
-
 def numpy_sum_distances(pos, rows):
     """The distances as np.sum gives them, with the coincident and self fix-ups."""
     d = pos[rows, None, :] - pos[None, :, :]
@@ -124,9 +123,9 @@ class TestMatchesNumpySum:
         sizes = sorted({1, round(0.79 * n), cut - 1, cut, n} & set(range(1, n + 1)))
         # a spread swarm, one scaled to ~1e-8 and one collapsed around a point
         for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8):
-            for rows in [np.arange(n)] + [block_rows(rng, n, m) for m in sizes]:
+            for rows in [None] + [block_rows(rng, n, m) for m in sizes]:
                 got = build_distance_matrix(pos, rows)
-                want = numpy_sum_distances(pos, rows)
+                want = numpy_sum_distances(pos, np.arange(n) if rows is None else rows)
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -143,6 +142,7 @@ class TestMatchesNumpySum:
         # the plane workspace, the result and its masks; the (M, N, D) gaps
         # alone would take 30 planes
         assert peak < (8 + PLANE_GROUP + 4) * m * 160 * 8
+
 
 # How each particle of a swarm in [-5.12, 5.12]^dim changes between two
 # iterations: stays put, moves at random, lands exactly on particle 0, or is
