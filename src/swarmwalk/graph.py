@@ -44,8 +44,8 @@ PLANE_MIN_ENTRIES_PER_DIM = 80
 # eight-accumulator tree the plane body replays, and longer rows by halves.
 PAIRWISE_BLOCK = 128
 # Coordinate planes squared per ufunc call past the first eight (a divisor
-# of 8).  Four keeps the workspace within L2 at N=160 and still amortizes
-# the per-call cost at N=40-80.
+# of 8).  At N=40-80 four cost far less per call than one; at N=160 one to
+# four ran equally fast and eight, with its larger workspace, slower.
 PLANE_GROUP = 4
 
 
