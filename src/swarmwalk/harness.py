@@ -81,9 +81,10 @@ class ExperimentSpec:
     seed, which the sweep owns).  `rwpso_presets` / `pso_presets` do the same
     per function and lose to the global options on conflicts.
     `objective_options` maps function name to make_objective keyword
-    overrides (domain bounds, weights, ...).  Construction builds every
-    objective the sweep will use and an optimizer config for every algorithm
-    and function, so a bad key or value in any option or preset block fails
+    overrides (domain bounds, and the parameters that function takes).
+    Construction builds every objective the sweep will use, every other
+    function's objective, and an optimizer config for every algorithm and
+    function, so a bad key or value in any option or preset block fails
     here rather than in the middle of a sweep.
     """
 
@@ -152,11 +153,15 @@ class ExperimentSpec:
             raise ValueError("population sizes must be given and >= 2")
         if not self.dimensions or any(d < 1 for d in self.dimensions):
             raise ValueError("dimensions must be given and >= 1")
-        for function in self.functions:
+        # An unlisted function is built at D >= 2, which every function
+        # accepts, so a sweep at D = 1 keeps a valid rosenbrock block.
+        for function in dict.fromkeys([*self.functions, *FUNCTION_NAMES]):
             options = self.objective_options.get(function, {})
+            listed = function in self.functions
             try:
                 for dimension in self.dimensions:
-                    make_objective(function, dimension, **options)
+                    make_objective(function, dimension if listed else max(dimension, 2),
+                                   **options)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad objective for {function}: {exc}") from exc
         # Every option and preset block must build a config, also for a
@@ -339,23 +344,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     else:
         raw = [_run_cell_task((spec, cell)) for cell in cells]
 
-    by_cell = {cell: (stats, results, error) for cell, stats, results, error in raw}
     outcome = ExperimentOutcome(aggregates=[], runs=[])
-    for cell in cells:  # canonical order, independent of scheduling
-        stats, results, error = by_cell[cell]
+    for _, stats, results, error in raw:  # in canonical cell order on both paths
         if error is not None:
             outcome.failures.append(error)
             continue
         outcome.aggregates.append(stats)
         outcome.runs.extend(results)
     return outcome
-
-
-def _format_number(value) -> str:
-    # repr round-trips floats exactly; integers stay integers
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
@@ -371,7 +367,8 @@ def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for entry in stats:
-            writer.writerow([_format_number(getattr(entry, c)) for c in CSV_COLUMNS])
+            # csv writes a float as its repr, which round-trips exactly
+            writer.writerow([getattr(entry, c) for c in CSV_COLUMNS])
         text = buffer.getvalue()
     elif fmt == "json":
         document: dict = {"aggregates": [entry.to_dict() for entry in stats]}

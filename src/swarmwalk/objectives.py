@@ -10,6 +10,7 @@ does not contain the optimum, so an optimizer has to travel, not just refine.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -179,23 +180,16 @@ def init_positions(domain: SearchDomain, n_particles: int, rng: np.random.Genera
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A benchmark problem to minimize: fitness function plus protocol metadata.
+    """A benchmark problem to minimize: its search domain and fitness function.
 
     `fitness` maps a position (array-like; it converts the position itself)
-    to its scalar fitness, the objective values already weighted by
-    `scalarization_weights`.  Evaluators are pure and deterministic.
+    to its scalar fitness, a two-objective function's values already
+    weighted.  Evaluators are pure and deterministic.
     """
 
     name: str
     domain: SearchDomain
     fitness: Callable[[np.ndarray], float]
-    known_optimum_value: float | None = None
-    scalarization_weights: tuple[float, ...] = (1.0,)
-
-    def __post_init__(self):
-        w = np.asarray(self.scalarization_weights, dtype=float)
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("scalarization weights must be >= 0 and sum to 1")
 
     @property
     def dim(self) -> int:
@@ -225,7 +219,9 @@ FUNCTION_NAMES = ("sphere", "rosenbrock", "rastrigin", "binh4", "schaffer_n1")
 # override must stay inside it.
 _FIXED_DIMS = {"binh4": 2, "schaffer_n1": 1}
 
-EQUAL_WEIGHTS = (0.5, 0.5)
+# The parameters each function takes besides its four domain bounds.
+_PARAMETERS = {"rastrigin": ("amplitude",), "binh4": ("weights",),
+               "schaffer_n1": ("weights", "bound")}
 
 
 def make_objective(
@@ -237,8 +233,8 @@ def make_objective(
     init_lower=None,
     init_upper=None,
     weights=None,
-    bound: float = 100.0,
-    amplitude: float = 10.0,
+    bound=None,
+    amplitude=None,
 ) -> ObjectiveSpec:
     """Build one of the five benchmark objectives with its default domain.
 
@@ -250,14 +246,20 @@ def make_objective(
     lower, upper, init_lower, init_upper : optional per-coordinate overrides
         for the domain; scalars broadcast across coordinates.  binh4 and
         schaffer_n1 reject bounds outside their default box.
-    weights : scalarization weights for the two-objective functions
-        (default equal weights).
-    bound : half-width of the schaffer_n1 domain (its init range is the
-        upper half [bound/2, bound]).
-    amplitude : rastrigin's A constant.
+    weights : binh4 and schaffer_n1 only; the two scalarization weights,
+        finite, >= 0 and summing to 1 (default equal weights).
+    bound : schaffer_n1 only; half-width of its domain, in [10, 1e5]
+        (default 100; the init range is the upper half [bound/2, bound]).
+    amplitude : rastrigin only; its A constant (default 10).
+
+    A parameter that `name` does not take raises ValueError, also when it
+    holds its default.
     """
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
+    for key, value in (("weights", weights), ("bound", bound), ("amplitude", amplitude)):
+        if value is not None and key not in _PARAMETERS.get(name, ()):
+            raise ValueError(f"{name} takes no parameter {key!r}")
 
     if name in _FIXED_DIMS:
         dim = _FIXED_DIMS[name]
@@ -267,6 +269,7 @@ def make_objective(
         raise ValueError(f"invalid dimension {dim} for {name}")
 
     if name == "schaffer_n1":
+        bound = 100.0 if bound is None else bound
         if not 10.0 <= bound <= 1e5:
             raise ValueError("schaffer_n1 bound must be in [10, 1e5]")
         defaults = (-bound, bound, bound / 2.0, bound)
@@ -279,37 +282,34 @@ def make_objective(
     ]
     bounds = [np.broadcast_to(np.asarray(b, dtype=float), (dim,)).copy() for b in chosen]
     domain = SearchDomain(*bounds)
-    if name in _FIXED_DIMS and (np.any(domain.lower < defaults[0])
-                                or np.any(domain.upper > defaults[1])):
-        raise ValueError(f"{name} domain must lie inside [{defaults[0]}, {defaults[1]}]")
+    if name in _FIXED_DIMS:
+        for key, outside in (("lower", domain.lower < defaults[0]),
+                             ("upper", domain.upper > defaults[1])):
+            if np.any(outside):
+                raise ValueError(f"{name} {key} must lie inside [{defaults[0]}, {defaults[1]}]")
 
-    n_objectives = 2 if name in ("binh4", "schaffer_n1") else 1
-    if weights is None:
-        weights = EQUAL_WEIGHTS if n_objectives == 2 else (1.0,)
-    weights = tuple(float(w) for w in np.atleast_1d(weights))
-    if len(weights) != n_objectives:
-        raise ValueError(f"{name} needs {n_objectives} scalarization weights")
+    if "weights" in _PARAMETERS.get(name, ()):
+        if weights is None:
+            weights = (0.5, 0.5)
+        weights = tuple(float(w) for w in np.atleast_1d(weights))
+        if len(weights) != 2:
+            raise ValueError(f"{name} needs 2 scalarization weights")
+        # A nan or inf weight fails too: its sum is not within 1e-9 of 1.
+        if not (min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9):
+            raise ValueError("scalarization weights must be finite, >= 0 and sum to 1")
 
-    # One weight scales one value: v * w equals scalarize's one-term dot
-    # product bit for bit.  A two-term dot may fuse a multiply-add, so the
-    # two-objective functions keep scalarize.
-    w = weights[0]
     if name == "sphere":
-        fitness = lambda x: eval_sphere(x) * w
+        fitness = eval_sphere
     elif name == "rosenbrock":
-        fitness = lambda x: eval_rosenbrock(x) * w
+        fitness = eval_rosenbrock
     elif name == "rastrigin":
-        fitness = lambda x: eval_rastrigin(x, amplitude) * w
+        amplitude = 10.0 if amplitude is None else amplitude
+        if isinstance(amplitude, bool) or not (isinstance(amplitude, numbers.Real)
+                                               and math.isfinite(amplitude)):
+            raise ValueError(f"rastrigin amplitude must be a finite number, got {amplitude!r}")
+        fitness = lambda x: eval_rastrigin(x, amplitude)
     elif name == "binh4":
         fitness = lambda x: scalarize(eval_binh4(float(x[0]), float(x[1])), weights)
     else:
         fitness = lambda x: scalarize(eval_schaffer_n1(float(x[0]), bound), weights)
-
-    known = 0.0 if name in ("sphere", "rosenbrock", "rastrigin") else None
-    return ObjectiveSpec(
-        name=name,
-        domain=domain,
-        fitness=fitness,
-        known_optimum_value=known,
-        scalarization_weights=weights,
-    )
+    return ObjectiveSpec(name=name, domain=domain, fitness=fitness)

@@ -101,6 +101,8 @@ class TestRunCommand:
         pytest.param({"functions": "sphere"}, [], "functions", id="string-functions"),
         pytest.param({"rwpso_presets": {"binh4": {"walk_horizn": 3}}}, [], "walk_horizn",
                      id="misspelled-unlisted-preset"),
+        pytest.param({"objective_options": {"schaffer_n1": {"weights": [float("nan"), 0.5]}}},
+                     [], "weights", id="nan-weight"),
     ])
     def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              overrides, flags, named):

@@ -241,10 +241,25 @@ class TestSpecValidation:
                      "pso.*sphere.*vmax", id="misspelled-unused-algorithm-preset"),
         pytest.param({"pso_options": {"v_max": -1.0}}, "pso.*sphere.*v_max",
                      id="bad-unused-algorithm-option"),
+        pytest.param({"objective_options": {"rastrigin": {"amplitdue": 3}}},
+                     "rastrigin.*amplitdue", id="misspelled-unlisted-objective-key"),
+        pytest.param({"objective_options": {"binh4": {"lower": -10.0}}},
+                     "binh4.*lower", id="bad-unlisted-domain"),
+        pytest.param({"objective_options": {"sphere": {"amplitude": 3}}},
+                     "sphere takes no parameter 'amplitude'", id="parameter-not-taken"),
+        pytest.param({"objective_options": {"rastrigin": {"weights": [1.0]}}},
+                     "rastrigin takes no parameter 'weights'", id="single-objective-weight"),
+        pytest.param({"objective_options": {"binh4": {"weights": [float("nan"), 0.5]}}},
+                     "binh4.*weights must be finite", id="nan-weight"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**{**TINY, **overrides})
+
+    def test_unlisted_objective_block_loads_at_any_sweep_dimension(self):
+        spec = ExperimentSpec(**{**TINY, "dimensions": (1,), "objective_options": {
+            "rosenbrock": {"lower": -10.0}, "schaffer_n1": {"bound": 50.0}}})
+        assert spec.dimensions == (1,)
 
     def test_integral_counts_still_load(self):
         spec = ExperimentSpec(**{**TINY, "population_sizes": [6.0], "dimensions": (2.0,),
@@ -481,6 +496,13 @@ class TestSideload:
         with pytest.raises(ValueError, match=named) as info:
             read_results(bad)
         assert str(bad) in str(info.value)
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    spec = ExperimentSpec.from_dict(json.loads(example))
+    assert spec.objective_options and spec.rwpso_options
 
 
 def test_format_table_matches_readme_sample():

@@ -249,8 +249,7 @@ class TestMakeObjective:
         ("rastrigin", np.zeros(5)),
     ])
     def test_known_optimum_value_exact(self, name, point):
-        obj = make_objective(name, 5)
-        assert obj.evaluate(point) == obj.known_optimum_value == 0.0
+        assert make_objective(name, 5).evaluate(point) == 0.0
 
     def test_all_functions_resolvable(self):
         for name in FUNCTION_NAMES:
@@ -282,15 +281,38 @@ class TestMakeObjective:
     ])
     @pytest.mark.parametrize("weight", [1.0, 1.0 - 5e-10, 1.0 + 9e-10])
     def test_single_weight_scales_like_scalarize(self, name, evaluator, weight):
-        obj = make_objective(name, 8, weights=(weight,))
+        # A single-objective function takes no weight, not even 1; its
+        # fitness is its evaluator, bit for bit.
+        with pytest.raises(ValueError, match=f"{name} takes no parameter 'weights'"):
+            make_objective(name, 8, weights=(weight,))
+        obj = make_objective(name, 8)
         rng = np.random.default_rng(11)
         points = np.vstack([
             np.zeros(8), np.ones(8), obj.domain.lower, obj.domain.upper,
             rng.uniform(obj.domain.lower, obj.domain.upper, size=(200, 8)),
         ])
         for x in points:
-            expected = scalarize((evaluator(x),), obj.scalarization_weights)
-            assert np.float64(obj.evaluate(x)).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(obj.evaluate(x)).tobytes() == np.float64(evaluator(x)).tobytes()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("sphere", "amplitude", 3.0),
+        ("sphere", "bound", 100.0),
+        ("rosenbrock", "amplitude", 10.0),
+        ("rastrigin", "bound", 100.0),
+        ("binh4", "amplitude", 10.0),
+        ("binh4", "bound", 100.0),
+        ("schaffer_n1", "amplitude", 10.0),
+    ])
+    def test_parameter_the_function_does_not_take_refused(self, name, key, value):
+        with pytest.raises(ValueError, match=f"^{name} takes no parameter '{key}'$"):
+            make_objective(name, 4, **{key: value})
+
+    def test_rastrigin_amplitude(self):
+        x = np.full(3, 0.25)
+        assert make_objective("rastrigin", 3, amplitude=3).evaluate(x) == eval_rastrigin(x, 3.0)
+        for bad in (np.nan, np.inf, "3", True):
+            with pytest.raises(ValueError, match="amplitude must be a finite number"):
+                make_objective("rastrigin", 3, amplitude=bad)
 
     def test_fixed_dimension_functions_ignore_requested_dim(self):
         assert make_objective("binh4", 30).dim == 2
@@ -305,9 +327,12 @@ class TestMakeObjective:
             make_objective("ackley", 2)
 
     def test_default_equal_weights_on_two_objective(self):
-        obj = make_objective("binh4")
-        assert obj.scalarization_weights == (0.5, 0.5)
-        assert obj.evaluate([0.0, 0.0]) == pytest.approx(-0.5)
+        binh4, schaffer = make_objective("binh4"), make_objective("schaffer_n1")
+        for x in ([0.0, 0.0], [3.0, -1.5], [-7.0, 4.0]):
+            assert binh4.evaluate(x) == scalarize(eval_binh4(*x), (0.5, 0.5))
+        for x in (0.0, 3.0, -100.0):
+            assert schaffer.evaluate([x]) == scalarize(eval_schaffer_n1(x), (0.5, 0.5))
+        assert binh4.evaluate([0.0, 0.0]) == pytest.approx(-0.5)
 
     def test_weight_override(self):
         obj = make_objective("schaffer_n1", weights=(1.0, 0.0))
@@ -318,6 +343,9 @@ class TestMakeObjective:
             make_objective("binh4", weights=(0.9, 0.9))
         with pytest.raises(ValueError):
             make_objective("binh4", weights=(1.0,))
+        for bad in ((np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0), (1.5, -0.5)):
+            with pytest.raises(ValueError, match="finite, >= 0 and sum to 1"):
+                make_objective("schaffer_n1", weights=bad)
 
     def test_schaffer_bound_sets_domain(self):
         obj = make_objective("schaffer_n1", bound=1000.0)
