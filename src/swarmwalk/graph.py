@@ -47,6 +47,16 @@ PAIRWISE_BLOCK = 128
 # of 8).  At N=40-80 four cost far less per call than one; at N=160 one to
 # four ran equally fast and eight, with its larger workspace, slower.
 PLANE_GROUP = 4
+# Rows summed per strip, so the plane workspace holds at most
+# (8 + PLANE_GROUP) * PLANE_ROWS * N values however many rows moved, and every
+# block of the default swarms up to N=80 is one strip.  Measured on a 2-vCPU
+# Xeon VM, numpy 2.4.6: the in-run distance time of four rwpso runs at N=160,
+# D=30 (medians of 6 interleaved rounds) was 1.17 s with 64-row strips, 1.13 s
+# with 80, 1.14 s with 96 and 1.23 s in one strip; at N=80, D=10, 64-row strips
+# (two for a full build) took 0.135 s against 0.114-0.117 s in one strip.
+# perfbench peak_rss_mb on sphere-n160-d30 read 43.5-44.4 MB in one strip,
+# 41.0-42.0 with 32- and 64-row strips, 42.0 with 80 and 42.5-42.7 with 96.
+PLANE_ROWS = 80
 
 
 def build_distance_matrix(positions, rows=None) -> np.ndarray:
@@ -60,14 +70,17 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     bit for bit, whichever of two bodies computes it.  A block of fewer than
     PLANE_MIN_ENTRIES_PER_DIM * D distances, or one with D > PAIRWISE_BLOCK,
     builds the (M, N, D) gaps and sums them with np.sum.  A larger block
-    builds no such temporary: it squares the gaps of a few coordinate
-    planes at a time into one workspace of at most 8 + PLANE_GROUP (M, N)
-    planes, and replays the order in which numpy sums a float64 row of at
-    most PAIRWISE_BLOCK values.  Below D = 8 that is one running sum.  From
-    D = 8 on, plane k is added into accumulator k % 8 up to the last
-    multiple of eight, the accumulators combine as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remaining planes are added
-    one by one.  So the result depends on numpy's internal summation order.
+    builds no such temporary.  It takes the rows in strips of at most
+    PLANE_ROWS, and squares the gaps of a few coordinate planes at a time
+    into one workspace of at most 8 + PLANE_GROUP (PLANE_ROWS, N) planes,
+    which every strip reuses.  It sums each strip straight into its rows of
+    the result, in the order in which numpy sums a float64 row of at most
+    PAIRWISE_BLOCK values; strips only split the rows, so that order holds
+    for every distance.  Below D = 8 it is one running sum.  From D = 8 on,
+    plane k is added into accumulator k % 8 up to the last multiple of
+    eight, the accumulators combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    and the remaining planes are added one by one.  So the result depends on
+    numpy's internal summation order.
     The N=160 distance digests in tests/test_golden.py run this body and
     fail loudly under a numpy that sums differently.
     """
@@ -84,35 +97,46 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
         squared = np.sum(gaps, axis=-1)
     else:
         cols = pos.T.copy()
-        sub = cols[:, rows]
         lanes = min(dim, 8)
-        work = np.empty((lanes + min(dim - lanes, PLANE_GROUP), m, n))
-
-        def squared_gaps(lo, hi, out):
-            np.subtract(sub[lo:hi, :, None], cols[lo:hi, None, :], out=out)
-            return np.multiply(out, out, out=out)
-
-        acc = squared_gaps(0, lanes, work[:lanes])
-        if dim < 8:
-            for k in range(1, dim):
-                acc[0] += acc[k]
-        else:
-            head = dim - dim % 8
-            for lo in range(8, head, PLANE_GROUP):
-                lane = lo % 8
-                acc[lane:lane + PLANE_GROUP] += squared_gaps(lo, lo + PLANE_GROUP, work[8:])
-            acc[0:8:2] += acc[1:8:2]
-            acc[0:8:4] += acc[2:8:4]
-            acc[0] += acc[4]
-            for lo in range(head, dim, PLANE_GROUP):
-                hi = min(lo + PLANE_GROUP, dim)
-                for plane in squared_gaps(lo, hi, work[8:8 + hi - lo]):
-                    acc[0] += plane
-        squared = acc[0]
-    block = np.sqrt(squared)
+        work = np.empty((lanes + min(dim - lanes, PLANE_GROUP), min(m, PLANE_ROWS), n))
+        squared = np.empty((m, n))
+        for top in range(0, m, PLANE_ROWS):
+            strip = squared[top:top + PLANE_ROWS]
+            _sum_squared_gaps(cols[:, rows[top:top + PLANE_ROWS]], cols,
+                              work[:, :strip.shape[0]], strip)
+    block = np.sqrt(squared, out=squared)
     block[block == 0.0] = COINCIDENT_DISTANCE
     block[np.arange(m), rows] = SELF_WEIGHT
     return block
+
+
+def _sum_squared_gaps(sub, cols, work, out):
+    """Sum the squared gaps between the columns of `sub` (D, h) and of `cols`
+    (D, N) into `out` (h, N), in numpy's order for a row of D <= PAIRWISE_BLOCK
+    values; `work` holds lanes + min(D - lanes, PLANE_GROUP) (h, N) planes."""
+
+    def squared_gaps(lo, hi, planes):
+        np.subtract(sub[lo:hi, :, None], cols[lo:hi, None, :], out=planes)
+        return np.multiply(planes, planes, out=planes)
+
+    dim = cols.shape[0]
+    acc = squared_gaps(0, min(dim, 8), work[:min(dim, 8)])
+    if dim < 8:
+        out[...] = acc[0]
+        for plane in acc[1:]:
+            out += plane
+        return
+    head = dim - dim % 8
+    for lo in range(8, head, PLANE_GROUP):
+        lane = lo % 8
+        acc[lane:lane + PLANE_GROUP] += squared_gaps(lo, lo + PLANE_GROUP, work[8:])
+    acc[0:8:2] += acc[1:8:2]
+    acc[0:8:4] += acc[2:8:4]
+    np.add(acc[0], acc[4], out=out)
+    for lo in range(head, dim, PLANE_GROUP):
+        hi = min(lo + PLANE_GROUP, dim)
+        for plane in squared_gaps(lo, hi, work[8:8 + hi - lo]):
+            out += plane
 
 
 def update_distance_matrix(matrix, positions, moved) -> np.ndarray:

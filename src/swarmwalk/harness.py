@@ -81,7 +81,8 @@ class ExperimentSpec:
     seed, which the sweep owns).  `rwpso_presets` / `pso_presets` do the same
     per function and lose to the global options on conflicts.
     `objective_options` maps function name to make_objective keyword
-    overrides (domain bounds, and the parameters that function takes).
+    overrides (domain bounds, and the parameters that function takes); a
+    null value is refused.
     Construction builds every objective the sweep will use, every other
     function's objective, and an optimizer config for every algorithm and
     function, so a bad key or value in any option or preset block fails
@@ -158,6 +159,9 @@ class ExperimentSpec:
         for function in dict.fromkeys([*self.functions, *FUNCTION_NAMES]):
             options = self.objective_options.get(function, {})
             listed = function in self.functions
+            for key, value in options.items():
+                if value is None:
+                    raise ValueError(f"bad objective for {function}: {key} must not be null")
             try:
                 for dimension in self.dimensions:
                     make_objective(function, dimension if listed else max(dimension, 2),

@@ -10,11 +10,12 @@ does not contain the optimum, so an optimizer has to travel, not just refine.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from swarmwalk.results import _is_real
 
 __all__ = [
     "SearchDomain",
@@ -224,6 +225,14 @@ _PARAMETERS = {"rastrigin": ("amplitude",), "binh4": ("weights",),
                "schaffer_n1": ("weights", "bound")}
 
 
+def _real_array(name: str, key: str, value) -> np.ndarray:
+    """`value`, a real number or a list of them, as floats; a bool, a string
+    or any other value raises ValueError naming `name` and `key`."""
+    if not all(_is_real(v) for v in np.asarray(value, dtype=object).ravel()):
+        raise ValueError(f"{name} {key} must be a number or a list of numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def make_objective(
     name: str,
     dim: int | None = None,
@@ -270,17 +279,18 @@ def make_objective(
 
     if name == "schaffer_n1":
         bound = 100.0 if bound is None else bound
-        if not 10.0 <= bound <= 1e5:
-            raise ValueError("schaffer_n1 bound must be in [10, 1e5]")
+        if not (_is_real(bound) and 10.0 <= bound <= 1e5):
+            raise ValueError(f"schaffer_n1 bound must be a number in [10, 1e5], got {bound!r}")
         defaults = (-bound, bound, bound / 2.0, bound)
     else:
         defaults = _DOMAIN_DEFAULTS[name]
 
-    chosen = [
-        defaults[i] if value is None else value
-        for i, value in enumerate((lower, upper, init_lower, init_upper))
+    bounds = [
+        np.full(dim, default) if value is None
+        else np.broadcast_to(_real_array(name, key, value), (dim,)).copy()
+        for key, default, value in zip(("lower", "upper", "init_lower", "init_upper"), defaults,
+                                       (lower, upper, init_lower, init_upper))
     ]
-    bounds = [np.broadcast_to(np.asarray(b, dtype=float), (dim,)).copy() for b in chosen]
     domain = SearchDomain(*bounds)
     if name in _FIXED_DIMS:
         for key, outside in (("lower", domain.lower < defaults[0]),
@@ -291,7 +301,7 @@ def make_objective(
     if "weights" in _PARAMETERS.get(name, ()):
         if weights is None:
             weights = (0.5, 0.5)
-        weights = tuple(float(w) for w in np.atleast_1d(weights))
+        weights = tuple(float(w) for w in np.atleast_1d(_real_array(name, "weights", weights)))
         if len(weights) != 2:
             raise ValueError(f"{name} needs 2 scalarization weights")
         # A nan or inf weight fails too: its sum is not within 1e-9 of 1.
@@ -304,8 +314,7 @@ def make_objective(
         fitness = eval_rosenbrock
     elif name == "rastrigin":
         amplitude = 10.0 if amplitude is None else amplitude
-        if isinstance(amplitude, bool) or not (isinstance(amplitude, numbers.Real)
-                                               and math.isfinite(amplitude)):
+        if not (_is_real(amplitude) and math.isfinite(amplitude)):
             raise ValueError(f"rastrigin amplitude must be a finite number, got {amplitude!r}")
         fitness = lambda x: eval_rastrigin(x, amplitude)
     elif name == "binh4":

@@ -141,7 +141,8 @@ def gaussian_term(config: RwpsoConfig, domain: SearchDomain,
                   rng: np.random.Generator, displacement) -> np.ndarray:
     """One draw of Gaussian perturbations shaped like `displacement` (targets - positions)."""
     sigma = resolve_sigma(config, domain, displacement)
-    return rng.normal(config.gaussian_mu, sigma, size=np.shape(displacement))
+    # the same bits as rng.normal(mu, sigma, size), without its broadcasting
+    return config.gaussian_mu + sigma * rng.standard_normal(np.shape(displacement))
 
 
 def update_position(positions, k, g, domain: SearchDomain) -> np.ndarray:

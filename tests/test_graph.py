@@ -9,6 +9,7 @@ from swarmwalk.graph import (
     COINCIDENT_DISTANCE,
     PLANE_GROUP,
     PLANE_MIN_ENTRIES_PER_DIM,
+    PLANE_ROWS,
     build_distance_matrix,
     compute_ranks,
     hop_probabilities,
@@ -120,7 +121,10 @@ class TestMatchesNumpySum:
         swarm[n - 1] = swarm[1]  # a coincident pair
         # the fewest rows a block needs to take the plane body (when D <= 128)
         cut = -(-PLANE_MIN_ENTRIES_PER_DIM * dim // n)
-        sizes = sorted({1, round(0.79 * n), cut - 1, cut, n} & set(range(1, n + 1)))
+        # blocks that end just short of, on and just past a strip's last row
+        strips = {PLANE_ROWS - 1, PLANE_ROWS, PLANE_ROWS + 1, 2 * PLANE_ROWS + 1}
+        sizes = sorted(({1, round(0.79 * n), cut - 1, cut, n} & set(range(1, n + 1)))
+                       | (strips & set(range(cut, n + 1))))
         # a spread swarm, one scaled to ~1e-8 and one collapsed around a point
         for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8):
             for rows in [None] + [block_rows(rng, n, m) for m in sizes]:
@@ -129,9 +133,22 @@ class TestMatchesNumpySum:
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("m", (126, 160))
-    def test_large_block_builds_no_gap_temporary(self, m):
-        pos = np.random.default_rng(m).uniform(-5.12, 5.12, size=(160, 30))
+    @pytest.mark.parametrize("dim", (3, 10, 30))
+    def test_block_of_three_strips(self, dim):
+        n = 2 * PLANE_ROWS + 7
+        rng = np.random.default_rng(dim)
+        pos = rng.uniform(-5.12, 5.12, size=(n, dim))
+        pos[n - 1] = pos[1]  # a coincident pair
+        for rows in (None, block_rows(rng, n, 2 * PLANE_ROWS + 1)):
+            got = build_distance_matrix(pos, rows)
+            want = numpy_sum_distances(pos, np.arange(n) if rows is None else rows)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n, m", [pytest.param(160, 126, id="126"),
+                                      pytest.param(160, 160, id="160"),
+                                      pytest.param(640, 500, id="n640-m500")])
+    def test_large_block_builds_no_gap_temporary(self, n, m):
+        pos = np.random.default_rng(m).uniform(-5.12, 5.12, size=(n, 30))
         rows = np.arange(m)
         tracemalloc.start()
         try:
@@ -139,9 +156,9 @@ class TestMatchesNumpySum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the plane workspace, the result and its masks; the (M, N, D) gaps
-        # alone would take 30 planes
-        assert peak < (8 + PLANE_GROUP + 4) * m * 160 * 8
+        # one strip's workspace, and the result and its masks; the (M, N, D)
+        # gaps alone would take 30 (M, N) planes
+        assert peak < ((8 + PLANE_GROUP) * PLANE_ROWS * n + 4 * m * n) * 8
 
 
 # How each particle of a swarm in [-5.12, 5.12]^dim changes between two

@@ -251,6 +251,14 @@ class TestSpecValidation:
                      "rastrigin takes no parameter 'weights'", id="single-objective-weight"),
         pytest.param({"objective_options": {"binh4": {"weights": [float("nan"), 0.5]}}},
                      "binh4.*weights must be finite", id="nan-weight"),
+        pytest.param({"objective_options": {"binh4": {"weights": [True, False]}}},
+                     "binh4 weights must be a number", id="bool-weights"),
+        pytest.param({"objective_options": {"sphere": {"lower": "-1"}}},
+                     "sphere lower must be a number", id="string-bound"),
+        pytest.param({"objective_options": {"sphere": {"amplitude": None}}},
+                     "sphere: amplitude must not be null", id="null-parameter"),
+        pytest.param({"objective_options": {"sphere": {"lower": None}}},
+                     "sphere: lower must not be null", id="null-bound"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
