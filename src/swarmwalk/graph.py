@@ -49,13 +49,14 @@ PAIRWISE_BLOCK = 128
 PLANE_GROUP = 4
 # Rows summed per strip, so the plane workspace holds at most
 # (8 + PLANE_GROUP) * PLANE_ROWS * N values however many rows moved, and every
-# block of the default swarms up to N=80 is one strip.  Measured on a 2-vCPU
-# Xeon VM, numpy 2.4.6: the in-run distance time of four rwpso runs at N=160,
-# D=30 (medians of 6 interleaved rounds) was 1.17 s with 64-row strips, 1.13 s
-# with 80, 1.14 s with 96 and 1.23 s in one strip; at N=80, D=10, 64-row strips
-# (two for a full build) took 0.135 s against 0.114-0.117 s in one strip.
-# perfbench peak_rss_mb on sphere-n160-d30 read 43.5-44.4 MB in one strip,
-# 41.0-42.0 with 32- and 64-row strips, 42.0 with 80 and 42.5-42.7 with 96.
+# block of a swarm of up to 80 particles is one strip.  Measured on a 2-vCPU
+# Xeon VM, numpy 2.4.6, by replaying every distance build of four rwpso runs
+# (medians of 5-9 interleaved replays, as a share of the kernel without
+# strips): at N=160, D=30, 80 rows took 0.93-1.00, 64 rows 0.92, 100 rows
+# 0.90-0.93 and 128 rows 1.02; at N=80, D=10, 80 rows took 1.01 and 64 rows,
+# which split each full build in two, 1.23.  perfbench peak_rss_mb on
+# sphere-n160-d30 read 43.5-44.9 MB in one strip, 41.0-42.2 MB with 32- and
+# 64-row strips, 42.0 MB with 80 and 42.5-42.7 MB with 96.
 PLANE_ROWS = 80
 
 
@@ -120,7 +121,8 @@ def _sum_squared_gaps(sub, cols, work, out):
         return np.multiply(planes, planes, out=planes)
 
     dim = cols.shape[0]
-    acc = squared_gaps(0, min(dim, 8), work[:min(dim, 8)])
+    lanes = min(dim, 8)
+    acc = squared_gaps(0, lanes, work[:lanes])
     if dim < 8:
         out[...] = acc[0]
         for plane in acc[1:]:

@@ -113,7 +113,8 @@ ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 64, 127, 128, 129, 256)
 
 
 class TestMatchesNumpySum:
-    @pytest.mark.parametrize("n", (24, 80, 160))
+    # N = 2 * PLANE_ROWS + 7 holds a block of three strips
+    @pytest.mark.parametrize("n", (24, 80, 160, 2 * PLANE_ROWS + 7))
     @pytest.mark.parametrize("dim", ORACLE_DIMS)
     def test_bit_for_bit(self, dim, n):
         rng = np.random.default_rng(1000 * n + dim)
@@ -132,17 +133,6 @@ class TestMatchesNumpySum:
                 want = numpy_sum_distances(pos, np.arange(n) if rows is None else rows)
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-    @pytest.mark.parametrize("dim", (3, 10, 30))
-    def test_block_of_three_strips(self, dim):
-        n = 2 * PLANE_ROWS + 7
-        rng = np.random.default_rng(dim)
-        pos = rng.uniform(-5.12, 5.12, size=(n, dim))
-        pos[n - 1] = pos[1]  # a coincident pair
-        for rows in (None, block_rows(rng, n, 2 * PLANE_ROWS + 1)):
-            got = build_distance_matrix(pos, rows)
-            want = numpy_sum_distances(pos, np.arange(n) if rows is None else rows)
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n, m", [pytest.param(160, 126, id="126"),
                                       pytest.param(160, 160, id="160"),
