@@ -144,7 +144,7 @@ def eval_binh4(x: float, y: float) -> tuple[float, float]:
     Arguments must lie in the closed box [-7, 4]^2; the closed check keeps
     positions clamped onto the boundary evaluable.
     """
-    if not (np.isfinite(x) and np.isfinite(y)):
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("objective input must be finite")
     if not (-7.0 <= x <= 4.0 and -7.0 <= y <= 4.0):
         raise ValueError(f"binh4 input ({x}, {y}) outside [-7, 4]^2")
@@ -153,22 +153,39 @@ def eval_binh4(x: float, y: float) -> tuple[float, float]:
 
 def eval_schaffer_n1(x: float, bound: float = 100.0) -> tuple[float, float]:
     """Two-objective Schaffer N.1: (x^2, (x - 2)^2) on [-bound, bound]."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("objective input must be finite")
     if not -bound <= x <= bound:
         raise ValueError(f"schaffer_n1 input {x} outside [-{bound}, {bound}]")
     return (x * x, (x - 2.0) * (x - 2.0))
 
 
+def _floats(values) -> list[float]:
+    """`values` as a list of Python floats; a 0-d value becomes a list of one."""
+    try:
+        items = iter(values)
+    except TypeError:
+        return [float(values)]
+    return [float(v) for v in items]
+
+
 def scalarize(objectives, weights) -> float:
-    """Weighted sum collapsing an objective vector to a single fitness value."""
-    obj = np.atleast_1d(np.asarray(objectives, dtype=float))
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if obj.shape != w.shape:
-        raise ValueError(
-            f"{obj.shape[0]} objectives do not match {w.shape[0]} weights"
-        )
-    return float(np.dot(obj, w))
+    """Weighted sum collapsing an objective vector to a single fitness value.
+
+    The products are summed left to right in Python floats, starting from the
+    first product, so the value is `w1 * f1 + w2 * f2` on every CPU: no BLAS
+    kernel (which may fuse a multiply and an add) and no `0.0 +` that would
+    turn a -0.0 product into +0.0.
+    """
+    obj, w = _floats(objectives), _floats(weights)
+    if len(obj) != len(w):
+        raise ValueError(f"{len(obj)} objectives do not match {len(w)} weights")
+    if not obj:
+        return 0.0
+    total = obj[0] * w[0]
+    for f, wf in zip(obj[1:], w[1:]):
+        total += f * wf
+    return total
 
 
 def init_positions(domain: SearchDomain, n_particles: int, rng: np.random.Generator) -> np.ndarray:

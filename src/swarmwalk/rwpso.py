@@ -124,7 +124,9 @@ def resolve_sigma(config: RwpsoConfig, domain: SearchDomain, displacement=None) 
 
     `displacement` (target minus position) is required in displacement_scaled
     mode and ignored otherwise; that mode uses one isotropic scale per
-    particle (row), factor * mean(|displacement|) over the coordinates.
+    particle (row), factor * mean(|displacement|) over the coordinates,
+    returned as an (N, 1) column for an (N, D) displacement so that it
+    broadcasts over the coordinates.
     """
     if config.gaussian_sigma_mode == "fixed":
         return np.full(config.dim, config.gaussian_sigma)
@@ -133,8 +135,7 @@ def resolve_sigma(config: RwpsoConfig, domain: SearchDomain, displacement=None) 
     if displacement is None:
         raise ValueError("displacement_scaled sigma needs the displacement to the target")
     gap = np.asarray(displacement, dtype=float)
-    scale = config.gaussian_sigma * np.mean(np.abs(gap), axis=-1, keepdims=True)
-    return np.broadcast_to(scale, gap.shape).copy()
+    return config.gaussian_sigma * np.mean(np.abs(gap), axis=-1, keepdims=True)
 
 
 def gaussian_term(config: RwpsoConfig, domain: SearchDomain,

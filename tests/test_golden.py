@@ -6,14 +6,22 @@ moves any seeded number, or the draw order behind it, fails here.  The
 objective values and distance matrices are pinned separately, bit for bit.  A change
 that means to move them must say so and update the digests on purpose.
 The digests were recorded with the numpy version in `RECORDED_WITH_NUMPY`.
+They do not depend on the CPU's SIMD features or on the BLAS kernel:
+`test_digests_hold_without_simd_and_fma` reruns some of them in a child
+interpreter with those switched off.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmwalk
 from swarmwalk.cli import cli_main
 from swarmwalk.graph import COINCIDENT_DISTANCE, build_distance_matrix
 from swarmwalk.objectives import FUNCTION_NAMES, make_objective
@@ -29,6 +37,16 @@ BASE = {
 }
 
 RECORDED_WITH_NUMPY = "2.4.6"
+
+# The environment variables that choose numpy's SIMD loops and OpenBLAS's kernel.
+KERNEL_ENV = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
+def _recorded_with() -> str:
+    """The message of a failed digest check: both numpy versions and any kernel override."""
+    kernels = "".join(f", {key}={os.environ[key]!r}" for key in KERNEL_ENV if key in os.environ)
+    return f"digests recorded with numpy {RECORDED_WITH_NUMPY}, running numpy {np.__version__}{kernels}"
+
 
 VARIANTS = {
     "base": {},
@@ -57,6 +75,13 @@ VARIANTS = {
         "population_sizes": [160],
         "dimensions": [30],
     },
+    # At unequal weights a fused multiply-add rounds the weighted sum
+    # differently from the plain one; at (0.5, 0.5) every form agrees.
+    "weighted": {
+        "functions": ["binh4", "schaffer_n1"],
+        "objective_options": {"binh4": {"weights": [0.3, 0.7]},
+                              "schaffer_n1": {"weights": [0.3, 0.7]}},
+    },
 }
 
 DIGESTS = {
@@ -70,6 +95,8 @@ DIGESTS = {
     ("wide", "json"): "cd38db9ac985d73dfc9d42f7317fdfd79e67f43f0adef40ae405a27a7c0e42af",
     ("large", "csv"): "273f183a977660871b8257071e71a2013e98ccbd01f08adf037dc86da54332b8",
     ("large", "json"): "026bf9c096357c0fb88e0a5575d82433a328f81cc2e5b889209967fd63fa3562",
+    ("weighted", "csv"): "5d6097b945e9b86d0abf0c11166a5990437eefa3b6a8ee758a6fdc9ded694f97",
+    ("weighted", "json"): "b64668df3b8bf71d61d28e5e8eac702f3cad9f1f7d53c46f680e3784a9f874eb",
 }
 
 
@@ -80,9 +107,7 @@ def test_run_output_digest(tmp_path, variant, fmt):
     out = tmp_path / f"out.{fmt}"
     code = cli_main(["run", "--config", str(config), "--format", fmt, "--out", str(out)])
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[(variant, fmt)], (
-        f"digests recorded with numpy {RECORDED_WITH_NUMPY}, running numpy {np.__version__}"
-    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[(variant, fmt)], _recorded_with()
 
 
 # The kernels below the run loop, pinned by the raw float64 bytes they
@@ -151,6 +176,13 @@ OBJECTIVE_DIGESTS = {
     ("schaffer_n1", 1): "cc97f31009df7be4572ef77036c8e5bcdbe16f36e66404b3db8cb68a608faf57",
 }
 
+# The two-objective functions at the "weighted" variant's weights, on the
+# same points as above.
+WEIGHTED_OBJECTIVE_DIGESTS = {
+    "binh4": "88474decc38ef77e5548f50f2a3d0cec5fbebbb709433812fa34932c83d98438",
+    "schaffer_n1": "f2e4e40670ccfe143f50d60e1b789f764bac8ef259dea2421919fedd798fec61",
+}
+
 DISTANCE_DIGESTS = {
     2: "2db44d809430fcdf8e0d47093f30fc029aa4af9d03109ef6259eb8e0285694a7",
     10: "bd8c7fba3b7cdeb035e7d5bea3a4c163e07d6124b676cf958405cdaedf657e6d",
@@ -160,21 +192,26 @@ DISTANCE_DIGESTS = {
 
 @pytest.mark.parametrize("name, dim", OBJECTIVE_CASES)
 def test_objective_evaluate_digest(name, dim):
-    objective = make_objective(name, dim)
-    rng = np.random.default_rng(FUNCTION_NAMES.index(name) * 100 + dim)
-    values = [objective.evaluate(p) for p in _objective_points(objective, rng)]
-    assert _digest(values) == OBJECTIVE_DIGESTS[(name, dim)], (
-        f"digests recorded with numpy {RECORDED_WITH_NUMPY}, running numpy {np.__version__}"
-    )
+    assert _evaluate_digest(name, dim) == OBJECTIVE_DIGESTS[(name, dim)], _recorded_with()
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_OBJECTIVE_DIGESTS))
+def test_weighted_objective_evaluate_digest(name):
+    options = VARIANTS["weighted"]["objective_options"][name]
+    assert _evaluate_digest(name, **options) == WEIGHTED_OBJECTIVE_DIGESTS[name], _recorded_with()
+
+
+def _evaluate_digest(name: str, dim: int | None = None, **options) -> str:
+    objective = make_objective(name, dim, **options)
+    rng = np.random.default_rng(FUNCTION_NAMES.index(name) * 100 + objective.dim)
+    return _digest([objective.evaluate(p) for p in _objective_points(objective, rng)])
 
 
 @pytest.mark.parametrize("dim", sorted(DISTANCE_DIGESTS))
 def test_distance_matrix_digest(dim):
     matrix = build_distance_matrix(_distance_swarm(dim))
     assert np.count_nonzero(matrix == COINCIDENT_DISTANCE) == 2
-    assert _digest(matrix) == DISTANCE_DIGESTS[dim], (
-        f"digests recorded with numpy {RECORDED_WITH_NUMPY}, running numpy {np.__version__}"
-    )
+    assert _digest(matrix) == DISTANCE_DIGESTS[dim], _recorded_with()
 
 
 # N=160 swarms put both the full build and a 126-row block (about 0.79 N,
@@ -210,6 +247,50 @@ def test_large_distance_matrix_digest(part, dim):
     rows = None if part == "full" else LARGE_BLOCK_ROWS
     matrix = build_distance_matrix(_large_distance_swarm(dim), rows)
     assert np.count_nonzero(matrix == COINCIDENT_DISTANCE) == 2
-    assert _digest(matrix) == LARGE_DISTANCE_DIGESTS[(part, dim)], (
-        f"digests recorded with numpy {RECORDED_WITH_NUMPY}, running numpy {np.__version__}"
+    assert _digest(matrix) == LARGE_DISTANCE_DIGESTS[(part, dim)], _recorded_with()
+
+
+# Rerun in the child: one digest that every function and both algorithms
+# reach at equal weights, and every digest at unequal weights.
+CHILD_TESTS = [
+    "test_run_output_digest[base-csv]",
+    "test_run_output_digest[weighted-csv]",
+    "test_run_output_digest[weighted-json]",
+    *(f"test_weighted_objective_evaluate_digest[{name}]" for name in WEIGHTED_OBJECTIVE_DIGESTS),
+]
+
+# The child first checks that numpy did switch the features off.
+CHILD = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+on = [f for f in sys.argv[1].split() if __cpu_features__[f]]
+sys.exit(f"numpy kept {on} on" if on else pytest.main(sys.argv[2:]))
+"""
+
+
+def test_digests_hold_without_simd_and_fma(tmp_path):
+    """The digests pass with numpy's SIMD loops and OpenBLAS's FMA kernels off.
+
+    numpy's dispatched features are those it picks at run time; this
+    disables every one the CPU has.  Nehalem is an OpenBLAS x86 kernel
+    without FMA.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    features = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    if not features:
+        pytest.skip("this CPU has none of numpy's dispatched SIMD features to switch off")
+    source = str(Path(swarmwalk.__file__).parents[1])
+    env = os.environ | {
+        "OPENBLAS_CORETYPE": "Nehalem",
+        "NPY_DISABLE_CPU_FEATURES": features,
+        "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, features, "-q", "-p", "no:cacheprovider",
+         *(f"{__file__}::{test}" for test in CHILD_TESTS)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert f"{len(CHILD_TESTS)} passed" in child.stdout

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -168,6 +169,23 @@ class TestTwoObjectiveFunctions:
             eval_schaffer_n1(101.0)
         eval_schaffer_n1(101.0, bound=200.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: eval_binh4(bad, 0.0), lambda: eval_binh4(0.0, bad),
+                         lambda: eval_schaffer_n1(bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    call()
+
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (-7.0, 4.0), (1.0 / 3.0, -2.7), (3.9, -6.1)])
+    def test_numpy_scalars_give_the_same_bits(self, x, y):
+        def bits(pair):
+            return [float(v).hex() for v in pair]
+
+        assert bits(eval_binh4(np.float64(x), np.float64(y))) == bits(eval_binh4(x, y))
+        assert bits(eval_schaffer_n1(np.float64(x))) == bits(eval_schaffer_n1(x))
+
 
 class TestScalarize:
     def test_equal_weights(self):
@@ -181,6 +199,16 @@ class TestScalarize:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             scalarize([1.0, 2.0], [1.0])
+
+    def test_plain_weighted_sum_bit_for_bit(self):
+        # a BLAS dot product may fuse the multiply and the add on FMA CPUs
+        f = np.random.default_rng(7).uniform(-50.0, 50.0, size=(2000, 2))
+        for pair in f:
+            expected = pair[0] * 0.3 + pair[1] * 0.7
+            assert scalarize(pair, (0.3, 0.7)).hex() == float(expected).hex()
+
+    def test_negative_zero_survives(self):
+        assert math.copysign(1.0, scalarize([-0.0, -0.0], [0.5, 0.5])) == -1.0
 
 
 class TestSearchDomain:

@@ -172,7 +172,7 @@ class TestGaussianTerm:
                      gaussian_sigma=0.5)
         dom = SearchDomain.uniform(3, -10, 10, -1, 1)
         sigma = resolve_sigma(cfg, dom, np.array([3.0, 0.0, -3.0]))
-        np.testing.assert_allclose(sigma, np.full(3, 1.0))
+        np.testing.assert_allclose(sigma, np.full(1, 1.0))
 
     def test_displacement_scaled_requires_displacement(self):
         cfg = config(gaussian_sigma_mode="displacement_scaled")
