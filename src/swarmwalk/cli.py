@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from swarmwalk.harness import (
     ALGORITHMS,
@@ -99,8 +102,28 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
+def _check_out(path) -> None:
+    """Refuse an output path that cannot be written, before any run starts.
+
+    The file itself is neither created nor truncated, so an existing
+    results file survives a sweep that fails later.
+    """
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    reason = OSError(code, os.strerror(code), str(path))
+    raise OSError(f"cannot write results to {path}: {reason}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    _check_out(args.out)
     sideload = merge_stats(read_results(args.sideload)) if args.sideload else []
     swept = set(spec.cells())
     for entry in sideload:
@@ -134,6 +157,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         fitness_thresholds={args.function: args.threshold},
     )
+    _check_out(args.out)
     result = run_single(spec, args.algo, args.function, args.pop, args.dim, 0)
     lines = ["iteration,best_fitness"]
     lines += [f"{i + 1},{repr(float(v))}" for i, v in enumerate(result.trace)]
@@ -141,8 +165,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OSError(f"cannot write results to {args.out}: {exc}") from exc
     return 0
 
 

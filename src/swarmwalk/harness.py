@@ -14,8 +14,6 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
@@ -284,13 +282,13 @@ def run_cell(spec: ExperimentSpec, cell: Cell) -> tuple[AggregateStats, list[Run
     algorithm, function, population, dimension = cell
     results = []
     for run_index in range(spec.runs_per_cell):
-        seed = derive_seed(spec.base_seed, algorithm, function,
-                           population, dimension, run_index)
         try:
             results.append(
                 run_single(spec, algorithm, function, population, dimension, run_index)
             )
         except Exception as exc:
+            seed = derive_seed(spec.base_seed, algorithm, function,
+                               population, dimension, run_index)
             raise RuntimeError(
                 f"cell {cell} run {run_index} (seed {seed}) failed: {exc}"
             ) from exc
@@ -316,35 +314,50 @@ def _run_cell_task(args: tuple[ExperimentSpec, Cell]):
 
 
 def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
-    """Each cell's task result, or the `BrokenProcessPool` that lost the cell."""
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_cell_task, (spec, cell)) for cell in cells]
-        raw = []
-        for future in futures:
-            try:
-                raw.append(future.result())
-            except BrokenProcessPool as exc:
-                raw.append(exc)
+    """Each cell's task result from a pool of `workers` processes.
+
+    When a worker process dies, its pool loses every cell still pending in
+    it.  Each lost cell then reruns alone in a fresh one-worker pool, so
+    only a cell whose own rerun crashes fails; the others produce the same
+    output as an uninterrupted sweep, since seeds depend only on the cell.
+    The pool is imported here, so a serial sweep never loads
+    `concurrent.futures` or `multiprocessing`.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def run(batch: list[Cell], max_workers: int) -> list:
+        """Each task's result, or the `BrokenProcessPool` that lost it."""
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            futures = [pool.submit(_run_cell_task, (spec, cell)) for cell in batch]
+            raw = []
+            for future in futures:
+                try:
+                    raw.append(future.result())
+                except BrokenProcessPool as exc:
+                    raw.append(exc)
+        return raw
+
+    raw = run(cells, workers)
+    for i, cell in enumerate(cells):
+        if isinstance(raw[i], BrokenProcessPool):
+            (raw[i],) = run([cell], 1)
+            if isinstance(raw[i], BrokenProcessPool):
+                raw[i] = (cell, None, [], f"cell {cell} lost: worker process "
+                          f"crashed (BrokenProcessPool: {raw[i]})")
     return raw
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     """Run every cell; failed cells are reported and the rest still run.
 
-    When a worker process dies, its pool loses every cell still pending in
-    it.  Each lost cell then reruns alone in a fresh one-worker pool, so
-    only a cell whose own rerun crashes fails; the others produce the same
-    output as an uninterrupted sweep, since seeds depend only on the cell.
+    With one worker the cells run in this process, one after another;
+    with more they run in a process pool that survives a dead worker
+    (see `_run_in_pool`).
     """
     cells = spec.cells()
     if spec.workers > 1:
         raw = _run_in_pool(spec, cells, spec.workers)
-        for i, cell in enumerate(cells):
-            if isinstance(raw[i], BrokenProcessPool):
-                (raw[i],) = _run_in_pool(spec, [cell], 1)
-                if isinstance(raw[i], BrokenProcessPool):
-                    raw[i] = (cell, None, [], f"cell {cell} lost: worker process "
-                              f"crashed (BrokenProcessPool: {raw[i]})")
     else:
         raw = [_run_cell_task((spec, cell)) for cell in cells]
 

@@ -115,6 +115,38 @@ class TestRunCommand:
         assert named in err
 
 
+@pytest.mark.parametrize("out", [
+    pytest.param("missing/r.csv", id="missing-parent"),
+    pytest.param("config.json/r.csv", id="file-parent"),
+    pytest.param(".", id="directory"),
+])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_unwritable_out_exits_before_any_run(tmp_path, monkeypatch, capsys, command, out):
+    monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+    monkeypatch.setattr(cli, "run_single", pytest.fail)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    argv = ["run", "--config", "config.json"] if command == "run" else ["trace"]
+    assert cli_main([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write results to {out}: [Errno ")
+    assert err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_failed_sweep_keeps_an_existing_results_file(tmp_path, monkeypatch, capsys,
+                                                     config_path):
+    def failing_sweep(spec):
+        raise ValueError("the sweep failed")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_sweep)
+    out = tmp_path / "r.csv"
+    out.write_text("earlier results\n", encoding="utf-8")
+    assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: the sweep failed\n"
+    assert out.read_text(encoding="utf-8") == "earlier results\n"
+
+
 class TestTableCommand:
     def test_aligned_table(self, tmp_path, config_path, capsys):
         out = tmp_path / "r.csv"

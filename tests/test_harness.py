@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -74,6 +76,21 @@ def crashing_last_cell(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "run_cell", run_cell_or_die)
     return cells[-1]
+
+
+# Run by a fresh interpreter: a serial sweep, a check that it loaded no
+# process pool, then the same sweep on two workers.
+SERIAL_THEN_PARALLEL = """
+import sys
+from swarmwalk.cli import cli_main
+config = sys.argv[1]
+if cli_main(["run", "--config", config, "--workers", "1", "--out", "serial.csv"]):
+    sys.exit("the serial sweep failed")
+loaded = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+if loaded:
+    sys.exit(f"a serial sweep loaded {loaded}")
+sys.exit(cli_main(["run", "--config", config, "--workers", "2", "--out", "parallel.csv"]))
+"""
 
 
 BASELINE_ROW = dict(algorithm="qpso", function="sphere", population=6, dimension=2,
@@ -335,8 +352,44 @@ class TestRunCell:
         with pytest.raises(RuntimeError, match="seed"):
             run_cell(spec, ("rwpso", "sphere", 6, 2))
 
+    def test_run_error_names_cell_run_and_seed(self, monkeypatch):
+        real_run = harness.rwpso_run
+        calls = []
+
+        def run_failing_second(objective, config, best_fraction):
+            calls.append(config.seed)
+            if len(calls) == 2:
+                raise ValueError("objective input must be finite")
+            return real_run(objective, config, best_fraction)
+
+        monkeypatch.setattr(harness, "rwpso_run", run_failing_second)
+        spec = ExperimentSpec(**TINY)
+        seed = derive_seed(123, "rwpso", "sphere", 6, 2, 1)
+        with pytest.raises(RuntimeError) as raised:
+            run_cell(spec, ("rwpso", "sphere", 6, 2))
+        assert str(raised.value) == (f"cell ('rwpso', 'sphere', 6, 2) run 1 (seed {seed}) "
+                                     f"failed: objective input must be finite")
+        assert calls[1] == seed
+
 
 class TestRunExperiment:
+    def test_serial_sweep_loads_no_process_pool(self, tmp_path):
+        # A fresh interpreter, since this one has loaded the pool already.
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(ExperimentSpec(**SIX_CELL_SPEC).to_dict()),
+                          encoding="utf-8")
+        source = str(Path(harness.__file__).parents[1])
+        env = os.environ | {
+            "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
+        }
+        child = subprocess.run([sys.executable, "-c", SERIAL_THEN_PARALLEL, str(config)],
+                               env=env, cwd=tmp_path, capture_output=True, text=True,
+                               timeout=300)
+        assert child.returncode == 0, child.stdout + child.stderr
+        serial = (tmp_path / "serial.csv").read_bytes()
+        assert serial.count(b"\n") == 1 + 6
+        assert (tmp_path / "parallel.csv").read_bytes() == serial
+
     def test_cardinality(self):
         spec = ExperimentSpec(functions=("sphere", "rastrigin"),
                               algorithms=("rwpso",),

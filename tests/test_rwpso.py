@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmwalk.graph import build_distance_matrix, hop_probabilities
+from swarmwalk.graph import COINCIDENT_DISTANCE, build_distance_matrix, hop_probabilities
 from swarmwalk.harness import DEFAULT_RWPSO_PRESETS
 from swarmwalk.objectives import SearchDomain, make_objective
 from swarmwalk.rwpso import (
@@ -216,6 +216,22 @@ class TestStep:
         state = init_state(obj, cfg, rng)
         new = rwpso_step(state, obj, cfg, rng)
         np.testing.assert_allclose(new.positions, state.positions, atol=1e-6)
+
+    def test_collapsed_swarm_stays_put(self):
+        # every particle on one point: each gap is zero, so under the default
+        # displacement_scaled noise neither drift nor noise moves anyone
+        obj = make_objective("rastrigin", 3, init_lower=1.5, init_upper=1.5)
+        cfg = config(swarm_size=6, dim=3)
+        assert cfg.gaussian_sigma_mode == "displacement_scaled"
+        rng = np.random.default_rng(11)
+        state = init_state(obj, cfg, rng)
+        off_diagonal = ~np.eye(6, dtype=bool)
+        for _ in range(5):
+            new = rwpso_step(state, obj, cfg, rng)
+            assert new.positions.tobytes() == state.positions.tobytes()
+            assert new.fitnesses.tobytes() == state.fitnesses.tobytes()
+            assert np.all(new.distances[off_diagonal] == COINCIDENT_DISTANCE)
+            state = new
 
     def test_same_seed_same_successor(self):
         obj = make_objective("rastrigin", 3)
