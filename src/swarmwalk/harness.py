@@ -22,7 +22,7 @@ import numpy as np
 
 from swarmwalk.objectives import FUNCTION_NAMES, make_objective
 from swarmwalk.pso import PsoConfig, pso_run
-from swarmwalk.results import AggregateStats, RunResult, _is_real, check_field_types
+from swarmwalk.results import AggregateStats, RunConfig, RunResult, _is_real, check_field_types
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 
 __all__ = [
@@ -80,7 +80,8 @@ class ExperimentSpec:
     per function and lose to the global options on conflicts.
     `objective_options` maps function name to make_objective keyword
     overrides (domain bounds, and the parameters that function takes); a
-    null value is refused.
+    null value is refused.  A value listed twice in `functions`,
+    `algorithms`, `population_sizes` or `dimensions` is refused.
     Construction builds every objective the sweep will use, every other
     function's objective, and an optimizer config for every algorithm and
     function, so a bad key or value in any option or preset block fails
@@ -118,6 +119,11 @@ class ExperimentSpec:
             object.__setattr__(self, key, tuple(int(v) for v in values))
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        for key in ("functions", "algorithms", "population_sizes", "dimensions"):
+            values = getattr(self, key)
+            for index, value in enumerate(values):
+                if value in values[:index]:
+                    raise ValueError(f"{key} lists {value!r} twice")
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
         for algorithm in self.algorithms:
@@ -219,20 +225,27 @@ def derive_seed(base_seed: int, algorithm: str, function: str,
 
 def _optimizer_config(spec: ExperimentSpec, algorithm: str, function: str,
                       population: int, dim: int, seed: int) -> RwpsoConfig | PsoConfig:
-    """The config of one run: the sweep's fields plus presets, then options."""
+    """The config of one run: the sweep's fields plus presets, then options.
+
+    An option or preset may not set a `RunConfig` field; the sweep sets those.
+    """
     if algorithm == "rwpso":
         config_class, presets, options = RwpsoConfig, spec.rwpso_presets, spec.rwpso_options
     elif algorithm == "pso":
         config_class, presets, options = PsoConfig, spec.pso_presets, spec.pso_options
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    tunables = {**presets.get(function, {}), **options}
+    for f in fields(RunConfig):
+        if f.name in tunables:
+            raise ValueError(f"{f.name} is set by the sweep")
     return config_class(
         swarm_size=population,
         dim=dim,
         max_iterations=spec.max_iterations,
         seed=seed,
         fitness_threshold=spec.threshold_for(function),
-        **{**presets.get(function, {}), **options},
+        **tunables,
     )
 
 
@@ -314,7 +327,8 @@ def _run_cell_task(args: tuple[ExperimentSpec, Cell]):
 
 
 def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
-    """Each cell's task result from a pool of `workers` processes.
+    """Each cell's task result from a pool of `workers` processes, or one per
+    cell when the sweep has fewer cells.
 
     When a worker process dies, its pool loses every cell still pending in
     it.  Each lost cell then reruns alone in a fresh one-worker pool, so
@@ -338,7 +352,7 @@ def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
                     raw.append(exc)
         return raw
 
-    raw = run(cells, workers)
+    raw = run(cells, min(workers, len(cells)))
     for i, cell in enumerate(cells):
         if isinstance(raw[i], BrokenProcessPool):
             (raw[i],) = run([cell], 1)

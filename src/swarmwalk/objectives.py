@@ -38,6 +38,7 @@ class SearchDomain:
 
     The init range may be degenerate (init_lower == init_upper) which pins
     every particle to a single starting point; the outer box may not.
+    Every bound is finite.
     """
 
     lower: np.ndarray
@@ -48,6 +49,8 @@ class SearchDomain:
     def __post_init__(self):
         for name in ("lower", "upper", "init_lower", "init_upper"):
             value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if not np.isfinite(value).all():
+                raise ValueError(f"domain bound {name} must be finite")
             object.__setattr__(self, name, value)
         dim = self.lower.shape[0]
         for name in ("upper", "init_lower", "init_upper"):

@@ -1,7 +1,8 @@
 """Inertia-weight particle swarm optimizer (the comparison baseline).
 
-Classic formulation: each particle keeps a velocity, its own best position,
-and the swarm shares a global best.  The inertia weight decays linearly from
+Classic formulation: each particle keeps a velocity and its own best
+position, and the swarm shares a global best: the best personal best, the
+lowest index on ties.  The inertia weight decays linearly from
 w_start to w_end across the run.  R1/R2 are drawn per particle per dimension
 by default; the historical scalar-per-particle convention is available
 behind a flag but collapses the swarm onto a line on corner-initialized
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
-from swarmwalk.results import RunResult, check_field_types, run_loop
+from swarmwalk.results import RunConfig, RunResult, run_loop
 
 __all__ = [
     "PsoConfig",
@@ -32,7 +33,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PsoConfig:
+class PsoConfig(RunConfig):
     """Tunables for one baseline run.
 
     `v_max`, when set, clamps each velocity component to that fraction of the
@@ -40,27 +41,16 @@ class PsoConfig:
     velocity when a coordinate hits the box (0 absorbs, 1 bounces losslessly).
     """
 
-    swarm_size: int
-    dim: int
-    max_iterations: int
-    seed: int = 0
     c1: float = 2.0
     c2: float = 2.0
     w_start: float = 0.9
     w_end: float = 0.4
     v_max: float | None = None
-    fitness_threshold: float | None = None
     r_per_dimension: bool = True
     bounce_damping: float = 0.5
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        super().__post_init__()
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("learning rates c1 and c2 must be >= 0")
         if not self.w_start >= self.w_end >= 0.0:
@@ -120,30 +110,27 @@ def pso_update_position(positions, velocities, domain: SearchDomain,
 
 @dataclass
 class PsoState:
+    """The swarm after `iteration` steps; the count drives the inertia schedule."""
+
     positions: np.ndarray
     velocities: np.ndarray
     fitnesses: np.ndarray
     personal_best_positions: np.ndarray
     personal_best_fitnesses: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float
     iteration: int
 
 
 def init_state(objective: ObjectiveSpec, config: PsoConfig,
                rng: np.random.Generator) -> PsoState:
-    """Asymmetric-init positions, zero velocities, bests seeded from the start."""
+    """Asymmetric-init positions, zero velocities, personal bests seeded from the start."""
     positions = init_positions(objective.domain, config.swarm_size, rng)
     fitnesses = objective.evaluate_batch(positions)
-    best = int(np.argmin(fitnesses))
     return PsoState(
         positions=positions,
         velocities=np.zeros_like(positions),
         fitnesses=fitnesses,
         personal_best_positions=positions.copy(),
         personal_best_fitnesses=fitnesses.copy(),
-        best_position=positions[best].copy(),
-        best_fitness=float(fitnesses[best]),
         iteration=0,
     )
 
@@ -151,9 +138,10 @@ def init_state(objective: ObjectiveSpec, config: PsoConfig,
 def pso_step(state: PsoState, objective: ObjectiveSpec, config: PsoConfig,
              rng: np.random.Generator) -> PsoState:
     """Advance the swarm one iteration (batched R1 draws, then batched R2)."""
+    global_best = state.personal_best_positions[np.argmin(state.personal_best_fitnesses)]
     velocities = pso_update_velocity(
         state.velocities, state.positions, state.personal_best_positions,
-        state.best_position, inertia_weight(config, state.iteration),
+        global_best, inertia_weight(config, state.iteration),
         config, rng, objective.domain,
     )
     positions, velocities = pso_update_position(
@@ -165,22 +153,12 @@ def pso_step(state: PsoState, objective: ObjectiveSpec, config: PsoConfig,
                                        state.personal_best_positions)
     personal_best_fitnesses = np.where(improved, fitnesses,
                                        state.personal_best_fitnesses)
-
-    best = int(np.argmin(personal_best_fitnesses))
-    best_fitness = state.best_fitness
-    best_position = state.best_position
-    if personal_best_fitnesses[best] < best_fitness:
-        best_fitness = float(personal_best_fitnesses[best])
-        best_position = personal_best_positions[best].copy()
-
     return PsoState(
         positions=positions,
         velocities=velocities,
         fitnesses=fitnesses,
         personal_best_positions=personal_best_positions,
         personal_best_fitnesses=personal_best_fitnesses,
-        best_position=best_position,
-        best_fitness=best_fitness,
         iteration=state.iteration + 1,
     )
 

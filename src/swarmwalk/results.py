@@ -8,7 +8,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-__all__ = ["RunResult", "AggregateStats", "check_field_types", "mean_best_fitness", "run_loop"]
+__all__ = ["RunConfig", "RunResult", "AggregateStats", "check_field_types",
+           "mean_best_fitness", "run_loop"]
 
 
 def _is_real(value) -> bool:
@@ -81,13 +82,43 @@ class RunResult:
                 "trace": np.asarray(self.trace, dtype=float).tolist()}
 
 
-def run_loop(algorithm: str, objective, config, best_fraction: float,
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings of one run that a sweep owns; each optimizer's config
+    extends it with that optimizer's own tunables."""
+
+    swarm_size: int
+    dim: int
+    max_iterations: int
+    seed: int = 0
+    fitness_threshold: float | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.swarm_size < 2:
+            raise ValueError("swarm_size must be >= 2")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+
+
+def _swarm_best(state) -> tuple[float, np.ndarray]:
+    """The lowest fitness of a state and (a copy of) the first position holding it."""
+    best = int(np.argmin(state.fitnesses))
+    return float(state.fitnesses[best]), state.positions[best].copy()
+
+
+def run_loop(algorithm: str, objective, config: RunConfig, best_fraction: float,
              init_state, step) -> RunResult:
     """One seeded run of either optimizer: `init_state`, then `step` until the
     iteration budget or the fitness threshold is met.
 
-    States carry `positions`, `fitnesses`, `iteration`, `best_fitness` and
-    `best_position`.
+    States need carry only the swarm's `positions` and their `fitnesses`;
+    anything else in them is the step's own.  The loop keeps the run's
+    bookkeeping itself: the best-so-far fitness and position, taken from each
+    state and replaced only on a strict improvement (ties go to the lowest
+    index), and the iteration count, which is the length of its trace.
     """
     if config.dim != objective.domain.dim:
         raise ValueError(
@@ -95,22 +126,26 @@ def run_loop(algorithm: str, objective, config, best_fraction: float,
         )
     rng = np.random.default_rng(config.seed)
     state = init_state(objective, config, rng)
+    best_fitness, best_position = _swarm_best(state)
     threshold = config.fitness_threshold
     trace = []
-    while state.iteration < config.max_iterations and (
-        threshold is None or state.best_fitness > threshold
+    while len(trace) < config.max_iterations and (
+        threshold is None or best_fitness > threshold
     ):
         state = step(state, objective, config, rng)
-        trace.append(state.best_fitness)
+        fitness, position = _swarm_best(state)
+        if fitness < best_fitness:
+            best_fitness, best_position = fitness, position
+        trace.append(best_fitness)
     return RunResult(
         algorithm=algorithm,
         function=objective.name,
         population=config.swarm_size,
         dimension=config.dim,
         seed=config.seed,
-        iterations_used=state.iteration,
-        best_fitness=state.best_fitness,
-        best_position=state.best_position,
+        iterations_used=len(trace),
+        best_fitness=best_fitness,
+        best_position=best_position,
         trace=np.asarray(trace),
         mean_best_80=mean_best_fitness(state.fitnesses, best_fraction),
     )

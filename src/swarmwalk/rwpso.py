@@ -8,7 +8,7 @@ good particles tend to stay put), otherwise it targets the particle holding
 the largest probability.  Movement toward the target is the expected drift of
 a constrained biased walk tuned to cover the displacement in `walk_horizon`
 steps, plus a Gaussian perturbation.  No velocities and no personal/global
-best memory are kept; the best-so-far trace is recorded for reporting only.
+best memory are kept; the run loop records the best-so-far for reporting only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from swarmwalk.graph import build_distance_matrix, hop_probabilities, update_distance_matrix
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
-from swarmwalk.results import RunResult, check_field_types, run_loop
+from swarmwalk.results import RunConfig, RunResult, run_loop
 
 __all__ = [
     "SIGMA_MODES",
@@ -45,7 +45,7 @@ SIGMA_MODES = ("fixed", "range_scaled", "displacement_scaled")
 
 
 @dataclass(frozen=True)
-class RwpsoConfig:
+class RwpsoConfig(RunConfig):
     """Tunables for one run of the random-walk mover.
 
     Defaults are the shipped configuration: a 2-step walk horizon (each move
@@ -57,24 +57,13 @@ class RwpsoConfig:
     the swarm before it reaches the optimum, above ~0.75 it never settles).
     """
 
-    swarm_size: int
-    dim: int
-    max_iterations: int
-    seed: int = 0
     walk_horizon: int = 2
     gaussian_mu: float = 0.0
     gaussian_sigma_mode: str = "displacement_scaled"
     gaussian_sigma: float = 0.7
-    fitness_threshold: float | None = None
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        super().__post_init__()
         if self.walk_horizon < 1:
             raise ValueError("walk_horizon must be >= 1")
         if self.gaussian_sigma_mode not in SIGMA_MODES:
@@ -161,24 +150,13 @@ class RwpsoState:
     positions: np.ndarray
     fitnesses: np.ndarray
     distances: np.ndarray
-    iteration: int
-    best_fitness: float
-    best_position: np.ndarray
 
 
 def init_state(objective: ObjectiveSpec, config: RwpsoConfig,
                rng: np.random.Generator) -> RwpsoState:
     positions = init_positions(objective.domain, config.swarm_size, rng)
-    fitnesses = objective.evaluate_batch(positions)
-    best = int(np.argmin(fitnesses))
-    return RwpsoState(
-        positions=positions,
-        fitnesses=fitnesses,
-        distances=build_distance_matrix(positions),
-        iteration=0,
-        best_fitness=float(fitnesses[best]),
-        best_position=positions[best].copy(),
-    )
+    return RwpsoState(positions, objective.evaluate_batch(positions),
+                      build_distance_matrix(positions))
 
 
 def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
@@ -197,23 +175,8 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     positions = update_position(state.positions, k, g, objective.domain)
     fitnesses = objective.evaluate_batch(positions)
     moved = np.any(positions != state.positions, axis=1)
-    distances = update_distance_matrix(state.distances, positions, moved)
-
-    best = int(np.argmin(fitnesses))
-    best_fitness = state.best_fitness
-    best_position = state.best_position
-    if fitnesses[best] < best_fitness:
-        best_fitness = float(fitnesses[best])
-        best_position = positions[best].copy()
-
-    return RwpsoState(
-        positions=positions,
-        fitnesses=fitnesses,
-        distances=distances,
-        iteration=state.iteration + 1,
-        best_fitness=best_fitness,
-        best_position=best_position,
-    )
+    return RwpsoState(positions, fitnesses,
+                      update_distance_matrix(state.distances, positions, moved))
 
 
 def rwpso_run(objective: ObjectiveSpec, config: RwpsoConfig,

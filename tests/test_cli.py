@@ -103,6 +103,19 @@ class TestRunCommand:
                      id="misspelled-unlisted-preset"),
         pytest.param({"objective_options": {"schaffer_n1": {"weights": [float("nan"), 0.5]}}},
                      [], "weights", id="nan-weight"),
+        pytest.param({"population_sizes": [40, 40], "runs_per_cell": 3}, [],
+                     "population_sizes lists 40 twice", id="repeated-population"),
+        pytest.param({"functions": ["sphere", "sphere"]}, [], "functions lists 'sphere' twice",
+                     id="repeated-function"),
+        pytest.param({"objective_options": {"sphere": {"upper": float("inf"),
+                                                       "init_upper": float("inf")}}},
+                     [], "domain bound upper must be finite", id="infinite-upper"),
+        pytest.param({"objective_options": {"sphere": {"lower": -float("inf")}}},
+                     [], "domain bound lower must be finite", id="infinite-lower"),
+        pytest.param({"rwpso_options": {"seed": 3}}, [], "seed is set by the sweep",
+                     id="seed-in-options"),
+        pytest.param({"pso_presets": {"sphere": {"swarm_size": 3}}}, [],
+                     "swarm_size is set by the sweep", id="swarm-size-in-preset"),
     ])
     def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              overrides, flags, named):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from swarmwalk.harness import (
     run_single,
     write_results,
 )
-from swarmwalk.results import AggregateStats, mean_best_fitness
+from swarmwalk.objectives import ObjectiveSpec, make_objective
+from swarmwalk.pso import PsoConfig, pso_run
+from swarmwalk.results import AggregateStats, RunConfig, mean_best_fitness, run_loop
+from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 
 TINY = dict(
     functions=("sphere",),
@@ -276,6 +280,33 @@ class TestSpecValidation:
                      "sphere: amplitude must not be null", id="null-parameter"),
         pytest.param({"objective_options": {"sphere": {"lower": None}}},
                      "sphere: lower must not be null", id="null-bound"),
+        pytest.param({"population_sizes": (40, 40)}, "population_sizes lists 40 twice",
+                     id="repeated-population"),
+        pytest.param({"population_sizes": (6, 6.0)}, "population_sizes lists 6 twice",
+                     id="repeated-integral-population"),
+        pytest.param({"dimensions": (2, 3, 2)}, "dimensions lists 2 twice",
+                     id="repeated-dimension"),
+        pytest.param({"functions": ("sphere", "sphere")}, "functions lists 'sphere' twice",
+                     id="repeated-function"),
+        pytest.param({"algorithms": ("rwpso", "pso", "rwpso")},
+                     "algorithms lists 'rwpso' twice", id="repeated-algorithm"),
+        pytest.param({"objective_options": {"sphere": {"upper": float("inf"),
+                                                       "init_upper": float("inf")}}},
+                     "sphere: domain bound upper must be finite", id="infinite-upper"),
+        pytest.param({"objective_options": {"sphere": {"lower": -float("inf")}}},
+                     "sphere: domain bound lower must be finite", id="infinite-lower"),
+        pytest.param({"objective_options": {"rastrigin": {"init_lower": [float("nan"), 1.0]}}},
+                     "rastrigin: domain bound init_lower must be finite",
+                     id="nan-unlisted-init-bound"),
+        pytest.param({"rwpso_options": {"seed": 3}},
+                     "bad rwpso options for sphere: seed is set by the sweep",
+                     id="seed-in-options"),
+        pytest.param({"pso_presets": {"sphere": {"swarm_size": 3}}},
+                     "bad pso options for sphere: swarm_size is set by the sweep",
+                     id="swarm-size-in-preset"),
+        pytest.param({"rwpso_presets": {"binh4": {"fitness_threshold": 1.0}}},
+                     "bad rwpso options for binh4: fitness_threshold is set by the sweep",
+                     id="threshold-in-unlisted-preset"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -321,6 +352,47 @@ class TestRunSingle:
                                  "objective_options": {"schaffer_n1": {"bound": 1000.0}}})
         result = run_single(spec, "rwpso", "schaffer_n1", 6, 2, run_index=0)
         assert np.isfinite(result.best_fitness)
+
+
+class TestRunLoop:
+    @pytest.mark.parametrize("config_class, run", [(RwpsoConfig, rwpso_run),
+                                                   (PsoConfig, pso_run)])
+    def test_best_is_the_least_fitness_evaluated(self, monkeypatch, config_class, run):
+        evaluated = []
+        real_evaluate_batch = ObjectiveSpec.evaluate_batch
+
+        def recording(objective, positions):
+            fitnesses = real_evaluate_batch(objective, positions)
+            evaluated.append(fitnesses.copy())
+            return fitnesses
+
+        monkeypatch.setattr(ObjectiveSpec, "evaluate_batch", recording)
+        objective = make_objective("rastrigin", 3)
+        result = run(objective, config_class(swarm_size=8, dim=3, max_iterations=40, seed=5))
+        assert len(evaluated) == result.iterations_used + 1
+        assert result.best_fitness == min(f.min() for f in evaluated)
+        assert objective.evaluate(result.best_position) == result.best_fitness
+
+    def test_keeps_the_first_of_tied_bests(self):
+        # Particles 1 and 2 share the best at the start, and step 1 only ties
+        # it.  Step 2 improves on it at particles 0 and 2, and step 3 ties it.
+        swarms = iter([
+            ([[2.0], [-1.0], [1.0]], [4.0, 1.0, 1.0]),
+            ([[1.0], [3.0], [3.0]], [1.0, 9.0, 9.0]),
+            ([[0.5], [3.0], [-0.5]], [0.25, 9.0, 0.25]),
+            ([[3.0], [-0.5], [3.0]], [9.0, 0.25, 9.0]),
+        ])
+
+        def next_state(*args):
+            positions, fitnesses = next(swarms)
+            return SimpleNamespace(positions=np.array(positions), fitnesses=np.array(fitnesses))
+
+        result = run_loop("fake", make_objective("sphere", 1),
+                          RunConfig(swarm_size=3, dim=1, max_iterations=3), 0.8,
+                          next_state, next_state)
+        assert result.trace.tolist() == [1.0, 0.25, 0.25]
+        assert result.iterations_used == 3
+        assert result.best_fitness == 0.25 and result.best_position.tolist() == [0.5]
 
 
 class TestRunCell:
@@ -389,6 +461,22 @@ class TestRunExperiment:
         serial = (tmp_path / "serial.csv").read_bytes()
         assert serial.count(b"\n") == 1 + 6
         assert (tmp_path / "parallel.csv").read_bytes() == serial
+
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        import concurrent.futures
+
+        opened = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = ExperimentSpec(**{**TINY, "runs_per_cell": 1, "workers": 3})
+        outcome = run_experiment(spec)
+        assert opened == [1]
+        assert len(outcome.aggregates) == 1 and not outcome.failures
 
     def test_cardinality(self):
         spec = ExperimentSpec(functions=("sphere", "rastrigin"),

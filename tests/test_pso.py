@@ -4,6 +4,7 @@ import pytest
 from swarmwalk.objectives import SearchDomain, make_objective
 from swarmwalk.pso import (
     PsoConfig,
+    PsoState,
     inertia_weight,
     init_state,
     pso_run,
@@ -131,15 +132,33 @@ class TestBallisticMotion:
 class TestBestTracking:
     def test_personal_bests_never_worse_than_current(self):
         obj = make_objective("rastrigin", 3)
-        cfg = config(swarm_size=8, dim=3, max_iterations=30)
+        cfg = config(swarm_size=8, dim=3, max_iterations=30, seed=4)
         rng = np.random.default_rng(4)
         state = init_state(obj, cfg, rng)
         for _ in range(30):
             state = pso_step(state, obj, cfg, rng)
             assert np.all(state.personal_best_fitnesses <= state.fitnesses + 1e-15)
-            assert state.best_fitness == pytest.approx(
-                state.personal_best_fitnesses.min()
-            )
+        # the run steps the same stream, and its best is the best personal best
+        result = pso_run(obj, cfg)
+        assert result.best_fitness == result.trace[-1] == state.personal_best_fitnesses.min()
+
+    @pytest.mark.parametrize("first, second", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_global_best_ties_go_to_the_lowest_index(self, first, second):
+        # Particles 1 and 2 hold personal bests of equal fitness at -1 and 1.
+        # With only the social term (c2 = 1, R2 = 1) every particle moves
+        # onto the global best, which must be particle 1's.
+        obj = make_objective("sphere", 1)
+        cfg = config(swarm_size=3, dim=1, c1=0.0, c2=1.0, w_start=0.0, w_end=0.0)
+        state = PsoState(
+            positions=np.full((3, 1), 3.0),
+            velocities=np.zeros((3, 1)),
+            fitnesses=np.full(3, 9.0),
+            personal_best_positions=np.array([[3.0], [first], [second]]),
+            personal_best_fitnesses=np.array([9.0, 1.0, 1.0]),
+            iteration=0,
+        )
+        state = pso_step(state, obj, cfg, _FixedRng([0.0] * 3 + [1.0] * 3))
+        np.testing.assert_array_equal(state.positions, np.full((3, 1), first))
 
     def test_trace_is_monotone_non_increasing(self):
         obj = make_objective("rosenbrock", 4)
