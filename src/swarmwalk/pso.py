@@ -2,13 +2,12 @@
 
 Classic formulation: each particle keeps a velocity and its own best
 position, and the swarm shares a global best: the best personal best, the
-lowest index on ties.  The inertia weight decays linearly from
-w_start to w_end across the run.  R1/R2 are drawn per particle per dimension
-by default; the historical scalar-per-particle convention is available
-behind a flag but collapses the swarm onto a line on corner-initialized
-problems.  Positions clamp to the box; the velocity component of a clamped
-coordinate is reflected and damped so the swarm cannot wedge on a boundary
-with every attraction term zeroed out.
+lowest index on ties.  The inertia weight decays linearly from w_start to
+w_end across the run.  R1/R2 are drawn per particle per dimension; the
+historical scalar-per-particle draw collapses the swarm onto a line on
+corner-initialized problems.  Positions clamp to the box; the velocity
+component of a clamped coordinate is reflected and damped so the swarm
+cannot wedge on a boundary with every attraction term zeroed out.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class PsoConfig(RunConfig):
     w_start: float = 0.9
     w_end: float = 0.4
     v_max: float | None = None
-    r_per_dimension: bool = True
     bounce_damping: float = 0.5
 
     def __post_init__(self):
@@ -82,12 +80,11 @@ def pso_update_velocity(
 ) -> np.ndarray:
     """New (N, D) velocities w*v + c1*R1*(pbest - x) + c2*R2*(gbest - x), v_max-clipped.
 
-    Draws all R1 of the swarm, then all R2.
+    Draws all R1 of the swarm, then all R2, one per coordinate.
     """
     x = np.asarray(positions, dtype=float)
-    shape = x.shape if config.r_per_dimension else x.shape[:-1] + (1,)
-    r1 = rng.random(shape)
-    r2 = rng.random(shape)
+    r1 = rng.random(x.shape)
+    r2 = rng.random(x.shape)
     new_v = (
         w * np.asarray(velocities, dtype=float)
         + config.c1 * r1 * (personal_bests - x)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -24,7 +25,6 @@ _TYPE_RULES = {
     "float": (_is_real, "a number"),
     "float | None": (lambda v: v is None or _is_real(v), "a number or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
     "tuple": (lambda v: isinstance(v, (list, tuple)), "a list"),
 }
@@ -85,7 +85,11 @@ class RunResult:
 @dataclass(frozen=True)
 class RunConfig:
     """The settings of one run that a sweep owns; each optimizer's config
-    extends it with that optimizer's own tunables."""
+    extends it with that optimizer's own tunables.
+
+    A config refuses a nan or infinite value in any float field, the
+    extension's included, and a negative seed.
+    """
 
     swarm_size: int
     dim: int
@@ -95,6 +99,14 @@ class RunConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # false for nan and inf, and for an int too large for a float
+            if f.type.startswith("float") and value is not None and not (
+                    abs(value) <= sys.float_info.max):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.dim < 1:

@@ -7,7 +7,9 @@ targets the particle holding that smallest probability (usually itself, so
 good particles tend to stay put), otherwise it targets the particle holding
 the largest probability.  Movement toward the target is the expected drift of
 a constrained biased walk tuned to cover the displacement in `walk_horizon`
-steps, plus a Gaussian perturbation.  No velocities and no personal/global
+steps, plus a zero-mean Gaussian perturbation whose scale is `gaussian_sigma`
+times the mean absolute gap to the target, one scale per particle, so the
+noise anneals as the swarm contracts.  No velocities and no personal/global
 best memory are kept; the run loop records the best-so-far for reporting only.
 """
 
@@ -22,7 +24,6 @@ from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
 from swarmwalk.results import RunConfig, RunResult, run_loop
 
 __all__ = [
-    "SIGMA_MODES",
     "RwpsoConfig",
     "RwpsoState",
     "select_target",
@@ -36,38 +37,28 @@ __all__ = [
     "rwpso_run",
 ]
 
-# fixed: sigma is an absolute scale shared by every coordinate.
-# range_scaled: sigma scales the domain width per coordinate.
-# displacement_scaled: sigma scales the mean absolute per-coordinate gap to
-# the chosen target, the same scale in every coordinate, so the perturbation
-# anneals as the swarm contracts yet never freezes single coordinates.
-SIGMA_MODES = ("fixed", "range_scaled", "displacement_scaled")
-
 
 @dataclass(frozen=True)
 class RwpsoConfig(RunConfig):
     """Tunables for one run of the random-walk mover.
 
     Defaults are the shipped configuration: a 2-step walk horizon (each move
-    covers half the gap to the target) with displacement-scaled Gaussian
-    noise at factor 0.7.  That pairing keeps the swarm's sampling radius
-    proportional to how far particles still jump, so it crosses the search
-    box early and anneals into a fine local search late; measured on the
-    bundled benchmarks it is the stable region (factors below ~0.6 freeze
-    the swarm before it reaches the optimum, above ~0.75 it never settles).
+    covers half the gap to the target) with Gaussian noise whose scale is
+    `gaussian_sigma` = 0.7 times the mean absolute gap.  That pairing keeps
+    the swarm's sampling radius proportional to how far particles still
+    jump, so it crosses the search box early and anneals into a fine local
+    search late; measured on the bundled benchmarks it is the stable region
+    (factors below ~0.6 freeze the swarm before it reaches the optimum,
+    above ~0.75 it never settles).
     """
 
     walk_horizon: int = 2
-    gaussian_mu: float = 0.0
-    gaussian_sigma_mode: str = "displacement_scaled"
     gaussian_sigma: float = 0.7
 
     def __post_init__(self):
         super().__post_init__()
         if self.walk_horizon < 1:
             raise ValueError("walk_horizon must be >= 1")
-        if self.gaussian_sigma_mode not in SIGMA_MODES:
-            raise ValueError(f"unknown gaussian_sigma_mode {self.gaussian_sigma_mode!r}")
         if self.gaussian_sigma <= 0.0:
             raise ValueError("gaussian_sigma must be > 0")
 
@@ -108,31 +99,23 @@ def displacement_vector(positions, targets, config: RwpsoConfig) -> np.ndarray:
     return (t - p) / config.walk_horizon
 
 
-def resolve_sigma(config: RwpsoConfig, domain: SearchDomain, displacement=None) -> np.ndarray:
-    """Per-dimension Gaussian scale for the configured sigma mode.
+def resolve_sigma(config: RwpsoConfig, displacement) -> np.ndarray:
+    """Gaussian scale of each particle: `gaussian_sigma` * mean(|displacement|).
 
-    `displacement` (target minus position) is required in displacement_scaled
-    mode and ignored otherwise; that mode uses one isotropic scale per
-    particle (row), factor * mean(|displacement|) over the coordinates,
-    returned as an (N, 1) column for an (N, D) displacement so that it
-    broadcasts over the coordinates.
+    `displacement` is target minus position.  The scale is one isotropic
+    value per particle (row), returned as an (N, 1) column for an (N, D)
+    displacement so that it broadcasts over the coordinates.
     """
-    if config.gaussian_sigma_mode == "fixed":
-        return np.full(config.dim, config.gaussian_sigma)
-    if config.gaussian_sigma_mode == "range_scaled":
-        return config.gaussian_sigma * domain.width
-    if displacement is None:
-        raise ValueError("displacement_scaled sigma needs the displacement to the target")
     gap = np.asarray(displacement, dtype=float)
     return config.gaussian_sigma * np.mean(np.abs(gap), axis=-1, keepdims=True)
 
 
-def gaussian_term(config: RwpsoConfig, domain: SearchDomain,
-                  rng: np.random.Generator, displacement) -> np.ndarray:
-    """One draw of Gaussian perturbations shaped like `displacement` (targets - positions)."""
-    sigma = resolve_sigma(config, domain, displacement)
-    # the same bits as rng.normal(mu, sigma, size), without its broadcasting
-    return config.gaussian_mu + sigma * rng.standard_normal(np.shape(displacement))
+def gaussian_term(config: RwpsoConfig, rng: np.random.Generator, displacement) -> np.ndarray:
+    """One draw of zero-mean Gaussian perturbations shaped like `displacement`
+    (targets - positions)."""
+    # the values of rng.normal(0, sigma, size) up to the sign of a zero,
+    # without its broadcasting
+    return resolve_sigma(config, displacement) * rng.standard_normal(np.shape(displacement))
 
 
 def update_position(positions, k, g, domain: SearchDomain) -> np.ndarray:
@@ -171,7 +154,7 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     r = rng.random(config.swarm_size)
     targets = state.positions[select_target(prob_rows, r)]
     k = displacement_vector(state.positions, targets, config)
-    g = gaussian_term(config, objective.domain, rng, targets - state.positions)
+    g = gaussian_term(config, rng, targets - state.positions)
     positions = update_position(state.positions, k, g, objective.domain)
     fitnesses = objective.evaluate_batch(positions)
     moved = np.any(positions != state.positions, axis=1)

@@ -134,14 +134,13 @@ def test_criterion_5_drift_telescoping():
     target = np.array([[18.0, -3.25, 0.0]])
     domain = SearchDomain.uniform(3, -1000.0, 1000.0, -1.0, 1.0)
     cfg = RwpsoConfig(
-        swarm_size=2, dim=3, max_iterations=n, walk_horizon=n,
-        gaussian_sigma_mode="fixed", gaussian_sigma=1e-12,
+        swarm_size=2, dim=3, max_iterations=n, walk_horizon=n, gaussian_sigma=1e-12,
     )
     rng = np.random.default_rng(5)
     drift = displacement_vector(start, target, cfg)
     position = start
     for _ in range(n):
-        position = update_position(position, drift, gaussian_term(cfg, domain, rng, drift), domain)
+        position = update_position(position, drift, gaussian_term(cfg, rng, drift), domain)
     gap = float(np.abs(position - target).max())
     _report(
         "criterion 5 (drift telescoping)",

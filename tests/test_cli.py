@@ -116,6 +116,18 @@ class TestRunCommand:
                      id="seed-in-options"),
         pytest.param({"pso_presets": {"sphere": {"swarm_size": 3}}}, [],
                      "swarm_size is set by the sweep", id="swarm-size-in-preset"),
+        pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}}, [],
+                     "gaussian_sigma must be finite", id="nan-sigma"),
+        pytest.param({"algorithms": ["pso"], "pso_options": {"c1": float("inf")}}, [],
+                     "c1 must be finite", id="inf-c1"),
+        pytest.param({"rwpso_options": {"gaussian_sigma_mode": "fixed"}}, [],
+                     "gaussian_sigma_mode", id="removed-sigma-mode"),
+        pytest.param({"rwpso_options": {"gaussian_mu": 0.5}}, [], "gaussian_mu",
+                     id="removed-mu"),
+        pytest.param({"pso_presets": {"sphere": {"r_per_dimension": False}}}, [],
+                     "r_per_dimension", id="removed-r-per-dimension"),
+        pytest.param({"algorithms": ["pso"], "pso_options": {"v_max": "0.1"}}, [],
+                     "v_max must be a number or null", id="string-v-max"),
     ])
     def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              overrides, flags, named):

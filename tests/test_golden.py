@@ -50,14 +50,7 @@ def _recorded_with() -> str:
 
 VARIANTS = {
     "base": {},
-    "fixed_sigma_vmax": {
-        "rwpso_options": {"gaussian_sigma_mode": "fixed", "gaussian_sigma": 0.3},
-        "pso_options": {"v_max": 0.15},
-    },
-    "range_sigma_scalar_r": {
-        "rwpso_options": {"gaussian_sigma_mode": "range_scaled", "gaussian_sigma": 0.05},
-        "pso_options": {"r_per_dimension": False},
-    },
+    "vmax": {"algorithms": ["pso"], "pso_options": {"v_max": 0.15}},
     # D >= 8 reaches numpy's 8-way pairwise summation over the distance axis,
     # and the rastrigin preset leaves over half the walker's particle-steps
     # unmoved, so this pins the distance matrix carried across iterations.
@@ -87,10 +80,8 @@ VARIANTS = {
 DIGESTS = {
     ("base", "csv"): "df6d1179200d6e41c76b3c7906ddba35be34f1c4c1122f1b3f12f61707076039",
     ("base", "json"): "59bddd753b7b67b441635d9d1ead7ca5e70cf2a96888003d4e927eb9b2c09111",
-    ("fixed_sigma_vmax", "csv"): "cde839f06c32a40b2690e171d093a7a9b1923cbb8b477f9b95c7d19088b16b11",
-    ("fixed_sigma_vmax", "json"): "4aff04de2ccfa28a3aabf505ab2582b06f9f59efb3f5603ab3d9b398ac65c955",
-    ("range_sigma_scalar_r", "csv"): "3a1cbfe711c147a9d9c84ff9f9776723c517e178ab3597d2f89292571cb9ba74",
-    ("range_sigma_scalar_r", "json"): "8dd6519f41adced7c5ab72653669ff7017ca163e81c9efbe45a9ab8f3c343d0f",
+    ("vmax", "csv"): "c0bc1fa61edafa40c30338a049c34fb233fce85cc00aa42ab2b36ce93e7a6447",
+    ("vmax", "json"): "5c7966e9072a808ef3cf01d3586ee936808a5608ca47db12326a4e57716a051d",
     ("wide", "csv"): "9117f0268841c47032299956b6c575112f5ee8723b6ff3bc2789c5645f4a4ac0",
     ("wide", "json"): "cd38db9ac985d73dfc9d42f7317fdfd79e67f43f0adef40ae405a27a7c0e42af",
     ("large", "csv"): "273f183a977660871b8257071e71a2013e98ccbd01f08adf037dc86da54332b8",

@@ -216,8 +216,24 @@ class TestSpecValidation:
                      "pso.*sphere.*vmax", id="misspelled-pso-key"),
         pytest.param({"rwpso_options": {"displacement_mode": "toward_target"}},
                      "rwpso.*displacement_mode", id="removed-key"),
+        pytest.param({"rwpso_options": {"gaussian_sigma_mode": "fixed"}},
+                     "rwpso.*sphere.*gaussian_sigma_mode", id="removed-sigma-mode"),
+        pytest.param({"rwpso_options": {"gaussian_mu": 0.5}},
+                     "rwpso.*sphere.*gaussian_mu", id="removed-mu"),
+        pytest.param({"pso_presets": {"sphere": {"r_per_dimension": False}}},
+                     "pso.*sphere.*r_per_dimension", id="removed-r-per-dimension"),
         pytest.param({"rwpso_options": {"walk_horizon": 0}},
                      "rwpso.*sphere.*walk_horizon", id="bad-value"),
+        pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}},
+                     "rwpso.*sphere.*gaussian_sigma must be finite", id="nan-sigma"),
+        pytest.param({"algorithms": ("pso",), "pso_options": {"c1": float("inf")}},
+                     "pso.*sphere.*c1 must be finite", id="inf-c1"),
+        pytest.param({"algorithms": ("pso",), "pso_options": {"c2": float("inf")}},
+                     "pso.*sphere.*c2 must be finite", id="inf-c2"),
+        pytest.param({"algorithms": ("pso",), "pso_options": {"w_start": float("inf")}},
+                     "pso.*sphere.*w_start must be finite", id="inf-w-start"),
+        pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": float("inf")}},
+                     "pso.*sphere.*v_max must be finite", id="inf-v-max"),
         pytest.param({"functions": ("rastrigin",), "algorithms": ("pso",),
                       "pso_presets": {"rastrigin": {"v_max": -1.0}}},
                      "pso.*rastrigin.*v_max", id="bad-preset-value"),
@@ -250,8 +266,8 @@ class TestSpecValidation:
         pytest.param({"functions": "sphere"}, "functions", id="string-functions"),
         pytest.param({"rwpso_options": {"walk_horizon": 2.5}},
                      "rwpso.*sphere.*walk_horizon", id="fractional-walk-horizon"),
-        pytest.param({"algorithms": ("pso",), "pso_options": {"r_per_dimension": "no"}},
-                     "pso.*sphere.*r_per_dimension", id="string-r-per-dimension"),
+        pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": "0.1"}},
+                     "pso.*sphere.*v_max must be a number or null", id="string-v-max"),
         pytest.param({"objective_options": {"binh4": 5}}, "objective_options for binh4",
                      id="scalar-objective-options"),
         pytest.param({"rwpso_presets": {"binh4": {"walk_horizn": 3}}},
@@ -352,6 +368,22 @@ class TestRunSingle:
                                  "objective_options": {"schaffer_n1": {"bound": 1000.0}}})
         result = run_single(spec, "rwpso", "schaffer_n1", 6, 2, run_index=0)
         assert np.isfinite(result.best_fitness)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"fitness_threshold": float("nan")}, "fitness_threshold must be finite",
+                     id="nan-threshold"),
+        pytest.param({"fitness_threshold": float("inf")}, "fitness_threshold must be finite",
+                     id="inf-threshold"),
+        pytest.param({"fitness_threshold": 10**400}, "fitness_threshold must be finite",
+                     id="huge-integer-threshold"),
+        pytest.param({"seed": -1}, "seed must be >= 0", id="negative-seed"),
+    ])
+    @pytest.mark.parametrize("config_class", [RunConfig, RwpsoConfig, PsoConfig])
+    def test_bad_run_setting_fails_when_built(self, config_class, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            config_class(swarm_size=5, dim=2, max_iterations=50, **overrides)
 
 
 class TestRunLoop:

@@ -40,28 +40,27 @@ class TestVelocityUpdate:
     def test_vanishes_at_consensus(self):
         x = np.array([[1.0, 2.0]])
         v = pso_update_velocity([[3.0, -1.0]], x, x, x[0], 0.0,
-                                config(r_per_dimension=False), _FixedRng([0.5, 0.5]),
-                                self.DOMAIN)
+                                config(), _FixedRng([0.5, 0.5, 0.5, 0.5]), self.DOMAIN)
         np.testing.assert_array_equal(v, [[0.0, 0.0]])
 
     def test_pure_inertia(self):
-        cfg = config(c1=0.0, c2=0.0, w_start=1.0, w_end=1.0, r_per_dimension=False)
+        cfg = config(c1=0.0, c2=0.0, w_start=1.0, w_end=1.0)
         v0 = np.array([[2.0, -3.0]])
         v = pso_update_velocity(v0, [[0.0, 0.0]], [[5.0, 5.0]], [9.0, 9.0], 1.0,
-                                cfg, _FixedRng([0.7, 0.1]), self.DOMAIN)
+                                cfg, _FixedRng([0.7, 0.1, 0.3, 0.9]), self.DOMAIN)
         np.testing.assert_array_equal(v, v0)
 
     def test_hand_value_with_scripted_draw(self):
-        # v=0, c1=2, R1=0.5, c2=0, pbest - x = (3,) -> new velocity (3,)
-        cfg = config(dim=1, c1=2.0, c2=0.0, r_per_dimension=False)
-        dom = SearchDomain.uniform(1, -10.0, 10.0, -1.0, 1.0)
-        v = pso_update_velocity([[0.0]], [[0.0]], [[3.0]], [0.0], 0.0,
-                                cfg, _FixedRng([0.5, 0.9]), dom)
-        np.testing.assert_array_equal(v, [[3.0]])
+        # v=0, c1=2, R1=(0.5, 0.25) per coordinate, c2=0, pbest - x = (3, 4)
+        # -> new velocity (3, 2)
+        cfg = config(c1=2.0, c2=0.0)
+        v = pso_update_velocity([[0.0, 0.0]], [[0.0, 0.0]], [[3.0, 4.0]], [0.0, 0.0], 0.0,
+                                cfg, _FixedRng([0.5, 0.25, 0.9, 0.9]), self.DOMAIN)
+        np.testing.assert_array_equal(v, [[3.0, 2.0]])
 
     def test_draws_all_r1_then_all_r2(self):
         # two particles, one coordinate: the stream is R1 of both, then R2
-        cfg = config(dim=1, c1=1.0, c2=1.0, r_per_dimension=True)
+        cfg = config(dim=1, c1=1.0, c2=1.0)
         dom = SearchDomain.uniform(1, -10.0, 10.0, -1.0, 1.0)
         v = pso_update_velocity(np.zeros((2, 1)), np.zeros((2, 1)), np.ones((2, 1)),
                                 [0.0], 0.0, cfg, _FixedRng([0.1, 0.2, 0.3, 0.4]), dom)
@@ -71,9 +70,9 @@ class TestVelocityUpdate:
         np.testing.assert_allclose(v, [[0.3], [0.4]])
 
     def test_velocity_clamp(self):
-        cfg = config(v_max=0.1, r_per_dimension=False)
+        cfg = config(v_max=0.1)
         v = pso_update_velocity([[0.0, 0.0]], [[0.0, 0.0]], [[50.0, -50.0]],
-                                [50.0, -50.0], 0.0, cfg, _FixedRng([1.0, 1.0]),
+                                [50.0, -50.0], 0.0, cfg, _FixedRng([1.0, 1.0, 1.0, 1.0]),
                                 self.DOMAIN)
         np.testing.assert_array_equal(v, [[2.0, -2.0]])
 

@@ -135,56 +135,31 @@ class TestWalkOracle:
 
 
 class TestGaussianTerm:
-    def test_tiny_sigma_returns_mu(self):
-        cfg = config(dim=6, gaussian_mu=1.25, gaussian_sigma_mode="fixed",
-                     gaussian_sigma=1e-12)
-        dom = SearchDomain.uniform(6, -10, 10, -1, 1)
-        g = gaussian_term(cfg, dom, np.random.default_rng(0), np.zeros((2, 6)))
-        np.testing.assert_allclose(g, np.full((2, 6), 1.25), atol=1e-6)
-
     def test_standard_moments(self):
-        cfg = config(dim=1, gaussian_sigma_mode="fixed", gaussian_sigma=1.0)
-        dom = SearchDomain.uniform(1, -10, 10, -1, 1)
-        draws = gaussian_term(cfg, dom, np.random.default_rng(1), np.zeros((100_000, 1)))
+        # a unit gap scales the noise by gaussian_sigma = 1
+        cfg = config(dim=1, gaussian_sigma=1.0)
+        draws = gaussian_term(cfg, np.random.default_rng(1), np.ones((100_000, 1)))
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
         assert draws.std() == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("mode", ["fixed", "range_scaled", "displacement_scaled"])
-    def test_one_block_draw_equals_row_by_row_draws(self, mode):
+    def test_one_block_draw_equals_row_by_row_draws(self):
         # numpy fills the (N, D) block in row-major order, so drawing the
         # swarm at once consumes the stream like N single-particle draws
-        cfg = config(dim=3, gaussian_sigma_mode=mode, gaussian_sigma=0.4)
-        dom = SearchDomain.uniform(3, -10, 10, -1, 1)
+        cfg = config(dim=3, gaussian_sigma=0.4)
         gap = np.random.default_rng(2).normal(size=(5, 3))
-        block = gaussian_term(cfg, dom, np.random.default_rng(3), gap)
+        block = gaussian_term(cfg, np.random.default_rng(3), gap)
         rng = np.random.default_rng(3)
-        rows = [gaussian_term(cfg, dom, rng, gap[j:j + 1]) for j in range(5)]
+        rows = [gaussian_term(cfg, rng, gap[j:j + 1]) for j in range(5)]
         np.testing.assert_array_equal(block, np.concatenate(rows))
 
-    def test_range_scaled_sigma(self):
-        cfg = config(dim=2, gaussian_sigma_mode="range_scaled", gaussian_sigma=0.05)
-        dom = SearchDomain(np.array([0.0, 0.0]), np.array([10.0, 40.0]),
-                           np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        np.testing.assert_allclose(resolve_sigma(cfg, dom), [0.5, 2.0])
-
     def test_displacement_scaled_is_isotropic_mean_gap(self):
-        cfg = config(dim=3, gaussian_sigma_mode="displacement_scaled",
-                     gaussian_sigma=0.5)
-        dom = SearchDomain.uniform(3, -10, 10, -1, 1)
-        sigma = resolve_sigma(cfg, dom, np.array([3.0, 0.0, -3.0]))
+        cfg = config(dim=3, gaussian_sigma=0.5)
+        sigma = resolve_sigma(cfg, np.array([3.0, 0.0, -3.0]))
         np.testing.assert_allclose(sigma, np.full(1, 1.0))
-
-    def test_displacement_scaled_requires_displacement(self):
-        cfg = config(gaussian_sigma_mode="displacement_scaled")
-        dom = SearchDomain.uniform(2, -10, 10, -1, 1)
-        with pytest.raises(ValueError):
-            resolve_sigma(cfg, dom)
 
     def test_invalid_sigma_rejected_at_config(self):
         with pytest.raises(ValueError):
             config(gaussian_sigma=0.0)
-        with pytest.raises(ValueError):
-            config(gaussian_sigma_mode="lognormal")
 
 
 class TestUpdatePosition:
@@ -210,19 +185,17 @@ class TestStep:
     def test_swarm_at_optimum_is_a_fixed_point(self):
         obj = make_objective("sphere", 2, lower=-10, upper=10,
                              init_lower=0, init_upper=0)
-        cfg = config(swarm_size=2, dim=2,
-                     gaussian_sigma_mode="fixed", gaussian_sigma=1e-12)
+        cfg = config(swarm_size=2, dim=2, gaussian_sigma=1e-12)
         rng = np.random.default_rng(0)
         state = init_state(obj, cfg, rng)
         new = rwpso_step(state, obj, cfg, rng)
         np.testing.assert_allclose(new.positions, state.positions, atol=1e-6)
 
     def test_collapsed_swarm_stays_put(self):
-        # every particle on one point: each gap is zero, so under the default
-        # displacement_scaled noise neither drift nor noise moves anyone
+        # every particle on one point: each gap is zero, and the noise scales
+        # with the gap, so neither drift nor noise moves anyone
         obj = make_objective("rastrigin", 3, init_lower=1.5, init_upper=1.5)
         cfg = config(swarm_size=6, dim=3)
-        assert cfg.gaussian_sigma_mode == "displacement_scaled"
         rng = np.random.default_rng(11)
         state = init_state(obj, cfg, rng)
         off_diagonal = ~np.eye(6, dtype=bool)
@@ -258,7 +231,7 @@ class TestStep:
         np.testing.assert_array_equal(singles, chosen)
         targets = state.positions[chosen]
         k = displacement_vector(state.positions, targets, cfg)
-        g = gaussian_term(cfg, obj.domain, rng, targets - state.positions)
+        g = gaussian_term(cfg, rng, targets - state.positions)
         expected = update_position(state.positions, k, g, obj.domain)
         new = rwpso_step(state, obj, cfg, np.random.default_rng(9))
         np.testing.assert_array_equal(new.positions, expected)
@@ -296,13 +269,12 @@ class TestDriftTelescoping:
         target = np.array([4.0, -3.0, 0.5])
         start = np.array([-2.0, 5.0, 1.5])
         dom = SearchDomain.uniform(3, -100.0, 100.0, -1.0, 1.0)
-        cfg = config(dim=3, walk_horizon=n,
-                     gaussian_sigma_mode="fixed", gaussian_sigma=1e-12)
+        cfg = config(dim=3, walk_horizon=n, gaussian_sigma=1e-12)
         rng = np.random.default_rng(2)
         k = displacement_vector(start[None], target[None], cfg)
         p = start[None]
         for _ in range(n):
-            p = update_position(p, k, gaussian_term(cfg, dom, rng, k), dom)
+            p = update_position(p, k, gaussian_term(cfg, rng, k), dom)
         np.testing.assert_allclose(p[0], target, atol=1e-6)
 
 
