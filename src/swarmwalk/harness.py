@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
@@ -22,7 +21,8 @@ import numpy as np
 
 from swarmwalk.objectives import FUNCTION_NAMES, make_objective
 from swarmwalk.pso import PsoConfig, pso_run
-from swarmwalk.results import AggregateStats, RunConfig, RunResult, _is_real, check_field_types
+from swarmwalk.results import (AggregateStats, RunConfig, RunResult, _is_finite_real,
+                               check_field_types)
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 
 __all__ = [
@@ -78,9 +78,9 @@ class ExperimentSpec:
     (anything except swarm size, dimension, iteration budget, threshold and
     seed, which the sweep owns).  `rwpso_presets` / `pso_presets` do the same
     per function and lose to the global options on conflicts.
-    `objective_options` maps function name to make_objective keyword
-    overrides (domain bounds, and the parameters that function takes); a
-    null value is refused.  A value listed twice in `functions`,
+    `objective_options` maps function name to make_objective keywords: only
+    binh4 and schaffer_n1 take one, their scalarization `weights`; a null
+    value is refused.  A value listed twice in `functions`,
     `algorithms`, `population_sizes` or `dimensions` is refused.
     Construction builds every objective the sweep will use, every other
     function's objective, and an optimizer config for every algorithm and
@@ -95,7 +95,6 @@ class ExperimentSpec:
     runs_per_cell: int = 50
     max_iterations: int = 1000
     base_seed: int = 0
-    best_fraction: float = 0.8
     fitness_thresholds: dict[str, float | None] = field(
         default_factory=lambda: dict(DEFAULT_THRESHOLDS)
     )
@@ -114,7 +113,7 @@ class ExperimentSpec:
         check_field_types(self)
         for key in ("population_sizes", "dimensions"):
             values = tuple(getattr(self, key))
-            if not all(_is_real(v) and float(v).is_integer() for v in values):
+            if not all(_is_finite_real(v) and float(v).is_integer() for v in values):
                 raise ValueError(f"{key} must hold integers, got {list(values)!r}")
             object.__setattr__(self, key, tuple(int(v) for v in values))
         object.__setattr__(self, "functions", tuple(self.functions))
@@ -137,7 +136,7 @@ class ExperimentSpec:
         for function, threshold in self.fitness_thresholds.items():
             if function not in FUNCTION_NAMES:
                 raise ValueError(f"threshold for unknown function {function!r}")
-            if threshold is not None and not (_is_real(threshold) and math.isfinite(threshold)):
+            if threshold is not None and not _is_finite_real(threshold):
                 raise ValueError(f"threshold for {function} must be a finite number "
                                  f"or null, got {threshold!r}")
         for key in ("rwpso_presets", "pso_presets", "objective_options"):
@@ -150,26 +149,22 @@ class ExperimentSpec:
             raise ValueError("runs_per_cell must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.best_fraction <= 1.0:
-            raise ValueError("best_fraction must be in (0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.population_sizes or any(p < 2 for p in self.population_sizes):
             raise ValueError("population sizes must be given and >= 2")
         if not self.dimensions or any(d < 1 for d in self.dimensions):
             raise ValueError("dimensions must be given and >= 1")
-        # An unlisted function is built at D >= 2, which every function
+        # An unlisted function is built at D = 2, which every function
         # accepts, so a sweep at D = 1 keeps a valid rosenbrock block.
         for function in dict.fromkeys([*self.functions, *FUNCTION_NAMES]):
             options = self.objective_options.get(function, {})
-            listed = function in self.functions
             for key, value in options.items():
                 if value is None:
                     raise ValueError(f"bad objective for {function}: {key} must not be null")
             try:
-                for dimension in self.dimensions:
-                    make_objective(function, dimension if listed else max(dimension, 2),
-                                   **options)
+                for dimension in self.dimensions if function in self.functions else (2,):
+                    make_objective(function, dimension, **options)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad objective for {function}: {exc}") from exc
         # Every option and preset block must build a config, also for a
@@ -263,7 +258,7 @@ def run_single(spec: ExperimentSpec, algorithm: str, function: str,
                        population, dimension, run_index)
     config = _optimizer_config(spec, algorithm, function, population, objective.dim, seed)
     run = rwpso_run if algorithm == "rwpso" else pso_run
-    return replace(run(objective, config, spec.best_fraction), dimension=dimension)
+    return replace(run(objective, config), dimension=dimension)
 
 
 def _aggregate_cell(spec: ExperimentSpec, cell: Cell,

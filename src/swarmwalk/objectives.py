@@ -2,9 +2,11 @@
 
 Five benchmarks are provided: sphere, rosenbrock and rastrigin (single
 objective) plus binh4 and schaffer_n1 (two objectives each, collapsed to one
-fitness value by weighted-sum scalarization).  Each comes with an asymmetric
-initialization sub-range: particles start in a corner of the search box that
-does not contain the optimum, so an optimizer has to travel, not just refine.
+fitness value by weighted-sum scalarization).  Each is one fixed problem: its
+constants, its search box, and an asymmetric initialization sub-range where
+particles start, a corner of the box that does not contain the optimum, so
+an optimizer has to travel, not just refine.  Only the scalarization weights
+are settable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from swarmwalk.results import _is_real
+from swarmwalk.results import _is_finite_real
 
 __all__ = [
     "SearchDomain",
@@ -131,14 +133,13 @@ def eval_rosenbrock(x) -> float:
     return float(np.add.reduce(100.0 * (tail - head * head) ** 2 + (head - 1.0) ** 2))
 
 
-def eval_rastrigin(x, amplitude: float = 10.0) -> float:
-    """f(x) = A n + sum_i (x_i^2 - A cos(2 pi x_i)); minimum f(0, ..., 0) = 0."""
+def eval_rastrigin(x) -> float:
+    """f(x) = 10 n + sum_i (x_i^2 - 10 cos(2 pi x_i)); minimum f(0, ..., 0) = 0."""
     x = _as_point(x)
     if not math.isfinite(x.dot(x)):
         _check_finite(x)
-    # A n + sum as one Python float addition: the same IEEE sum as numpy's
-    return amplitude * x.shape[0] + float(
-        np.add.reduce(x * x - amplitude * np.cos(2.0 * np.pi * x)))
+    # 10 n + sum as one Python float addition: the same IEEE sum as numpy's
+    return 10.0 * x.shape[0] + float(np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
 
 
 def eval_binh4(x: float, y: float) -> tuple[float, float]:
@@ -154,12 +155,12 @@ def eval_binh4(x: float, y: float) -> tuple[float, float]:
     return (x * x - y, -0.5 * x - y - 1.0)
 
 
-def eval_schaffer_n1(x: float, bound: float = 100.0) -> tuple[float, float]:
-    """Two-objective Schaffer N.1: (x^2, (x - 2)^2) on [-bound, bound]."""
+def eval_schaffer_n1(x: float) -> tuple[float, float]:
+    """Two-objective Schaffer N.1: (x^2, (x - 2)^2) on [-100, 100]."""
     if not math.isfinite(x):
         raise ValueError("objective input must be finite")
-    if not -bound <= x <= bound:
-        raise ValueError(f"schaffer_n1 input {x} outside [-{bound}, {bound}]")
+    if not -100.0 <= x <= 100.0:
+        raise ValueError(f"schaffer_n1 input {x} outside [-100, 100]")
     return (x * x, (x - 2.0) * (x - 2.0))
 
 
@@ -224,71 +225,43 @@ class ObjectiveSpec:
         return np.array([self.evaluate(p) for p in positions])
 
 
-# (lower, upper, init_lower, init_upper) per coordinate for the box domains.
-_DOMAIN_DEFAULTS = {
+# (lower, upper, init_lower, init_upper) of each function's box, the same in
+# every coordinate.
+_DOMAINS = {
     "sphere": (-100.0, 100.0, 50.0, 100.0),
     "rosenbrock": (-30.0, 30.0, 15.0, 30.0),
     "rastrigin": (-5.12, 5.12, 2.56, 5.12),
     "binh4": (-7.0, 4.0, 0.0, 4.0),
+    "schaffer_n1": (-100.0, 100.0, 50.0, 100.0),
 }
 
-FUNCTION_NAMES = ("sphere", "rosenbrock", "rastrigin", "binh4", "schaffer_n1")
+FUNCTION_NAMES = tuple(_DOMAINS)
 
 # binh4 is intrinsically 2-D and schaffer_n1 1-D; the benchmark protocol may
 # still sweep a nominal dimension over them, which these functions ignore.
-# Their evaluators also check a fixed box, their default domain, so a domain
-# override must stay inside it.
+# They are the two scalarized functions, the only ones that take weights.
 _FIXED_DIMS = {"binh4": 2, "schaffer_n1": 1}
 
-# The parameters each function takes besides its four domain bounds.
-_PARAMETERS = {"rastrigin": ("amplitude",), "binh4": ("weights",),
-               "schaffer_n1": ("weights", "bound")}
 
-
-def _real_array(name: str, key: str, value) -> np.ndarray:
-    """`value`, a real number or a list of them, as floats; a bool, a string
-    or any other value raises ValueError naming `name` and `key`."""
-    if not all(_is_real(v) for v in np.asarray(value, dtype=object).ravel()):
-        raise ValueError(f"{name} {key} must be a number or a list of numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
-
-
-def make_objective(
-    name: str,
-    dim: int | None = None,
-    *,
-    lower=None,
-    upper=None,
-    init_lower=None,
-    init_upper=None,
-    weights=None,
-    bound=None,
-    amplitude=None,
-) -> ObjectiveSpec:
-    """Build one of the five benchmark objectives with its default domain.
+def make_objective(name: str, dim: int | None = None, *, weights=None) -> ObjectiveSpec:
+    """Build one of the five benchmark objectives on its fixed domain.
 
     Parameters
     ----------
     name : one of FUNCTION_NAMES.
     dim : search-space dimension; required for the three scalable functions,
         ignored by binh4 (always 2-D) and schaffer_n1 (always 1-D).
-    lower, upper, init_lower, init_upper : optional per-coordinate overrides
-        for the domain; scalars broadcast across coordinates.  binh4 and
-        schaffer_n1 reject bounds outside their default box.
     weights : binh4 and schaffer_n1 only; the two scalarization weights,
-        finite, >= 0 and summing to 1 (default equal weights).
-    bound : schaffer_n1 only; half-width of its domain, in [10, 1e5]
-        (default 100; the init range is the upper half [bound/2, bound]).
-    amplitude : rastrigin only; its A constant (default 10).
+        finite, >= 0 and summing to 1 (default equal weights).  A
+        single-objective function refuses it, even a weight of 1.
 
-    A parameter that `name` does not take raises ValueError, also when it
-    holds its default.
+    A problem on another domain is an `ObjectiveSpec` built directly, e.g.
+    `ObjectiveSpec("sphere", SearchDomain.uniform(3, -1, 1, 0, 1), eval_sphere)`.
     """
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
-    for key, value in (("weights", weights), ("bound", bound), ("amplitude", amplitude)):
-        if value is not None and key not in _PARAMETERS.get(name, ()):
-            raise ValueError(f"{name} takes no parameter {key!r}")
+    if weights is not None and name not in _FIXED_DIMS:
+        raise ValueError(f"{name} takes no parameter 'weights'")
 
     if name in _FIXED_DIMS:
         dim = _FIXED_DIMS[name]
@@ -296,49 +269,26 @@ def make_objective(
         raise ValueError(f"{name} needs an explicit dimension")
     elif dim < 1 or (name == "rosenbrock" and dim < 2):
         raise ValueError(f"invalid dimension {dim} for {name}")
+    domain = SearchDomain.uniform(dim, *_DOMAINS[name])
 
-    if name == "schaffer_n1":
-        bound = 100.0 if bound is None else bound
-        if not (_is_real(bound) and 10.0 <= bound <= 1e5):
-            raise ValueError(f"schaffer_n1 bound must be a number in [10, 1e5], got {bound!r}")
-        defaults = (-bound, bound, bound / 2.0, bound)
-    else:
-        defaults = _DOMAIN_DEFAULTS[name]
-
-    bounds = [
-        np.full(dim, default) if value is None
-        else np.broadcast_to(_real_array(name, key, value), (dim,)).copy()
-        for key, default, value in zip(("lower", "upper", "init_lower", "init_upper"), defaults,
-                                       (lower, upper, init_lower, init_upper))
-    ]
-    domain = SearchDomain(*bounds)
     if name in _FIXED_DIMS:
-        for key, outside in (("lower", domain.lower < defaults[0]),
-                             ("upper", domain.upper > defaults[1])):
-            if np.any(outside):
-                raise ValueError(f"{name} {key} must lie inside [{defaults[0]}, {defaults[1]}]")
-
-    if "weights" in _PARAMETERS.get(name, ()):
-        if weights is None:
-            weights = (0.5, 0.5)
-        weights = tuple(float(w) for w in np.atleast_1d(_real_array(name, "weights", weights)))
+        items = np.asarray((0.5, 0.5) if weights is None else weights, dtype=object).ravel()
+        if not all(_is_finite_real(w) for w in items):
+            raise ValueError(f"{name} weights must be finite numbers, got {weights!r}")
+        weights = tuple(float(w) for w in items)
         if len(weights) != 2:
             raise ValueError(f"{name} needs 2 scalarization weights")
-        # A nan or inf weight fails too: its sum is not within 1e-9 of 1.
         if not (min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9):
-            raise ValueError("scalarization weights must be finite, >= 0 and sum to 1")
+            raise ValueError("scalarization weights must be >= 0 and sum to 1")
 
     if name == "sphere":
         fitness = eval_sphere
     elif name == "rosenbrock":
         fitness = eval_rosenbrock
     elif name == "rastrigin":
-        amplitude = 10.0 if amplitude is None else amplitude
-        if not (_is_real(amplitude) and math.isfinite(amplitude)):
-            raise ValueError(f"rastrigin amplitude must be a finite number, got {amplitude!r}")
-        fitness = lambda x: eval_rastrigin(x, amplitude)
+        fitness = eval_rastrigin
     elif name == "binh4":
         fitness = lambda x: scalarize(eval_binh4(float(x[0]), float(x[1])), weights)
     else:
-        fitness = lambda x: scalarize(eval_schaffer_n1(float(x[0]), bound), weights)
+        fitness = lambda x: scalarize(eval_schaffer_n1(float(x[0])), weights)
     return ObjectiveSpec(name=name, domain=domain, fitness=fitness)

@@ -160,7 +160,6 @@ def pso_step(state: PsoState, objective: ObjectiveSpec, config: PsoConfig,
     )
 
 
-def pso_run(objective: ObjectiveSpec, config: PsoConfig,
-            best_fraction: float = 0.8) -> RunResult:
+def pso_run(objective: ObjectiveSpec, config: PsoConfig) -> RunResult:
     """Full seeded baseline run with the same result contract as rwpso_run."""
-    return run_loop("pso", objective, config, best_fraction, init_state, pso_step)
+    return run_loop("pso", objective, config, init_state, pso_step)

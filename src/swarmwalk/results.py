@@ -17,6 +17,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """A real number that is not nan or infinite and fits a float; an int
+    too large for a float is refused here, before `float()` would overflow."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
 # Declared annotation (its text, as `from __future__ import annotations`
 # leaves it; containers by their outer type) -> the check a value must pass
 # and how an error names the type.  A bool is never a number.
@@ -61,8 +67,7 @@ class RunResult:
 
     `trace` holds the best-so-far fitness after each completed iteration, so
     its length equals `iterations_used` and it never increases.
-    `mean_best_80` is the mean fitness of the best fraction of the *final*
-    swarm (fraction 0.8 by default, hence the name).
+    `mean_best_80` is the mean fitness of the best 80% of the *final* swarm.
     """
 
     algorithm: str
@@ -101,9 +106,7 @@ class RunConfig:
         check_field_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
-            # false for nan and inf, and for an int too large for a float
-            if f.type.startswith("float") and value is not None and not (
-                    abs(value) <= sys.float_info.max):
+            if f.type.startswith("float") and value is not None and not _is_finite_real(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -121,8 +124,7 @@ def _swarm_best(state) -> tuple[float, np.ndarray]:
     return float(state.fitnesses[best]), state.positions[best].copy()
 
 
-def run_loop(algorithm: str, objective, config: RunConfig, best_fraction: float,
-             init_state, step) -> RunResult:
+def run_loop(algorithm: str, objective, config: RunConfig, init_state, step) -> RunResult:
     """One seeded run of either optimizer: `init_state`, then `step` until the
     iteration budget or the fitness threshold is met.
 
@@ -130,7 +132,8 @@ def run_loop(algorithm: str, objective, config: RunConfig, best_fraction: float,
     anything else in them is the step's own.  The loop keeps the run's
     bookkeeping itself: the best-so-far fitness and position, taken from each
     state and replaced only on a strict improvement (ties go to the lowest
-    index), and the iteration count, which is the length of its trace.
+    index), and the iteration count, which is the length of its trace.  The
+    result's `mean_best_80` is the mean of the best 80% of the final swarm.
     """
     if config.dim != objective.domain.dim:
         raise ValueError(
@@ -159,8 +162,14 @@ def run_loop(algorithm: str, objective, config: RunConfig, best_fraction: float,
         best_fitness=best_fitness,
         best_position=best_position,
         trace=np.asarray(trace),
-        mean_best_80=mean_best_fitness(state.fitnesses, best_fraction),
+        mean_best_80=mean_best_fitness(state.fitnesses),
     )
+
+
+# The closed range of each numeric field of a results row that has one.
+_ROW_RANGES = {"population": (1, math.inf), "dimension": (1, math.inf),
+               "runs": (1, math.inf), "mean_iterations": (0.0, math.inf),
+               "std_best_fitness": (0.0, math.inf), "success_rate": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,10 @@ class AggregateStats:
         """One row of a results file: a JSON object or a CSV record.
 
         Each field holds a value of its declared type or the text of one (a
-        CSV cell); a missing or unparsable field raises ValueError naming it.
+        CSV cell); a missing or unparsable field raises ValueError naming it,
+        and so does an impossible value: a count below 1, a float that is not
+        finite, a negative mean iteration count or standard deviation, or a
+        success rate outside [0, 1].
         """
         if not isinstance(data, dict):
             raise ValueError(f"a row must be an object, got {data!r}")
@@ -209,7 +221,14 @@ class AggregateStats:
             if not (isinstance(value, str) or check(value)):
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
             try:
-                values[f.name] = {"str": str, "int": int, "float": float}[f.type](value)
-            except ValueError:
+                parsed = {"str": str, "int": int, "float": float}[f.type](value)
+            except (ValueError, OverflowError):
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}") from None
+            if isinstance(parsed, float) and not math.isfinite(parsed):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in _ROW_RANGES:
+                low, high = _ROW_RANGES[f.name]
+                if not low <= parsed <= high:
+                    raise ValueError(f"{f.name} must lie in [{low}, {high}], got {value!r}")
+            values[f.name] = parsed
         return cls(**values)

@@ -162,7 +162,6 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
                       update_distance_matrix(state.distances, positions, moved))
 
 
-def rwpso_run(objective: ObjectiveSpec, config: RwpsoConfig,
-              best_fraction: float = 0.8) -> RunResult:
+def rwpso_run(objective: ObjectiveSpec, config: RwpsoConfig) -> RunResult:
     """Full seeded run: initialize, iterate until the budget or threshold."""
-    return run_loop("rwpso", objective, config, best_fraction, init_state, rwpso_step)
+    return run_loop("rwpso", objective, config, init_state, rwpso_step)

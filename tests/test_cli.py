@@ -107,11 +107,20 @@ class TestRunCommand:
                      "population_sizes lists 40 twice", id="repeated-population"),
         pytest.param({"functions": ["sphere", "sphere"]}, [], "functions lists 'sphere' twice",
                      id="repeated-function"),
-        pytest.param({"objective_options": {"sphere": {"upper": float("inf"),
-                                                       "init_upper": float("inf")}}},
-                     [], "domain bound upper must be finite", id="infinite-upper"),
-        pytest.param({"objective_options": {"sphere": {"lower": -float("inf")}}},
-                     [], "domain bound lower must be finite", id="infinite-lower"),
+        pytest.param({"objective_options": {"sphere": {"lower": -1}}}, [], "'lower'",
+                     id="removed-lower"),
+        pytest.param({"objective_options": {"rastrigin": {"amplitude": 3}}}, [], "'amplitude'",
+                     id="removed-amplitude"),
+        pytest.param({"objective_options": {"schaffer_n1": {"bound": 50}}}, [], "'bound'",
+                     id="removed-bound"),
+        pytest.param({"best_fraction": 0.5}, [], "best_fraction", id="removed-best-fraction"),
+        pytest.param({"fitness_thresholds": {"sphere": 10**400}}, [], "threshold for sphere",
+                     id="huge-threshold"),
+        pytest.param({"population_sizes": [10**400]}, [], "population_sizes",
+                     id="huge-population"),
+        pytest.param({"dimensions": [10**400]}, [], "dimensions", id="huge-dimension"),
+        pytest.param({"objective_options": {"binh4": {"weights": [10**400, 0.5]}}}, [],
+                     "binh4 weights must be finite numbers", id="huge-weight"),
         pytest.param({"rwpso_options": {"seed": 3}}, [], "seed is set by the sweep",
                      id="seed-in-options"),
         pytest.param({"pso_presets": {"sphere": {"swarm_size": 3}}}, [],

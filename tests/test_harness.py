@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -123,6 +124,27 @@ MALFORMED_RESULTS = [
                  "row 1: missing field 'success_rate'", id="csv-missing-value"),
     pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,0.0,0.0,high\n",
                  "success_rate must be a number, got 'high'", id="csv-unparsable-value"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,20,10,-3,nan,nan,inf,7\n",
+                 r"row 1: runs must lie in \[1, inf\], got '-3'", id="csv-impossible-row"),
+    pytest.param("r.json", _json_rows(BASELINE_ROW, {**BASELINE_ROW, "population": 0}),
+                 r"row 2: population must lie in \[1, inf\], got 0", id="json-zero-population"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,0,50,5.0,0.0,0.0,1.0\n",
+                 r"dimension must lie in \[1, inf\], got '0'", id="csv-zero-dimension"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,nan,0.0,1.0\n",
+                 "mean_best_fitness must be finite, got 'nan'", id="csv-nan-fitness"),
+    pytest.param("r.json", _json_rows({**BASELINE_ROW, "mean_best_fitness": -float("inf")}),
+                 "mean_best_fitness must be finite, got -inf", id="json-infinite-fitness"),
+    pytest.param("r.json", _json_rows({**BASELINE_ROW, "mean_iterations": 10**400}),
+                 "mean_iterations must be a number", id="json-huge-integer"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,-1.0,0.0,0.0,1.0\n",
+                 r"mean_iterations must lie in \[0.0, inf\], got '-1.0'",
+                 id="csv-negative-iterations"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,0.0,-0.5,1.0\n",
+                 r"std_best_fitness must lie in \[0.0, inf\], got '-0.5'", id="csv-negative-std"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,0.0,0.0,1.5\n",
+                 r"success_rate must lie in \[0.0, 1.0\], got '1.5'", id="csv-rate-above-one"),
+    pytest.param("r.json", _json_rows({**BASELINE_ROW, "success_rate": -0.1}),
+                 r"success_rate must lie in \[0.0, 1.0\], got -0.1", id="json-negative-rate"),
 ]
 
 
@@ -239,8 +261,8 @@ class TestSpecValidation:
                      "pso.*rastrigin.*v_max", id="bad-preset-value"),
         pytest.param({"functions": ("rosenbrock",), "dimensions": (1,)},
                      "rosenbrock", id="bad-dimension"),
-        pytest.param({"functions": ("binh4",), "objective_options": {"binh4": {"lower": -10.0}}},
-                     "binh4", id="bad-domain"),
+        pytest.param({"objective_options": {"sphere": {"lower": -1}}},
+                     "bad objective for sphere: .*'lower'", id="removed-lower"),
         pytest.param({"fitness_thresholds": {"sphere": float("nan")}},
                      "threshold for sphere", id="nan-threshold"),
         pytest.param({"fitness_thresholds": {"sphere": float("inf")}},
@@ -258,8 +280,6 @@ class TestSpecValidation:
         pytest.param({"dimensions": ("2",)}, "dimensions", id="string-dimension"),
         pytest.param({"population_sizes": 5}, "population_sizes", id="scalar-population"),
         pytest.param({"fitness_thresholds": [1]}, "fitness_thresholds", id="list-thresholds"),
-        pytest.param({"best_fraction": "0.5"}, "best_fraction", id="string-best-fraction"),
-        pytest.param({"best_fraction": True}, "best_fraction", id="bool-best-fraction"),
         pytest.param({"base_seed": 7.0}, "base_seed", id="float-seed"),
         pytest.param({"base_seed": "7"}, "base_seed", id="string-seed"),
         pytest.param({"base_seed": True}, "base_seed", id="bool-seed"),
@@ -280,18 +300,25 @@ class TestSpecValidation:
                      id="bad-unused-algorithm-option"),
         pytest.param({"objective_options": {"rastrigin": {"amplitdue": 3}}},
                      "rastrigin.*amplitdue", id="misspelled-unlisted-objective-key"),
-        pytest.param({"objective_options": {"binh4": {"lower": -10.0}}},
-                     "binh4.*lower", id="bad-unlisted-domain"),
+        pytest.param({"objective_options": {"rastrigin": {"amplitude": 3}}},
+                     "bad objective for rastrigin: .*'amplitude'", id="removed-amplitude"),
         pytest.param({"objective_options": {"sphere": {"amplitude": 3}}},
-                     "sphere takes no parameter 'amplitude'", id="parameter-not-taken"),
+                     "bad objective for sphere: .*'amplitude'", id="parameter-not-taken"),
         pytest.param({"objective_options": {"rastrigin": {"weights": [1.0]}}},
                      "rastrigin takes no parameter 'weights'", id="single-objective-weight"),
         pytest.param({"objective_options": {"binh4": {"weights": [float("nan"), 0.5]}}},
                      "binh4.*weights must be finite", id="nan-weight"),
         pytest.param({"objective_options": {"binh4": {"weights": [True, False]}}},
-                     "binh4 weights must be a number", id="bool-weights"),
-        pytest.param({"objective_options": {"sphere": {"lower": "-1"}}},
-                     "sphere lower must be a number", id="string-bound"),
+                     "binh4 weights must be finite numbers", id="bool-weights"),
+        pytest.param({"objective_options": {"binh4": {"weights": [10**400, 0.5]}}},
+                     "binh4 weights must be finite numbers", id="huge-weight"),
+        pytest.param({"objective_options": {"schaffer_n1": {"bound": 50}}},
+                     "bad objective for schaffer_n1: .*'bound'", id="removed-bound"),
+        pytest.param({"fitness_thresholds": {"sphere": 10**400}},
+                     "threshold for sphere", id="huge-threshold"),
+        pytest.param({"population_sizes": (10**400,)}, "population_sizes",
+                     id="huge-population"),
+        pytest.param({"dimensions": (10**400,)}, "dimensions", id="huge-dimension"),
         pytest.param({"objective_options": {"sphere": {"amplitude": None}}},
                      "sphere: amplitude must not be null", id="null-parameter"),
         pytest.param({"objective_options": {"sphere": {"lower": None}}},
@@ -306,14 +333,6 @@ class TestSpecValidation:
                      id="repeated-function"),
         pytest.param({"algorithms": ("rwpso", "pso", "rwpso")},
                      "algorithms lists 'rwpso' twice", id="repeated-algorithm"),
-        pytest.param({"objective_options": {"sphere": {"upper": float("inf"),
-                                                       "init_upper": float("inf")}}},
-                     "sphere: domain bound upper must be finite", id="infinite-upper"),
-        pytest.param({"objective_options": {"sphere": {"lower": -float("inf")}}},
-                     "sphere: domain bound lower must be finite", id="infinite-lower"),
-        pytest.param({"objective_options": {"rastrigin": {"init_lower": [float("nan"), 1.0]}}},
-                     "rastrigin: domain bound init_lower must be finite",
-                     id="nan-unlisted-init-bound"),
         pytest.param({"rwpso_options": {"seed": 3}},
                      "bad rwpso options for sphere: seed is set by the sweep",
                      id="seed-in-options"),
@@ -330,7 +349,7 @@ class TestSpecValidation:
 
     def test_unlisted_objective_block_loads_at_any_sweep_dimension(self):
         spec = ExperimentSpec(**{**TINY, "dimensions": (1,), "objective_options": {
-            "rosenbrock": {"lower": -10.0}, "schaffer_n1": {"bound": 50.0}}})
+            "rosenbrock": {}, "schaffer_n1": {"weights": [0.3, 0.7]}}})
         assert spec.dimensions == (1,)
 
     def test_integral_counts_still_load(self):
@@ -365,9 +384,10 @@ class TestRunSingle:
 
     def test_objective_options_flow_through(self):
         spec = ExperimentSpec(**{**TINY, "functions": ("schaffer_n1",),
-                                 "objective_options": {"schaffer_n1": {"bound": 1000.0}}})
+                                 "objective_options": {"schaffer_n1": {"weights": [1.0, 0.0]}}})
         result = run_single(spec, "rwpso", "schaffer_n1", 6, 2, run_index=0)
-        assert np.isfinite(result.best_fitness)
+        (x,) = result.best_position
+        assert result.best_fitness == x * x  # the first objective alone
 
 
 class TestRunConfig:
@@ -420,7 +440,7 @@ class TestRunLoop:
             return SimpleNamespace(positions=np.array(positions), fitnesses=np.array(fitnesses))
 
         result = run_loop("fake", make_objective("sphere", 1),
-                          RunConfig(swarm_size=3, dim=1, max_iterations=3), 0.8,
+                          RunConfig(swarm_size=3, dim=1, max_iterations=3),
                           next_state, next_state)
         assert result.trace.tolist() == [1.0, 0.25, 0.25]
         assert result.iterations_used == 3
@@ -448,7 +468,7 @@ class TestRunCell:
         assert stats.success_rate == 0.0
 
     def test_run_error_names_the_seed(self, monkeypatch):
-        def broken_run(objective, config, best_fraction):
+        def broken_run(objective, config):
             raise ValueError("objective input must be finite")
 
         monkeypatch.setattr(harness, "rwpso_run", broken_run)
@@ -460,11 +480,11 @@ class TestRunCell:
         real_run = harness.rwpso_run
         calls = []
 
-        def run_failing_second(objective, config, best_fraction):
+        def run_failing_second(objective, config):
             calls.append(config.seed)
             if len(calls) == 2:
                 raise ValueError("objective input must be finite")
-            return real_run(objective, config, best_fraction)
+            return real_run(objective, config)
 
         monkeypatch.setattr(harness, "rwpso_run", run_failing_second)
         spec = ExperimentSpec(**TINY)
@@ -541,10 +561,10 @@ class TestRunExperiment:
     def test_failed_cells_are_reported_and_others_still_run(self, monkeypatch):
         real_run = harness.rwpso_run
 
-        def run_failing_on_rosenbrock(objective, config, best_fraction):
+        def run_failing_on_rosenbrock(objective, config):
             if objective.name == "rosenbrock":
                 raise ValueError("objective input must be finite")
-            return real_run(objective, config, best_fraction)
+            return real_run(objective, config)
 
         monkeypatch.setattr(harness, "rwpso_run", run_failing_on_rosenbrock)
         spec = ExperimentSpec(functions=("sphere", "rosenbrock"),
@@ -687,20 +707,33 @@ def test_readme_config_example_loads():
 
 
 def test_format_table_matches_readme_sample():
+    # README's sample table is what its sample config and command print
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    sample = readme.split("Sample output", 1)[1].split("```\n")[1]
-    rows = [
-        ("pso", "rastrigin", 276.9, 140.247, 17.4566, 1.0),
-        ("pso", "sphere", 404.3, 0.205712, 0.357483, 1.0),
-        ("rwpso", "rastrigin", 500.0, 111.735, 21.4256, 0.0),
-        ("rwpso", "sphere", 104.2, 0.0216966, 0.00651373, 1.0),
-    ]
-    stats = [AggregateStats(algorithm=algorithm, function=function, population=20,
-                            dimension=10, runs=10, mean_iterations=iterations,
-                            mean_best_fitness=mean, std_best_fitness=std,
-                            success_rate=success)
-             for algorithm, function, iterations, mean, std, success in rows]
-    assert harness.format_table(stats) == sample
+    section = readme.split("Sample output", 1)[1]
+    blocks = re.findall(r"```(\w*)\n(.*?)```", section, flags=re.S)[:3]
+    assert [language for language, _ in blocks] == ["json", "bash", ""]
+    (_, config), (_, command), (_, sample) = blocks
+    assert command.split() == ["swarmwalk", "run", "--config", "sample.json", "--out",
+                               "sample.csv", "&&", "swarmwalk", "table", "sample.csv"]
+    outcome = run_experiment(ExperimentSpec.from_dict(json.loads(config)))
+    assert not outcome.failures
+    assert harness.format_table(outcome.aggregates) == sample
+
+
+def test_readme_library_use_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    source = str(Path(__file__).parents[1] / "src")
+    env = os.environ | {
+        "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
+    }
+    child = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    first, graph = child.stdout.split("\n", 1)
+    best_fitness, iterations = first.split()
+    assert float(best_fitness) >= 0.0 and 1 <= int(iterations) <= 300
+    assert set(json.loads(graph)) == {"positions", "A", "alpha", "prob_rows"}
 
 
 def test_load_spec_from_file(tmp_path):

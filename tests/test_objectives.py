@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from swarmwalk.objectives import (
     FUNCTION_NAMES,
+    ObjectiveSpec,
     SearchDomain,
     eval_binh4,
     eval_rastrigin,
@@ -167,7 +168,7 @@ class TestTwoObjectiveFunctions:
     def test_schaffer_out_of_range(self):
         with pytest.raises(ValueError):
             eval_schaffer_n1(101.0)
-        eval_schaffer_n1(101.0, bound=200.0)
+        assert eval_schaffer_n1(-100.0) == (10000.0, 10404.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises_without_warning(self, bad):
@@ -228,6 +229,16 @@ class TestSearchDomain:
 
     def test_degenerate_init_range_allowed(self):
         SearchDomain.uniform(2, -1.0, 1.0, 0.25, 0.25)
+
+    @pytest.mark.parametrize("bounds, name", [
+        pytest.param((-1.0, np.inf, 0.0, np.inf), "upper", id="infinite-upper"),
+        pytest.param((-np.inf, 1.0, 0.0, 1.0), "lower", id="infinite-lower"),
+        pytest.param((-1.0, 1.0, [np.nan, 0.0], 1.0), "init_lower", id="nan-init-lower"),
+    ])
+    def test_rejects_non_finite_bound(self, bounds, name):
+        bounds = [np.broadcast_to(np.asarray(b, dtype=float), (2,)) for b in bounds]
+        with pytest.raises(ValueError, match=f"^domain bound {name} must be finite$"):
+            SearchDomain(*bounds)
 
 
 class TestInitPositions:
@@ -332,15 +343,9 @@ class TestMakeObjective:
         ("schaffer_n1", "amplitude", 10.0),
     ])
     def test_parameter_the_function_does_not_take_refused(self, name, key, value):
-        with pytest.raises(ValueError, match=f"^{name} takes no parameter '{key}'$"):
+        # rastrigin's amplitude and schaffer_n1's bound are fixed: no function takes them
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'$"):
             make_objective(name, 4, **{key: value})
-
-    def test_rastrigin_amplitude(self):
-        x = np.full(3, 0.25)
-        assert make_objective("rastrigin", 3, amplitude=3).evaluate(x) == eval_rastrigin(x, 3.0)
-        for bad in (np.nan, np.inf, "3", True):
-            with pytest.raises(ValueError, match="amplitude must be a finite number"):
-                make_objective("rastrigin", 3, amplitude=bad)
 
     def test_fixed_dimension_functions_ignore_requested_dim(self):
         assert make_objective("binh4", 30).dim == 2
@@ -371,34 +376,27 @@ class TestMakeObjective:
             make_objective("binh4", weights=(0.9, 0.9))
         with pytest.raises(ValueError):
             make_objective("binh4", weights=(1.0,))
-        for bad in ((np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0), (1.5, -0.5)):
-            with pytest.raises(ValueError, match="finite, >= 0 and sum to 1"):
+        for bad in ((np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0), (10**400, 0.5), ("0.5", 0.5)):
+            with pytest.raises(ValueError, match="^schaffer_n1 weights must be finite numbers"):
                 make_objective("schaffer_n1", weights=bad)
+        with pytest.raises(ValueError, match=">= 0 and sum to 1"):
+            make_objective("schaffer_n1", weights=(1.5, -0.5))
 
-    def test_schaffer_bound_sets_domain(self):
-        obj = make_objective("schaffer_n1", bound=1000.0)
-        np.testing.assert_array_equal(obj.domain.lower, [-1000.0])
-        np.testing.assert_array_equal(obj.domain.init_lower, [500.0])
-        with pytest.raises(ValueError):
-            make_objective("schaffer_n1", bound=5.0)
+    @pytest.mark.parametrize("name, box", [
+        pytest.param("sphere", (-100.0, 100.0, 50.0, 100.0), id="sphere"),
+        pytest.param("rosenbrock", (-30.0, 30.0, 15.0, 30.0), id="rosenbrock"),
+        pytest.param("rastrigin", (-5.12, 5.12, 2.56, 5.12), id="rastrigin"),
+        pytest.param("binh4", (-7.0, 4.0, 0.0, 4.0), id="binh4"),
+        pytest.param("schaffer_n1", (-100.0, 100.0, 50.0, 100.0), id="schaffer_n1"),
+    ])
+    def test_each_function_has_one_fixed_domain(self, name, box):
+        # the search box and start region of README's Benchmarks table
+        domain = make_objective(name, 3).domain
+        expected = SearchDomain.uniform(domain.dim, *box)
+        for key in ("lower", "upper", "init_lower", "init_upper"):
+            np.testing.assert_array_equal(getattr(domain, key), getattr(expected, key))
 
-    def test_domain_override(self):
-        obj = make_objective("sphere", 3, lower=-1.0, upper=1.0,
-                             init_lower=0.0, init_upper=1.0)
+    def test_custom_domain_through_objective_spec(self):
+        obj = ObjectiveSpec("sphere", SearchDomain.uniform(3, -1.0, 1.0, 0.0, 1.0), eval_sphere)
         np.testing.assert_array_equal(obj.domain.upper, np.ones(3))
-
-    def test_binh4_domain_must_stay_in_its_box(self):
-        with pytest.raises(ValueError, match="binh4"):
-            make_objective("binh4", lower=-10.0, upper=10.0, init_lower=0.0, init_upper=4.0)
-        with pytest.raises(ValueError):
-            make_objective("binh4", upper=5.0)
-        obj = make_objective("binh4", lower=-1.0, upper=3.0, init_lower=0.0, init_upper=3.0)
-        assert obj.evaluate(obj.domain.lower) == pytest.approx(1.25)
-
-    def test_schaffer_domain_must_stay_in_its_box(self):
-        with pytest.raises(ValueError, match="schaffer_n1"):
-            make_objective("schaffer_n1", lower=-300.0, upper=300.0)
-        with pytest.raises(ValueError):
-            make_objective("schaffer_n1", bound=10.0, lower=-20.0, init_lower=5.0)
-        obj = make_objective("schaffer_n1", lower=-50.0, upper=100.0)
-        assert obj.evaluate(obj.domain.lower) == pytest.approx((2500.0 + 2704.0) / 2)
+        assert obj.evaluate(np.full(3, 0.5)) == 0.75

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmwalk.objectives import SearchDomain, make_objective
+from swarmwalk.objectives import ObjectiveSpec, SearchDomain, eval_sphere, make_objective
 from swarmwalk.pso import (
     PsoConfig,
     PsoState,
@@ -115,8 +115,7 @@ class TestInertiaSchedule:
 
 class TestBallisticMotion:
     def test_position_is_linear_in_time_without_attraction(self):
-        obj = make_objective("sphere", 2, lower=-1e6, upper=1e6,
-                             init_lower=0.0, init_upper=0.0)
+        obj = ObjectiveSpec("sphere", SearchDomain.uniform(2, -1e6, 1e6, 0.0, 0.0), eval_sphere)
         cfg = config(c1=0.0, c2=0.0, w_start=1.0, w_end=1.0, max_iterations=7)
         rng = np.random.default_rng(0)
         state = init_state(obj, cfg, rng)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from swarmwalk.graph import COINCIDENT_DISTANCE, build_distance_matrix, hop_probabilities
 from swarmwalk.harness import DEFAULT_RWPSO_PRESETS
-from swarmwalk.objectives import SearchDomain, make_objective
+from swarmwalk.objectives import (ObjectiveSpec, SearchDomain, eval_rastrigin, eval_sphere,
+                                  make_objective)
 from swarmwalk.rwpso import (
     RwpsoConfig,
     compute_delta,
@@ -183,8 +184,7 @@ class TestUpdatePosition:
 
 class TestStep:
     def test_swarm_at_optimum_is_a_fixed_point(self):
-        obj = make_objective("sphere", 2, lower=-10, upper=10,
-                             init_lower=0, init_upper=0)
+        obj = ObjectiveSpec("sphere", SearchDomain.uniform(2, -10, 10, 0, 0), eval_sphere)
         cfg = config(swarm_size=2, dim=2, gaussian_sigma=1e-12)
         rng = np.random.default_rng(0)
         state = init_state(obj, cfg, rng)
@@ -194,7 +194,8 @@ class TestStep:
     def test_collapsed_swarm_stays_put(self):
         # every particle on one point: each gap is zero, and the noise scales
         # with the gap, so neither drift nor noise moves anyone
-        obj = make_objective("rastrigin", 3, init_lower=1.5, init_upper=1.5)
+        obj = ObjectiveSpec("rastrigin", SearchDomain.uniform(3, -5.12, 5.12, 1.5, 1.5),
+                            eval_rastrigin)
         cfg = config(swarm_size=6, dim=3)
         rng = np.random.default_rng(11)
         state = init_state(obj, cfg, rng)
