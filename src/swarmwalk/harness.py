@@ -28,8 +28,7 @@ from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 __all__ = [
     "ALGORITHMS",
     "DEFAULT_THRESHOLDS",
-    "DEFAULT_RWPSO_PRESETS",
-    "DEFAULT_PSO_PRESETS",
+    "RWPSO_TUNING",
     "CSV_COLUMNS",
     "ExperimentSpec",
     "ExperimentOutcome",
@@ -56,14 +55,12 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
     "schaffer_n1": None,
 }
 
-# Per-function optimizer overrides shipped as defaults.  On rastrigin the
-# walker does best when its noise factor sits just under the settling edge,
-# so the swarm keeps basin-hopping for most of the budget and still collapses
-# before it ends; the global defaults favor unimodal refinement instead.
-DEFAULT_RWPSO_PRESETS: dict[str, dict] = {
-    "rastrigin": {"walk_horizon": 2, "gaussian_sigma": 0.52},
-}
-DEFAULT_PSO_PRESETS: dict[str, dict] = {}
+# The walker's fixed per-function tuning, under `rwpso_options`.  On
+# rastrigin the walker does best when its noise factor sits just under the
+# settling edge, so the swarm keeps basin-hopping for most of the budget and
+# still collapses before it ends; the global defaults favor unimodal
+# refinement instead.  PSO runs its defaults on every function.
+RWPSO_TUNING: dict[str, dict] = {"rastrigin": {"gaussian_sigma": 0.52}}
 
 CSV_COLUMNS = tuple(f.name for f in fields(AggregateStats))
 
@@ -76,16 +73,17 @@ class ExperimentSpec:
 
     `rwpso_options` / `pso_options` override the respective config defaults
     (anything except swarm size, dimension, iteration budget, threshold and
-    seed, which the sweep owns).  `rwpso_presets` / `pso_presets` do the same
-    per function and lose to the global options on conflicts.
+    seed, which the sweep owns); `rwpso_options` also wins over the
+    walker's fixed per-function tuning, `RWPSO_TUNING`.
     `objective_options` maps function name to make_objective keywords: only
     binh4 and schaffer_n1 take one, their scalarization `weights`; a null
     value is refused.  A value listed twice in `functions`,
-    `algorithms`, `population_sizes` or `dimensions` is refused.
-    Construction builds every objective the sweep will use, every other
-    function's objective, and an optimizer config for every algorithm and
-    function, so a bad key or value in any option or preset block fails
-    here rather than in the middle of a sweep.
+    `algorithms`, `population_sizes` or `dimensions` is refused, and so is
+    a population or dimension whose N x N distance matrix or (N, D) swarm
+    numpy cannot allocate.  Construction builds every objective the sweep
+    will use, every other function's objective, and an optimizer config for
+    every algorithm, so a bad key or value in any option block fails here
+    rather than in the middle of a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -101,12 +99,6 @@ class ExperimentSpec:
     workers: int = 1
     rwpso_options: dict = field(default_factory=dict)
     pso_options: dict = field(default_factory=dict)
-    rwpso_presets: dict[str, dict] = field(
-        default_factory=lambda: {k: dict(v) for k, v in DEFAULT_RWPSO_PRESETS.items()}
-    )
-    pso_presets: dict[str, dict] = field(
-        default_factory=lambda: {k: dict(v) for k, v in DEFAULT_PSO_PRESETS.items()}
-    )
     objective_options: dict[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -139,12 +131,11 @@ class ExperimentSpec:
             if threshold is not None and not _is_finite_real(threshold):
                 raise ValueError(f"threshold for {function} must be a finite number "
                                  f"or null, got {threshold!r}")
-        for key in ("rwpso_presets", "pso_presets", "objective_options"):
-            for function, options in getattr(self, key).items():
-                if function not in FUNCTION_NAMES:
-                    raise ValueError(f"options for unknown function {function!r}")
-                if not isinstance(options, dict):
-                    raise ValueError(f"{key} for {function} must be an object, got {options!r}")
+        for function, options in self.objective_options.items():
+            if function not in FUNCTION_NAMES:
+                raise ValueError(f"options for unknown function {function!r}")
+            if not isinstance(options, dict):
+                raise ValueError(f"objective_options for {function} must be an object")
         if self.runs_per_cell < 1:
             raise ValueError("runs_per_cell must be >= 1")
         if self.max_iterations < 1:
@@ -155,28 +146,35 @@ class ExperimentSpec:
             raise ValueError("population sizes must be given and >= 2")
         if not self.dimensions or any(d < 1 for d in self.dimensions):
             raise ValueError("dimensions must be given and >= 1")
+        # numpy allocates no array above intp's maximum bytes, so a swarm whose
+        # N x N distances or (N, D) positions (8-byte floats) exceed it cannot run.
+        population, dimension = max(self.population_sizes), max(self.dimensions)
+        if 8 * population * max(population, dimension) > np.iinfo(np.intp).max:
+            raise ValueError(f"a swarm of {population} particles in {dimension} dimensions "
+                             f"is too large for numpy to allocate")
         # An unlisted function is built at D = 2, which every function
-        # accepts, so a sweep at D = 1 keeps a valid rosenbrock block.
+        # accepts, so a sweep at D = 1 keeps a valid rosenbrock block.  A key
+        # no function takes fails in make_objective before its value is read.
         for function in dict.fromkeys([*self.functions, *FUNCTION_NAMES]):
             options = self.objective_options.get(function, {})
-            for key, value in options.items():
-                if value is None:
-                    raise ValueError(f"bad objective for {function}: {key} must not be null")
             try:
                 for dimension in self.dimensions if function in self.functions else (2,):
                     make_objective(function, dimension, **options)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad objective for {function}: {exc}") from exc
-        # Every option and preset block must build a config, also for a
-        # function or algorithm the sweep does not run.  The sweep's own come
-        # first, so an error in a global option names one of them.
-        for function in dict.fromkeys([*self.functions, *FUNCTION_NAMES]):
-            for algorithm in dict.fromkeys([*self.algorithms, *ALGORITHMS]):
-                try:
-                    _optimizer_config(self, algorithm, function,
-                                      self.population_sizes[0], self.dimensions[0], seed=0)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"bad {algorithm} options for {function}: {exc}") from exc
+            for key, value in options.items():
+                if value is None:
+                    raise ValueError(f"bad objective for {function}: {key} must not be null")
+        # Each option block must build a config, also for an algorithm the sweep
+        # does not run (the sweep's come first, so an error names one of them).
+        # One function suffices: every `RWPSO_TUNING` entry builds a config.
+        function = self.functions[0]
+        for algorithm in dict.fromkeys([*self.algorithms, *ALGORITHMS]):
+            try:
+                _optimizer_config(self, algorithm, function,
+                                  self.population_sizes[0], self.dimensions[0], seed=0)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad {algorithm} options for {function}: {exc}") from exc
 
     def threshold_for(self, function: str) -> float | None:
         if function in self.fitness_thresholds:
@@ -220,17 +218,17 @@ def derive_seed(base_seed: int, algorithm: str, function: str,
 
 def _optimizer_config(spec: ExperimentSpec, algorithm: str, function: str,
                       population: int, dim: int, seed: int) -> RwpsoConfig | PsoConfig:
-    """The config of one run: the sweep's fields plus presets, then options.
+    """The config of one run: the sweep's fields, `RWPSO_TUNING`, then the options.
 
-    An option or preset may not set a `RunConfig` field; the sweep sets those.
+    An option may not set a `RunConfig` field; the sweep sets those.
     """
     if algorithm == "rwpso":
-        config_class, presets, options = RwpsoConfig, spec.rwpso_presets, spec.rwpso_options
+        config_class, tunables = RwpsoConfig, {**RWPSO_TUNING.get(function, {}),
+                                               **spec.rwpso_options}
     elif algorithm == "pso":
-        config_class, presets, options = PsoConfig, spec.pso_presets, spec.pso_options
+        config_class, tunables = PsoConfig, spec.pso_options
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    tunables = {**presets.get(function, {}), **options}
     for f in fields(RunConfig):
         if f.name in tunables:
             raise ValueError(f"{f.name} is set by the sweep")

@@ -24,8 +24,8 @@ def _is_finite_real(value) -> bool:
 
 
 # Declared annotation (its text, as `from __future__ import annotations`
-# leaves it; containers by their outer type) -> the check a value must pass
-# and how an error names the type.  A bool is never a number.
+# leaves it, or a type's name; containers by their outer type) -> the check
+# a value must pass and how an error names the type.  A bool is never a number.
 _TYPE_RULES = {
     "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
     "float": (_is_real, "a number"),
@@ -38,12 +38,16 @@ _TYPE_RULES = {
 
 def check_field_types(record) -> None:
     """Raise ValueError naming the first field of the dataclass `record` whose
-    value does not have its declared type (of a container, only the outer one)."""
+    value does not have its declared type (given as text or as a type object;
+    of a container, only the outer one), or is no finite float in a float field."""
     for f in fields(record):
-        check, kind = _TYPE_RULES[f.type.split("[")[0]]
+        text = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
+        check, kind = _TYPE_RULES[text.split("[")[0]]
         value = getattr(record, f.name)
         if not check(value):
             raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        if text.startswith("float") and value is not None and not _is_finite_real(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def mean_best_fitness(fitnesses, fraction: float = 0.8) -> float:
@@ -104,10 +108,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("float") and value is not None and not _is_finite_real(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.swarm_size < 2:

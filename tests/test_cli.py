@@ -99,8 +99,9 @@ class TestRunCommand:
         pytest.param({"runs_per_cell": "3"}, [], "runs_per_cell", id="string-runs"),
         pytest.param({"base_seed": 7.0}, [], "base_seed", id="float-seed"),
         pytest.param({"functions": "sphere"}, [], "functions", id="string-functions"),
-        pytest.param({"rwpso_presets": {"binh4": {"walk_horizn": 3}}}, [], "walk_horizn",
-                     id="misspelled-unlisted-preset"),
+        pytest.param({"rwpso_presets": {"rastrigin": {"gaussian_sigma": 0.52}}}, [],
+                     "unknown experiment config keys: ['rwpso_presets']",
+                     id="removed-rwpso-presets"),
         pytest.param({"objective_options": {"schaffer_n1": {"weights": [float("nan"), 0.5]}}},
                      [], "weights", id="nan-weight"),
         pytest.param({"population_sizes": [40, 40], "runs_per_cell": 3}, [],
@@ -119,12 +120,20 @@ class TestRunCommand:
         pytest.param({"population_sizes": [10**400]}, [], "population_sizes",
                      id="huge-population"),
         pytest.param({"dimensions": [10**400]}, [], "dimensions", id="huge-dimension"),
+        pytest.param({"population_sizes": [10**18]}, [], "too large for numpy to allocate",
+                     id="unallocatable-population"),
+        pytest.param({"dimensions": [10**18]}, [], "too large for numpy to allocate",
+                     id="unallocatable-dimension"),
+        pytest.param({}, ["--pop", str(10**18)], "too large for numpy to allocate",
+                     id="unallocatable-pop-flag"),
+        pytest.param({}, ["--dim", str(10**18)], "too large for numpy to allocate",
+                     id="unallocatable-dim-flag"),
         pytest.param({"objective_options": {"binh4": {"weights": [10**400, 0.5]}}}, [],
                      "binh4 weights must be finite numbers", id="huge-weight"),
         pytest.param({"rwpso_options": {"seed": 3}}, [], "seed is set by the sweep",
                      id="seed-in-options"),
-        pytest.param({"pso_presets": {"sphere": {"swarm_size": 3}}}, [],
-                     "swarm_size is set by the sweep", id="swarm-size-in-preset"),
+        pytest.param({"pso_presets": {"sphere": {"v_max": 0.15}}}, [],
+                     "unknown experiment config keys: ['pso_presets']", id="removed-pso-presets"),
         pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}}, [],
                      "gaussian_sigma must be finite", id="nan-sigma"),
         pytest.param({"algorithms": ["pso"], "pso_options": {"c1": float("inf")}}, [],
@@ -133,7 +142,7 @@ class TestRunCommand:
                      "gaussian_sigma_mode", id="removed-sigma-mode"),
         pytest.param({"rwpso_options": {"gaussian_mu": 0.5}}, [], "gaussian_mu",
                      id="removed-mu"),
-        pytest.param({"pso_presets": {"sphere": {"r_per_dimension": False}}}, [],
+        pytest.param({"pso_options": {"r_per_dimension": False}}, [],
                      "r_per_dimension", id="removed-r-per-dimension"),
         pytest.param({"algorithms": ["pso"], "pso_options": {"v_max": "0.1"}}, [],
                      "v_max must be a number or null", id="string-v-max"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ from swarmwalk import harness
 from swarmwalk.cli import cli_main
 from swarmwalk.harness import (
     CSV_COLUMNS,
+    RWPSO_TUNING,
     ExperimentSpec,
     derive_seed,
     load_spec,
@@ -27,7 +29,7 @@ from swarmwalk.harness import (
     run_single,
     write_results,
 )
-from swarmwalk.objectives import ObjectiveSpec, make_objective
+from swarmwalk.objectives import FUNCTION_NAMES, ObjectiveSpec, make_objective
 from swarmwalk.pso import PsoConfig, pso_run
 from swarmwalk.results import AggregateStats, RunConfig, mean_best_fitness, run_loop
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
@@ -242,7 +244,7 @@ class TestSpecValidation:
                      "rwpso.*sphere.*gaussian_sigma_mode", id="removed-sigma-mode"),
         pytest.param({"rwpso_options": {"gaussian_mu": 0.5}},
                      "rwpso.*sphere.*gaussian_mu", id="removed-mu"),
-        pytest.param({"pso_presets": {"sphere": {"r_per_dimension": False}}},
+        pytest.param({"pso_options": {"r_per_dimension": False}},
                      "pso.*sphere.*r_per_dimension", id="removed-r-per-dimension"),
         pytest.param({"rwpso_options": {"walk_horizon": 0}},
                      "rwpso.*sphere.*walk_horizon", id="bad-value"),
@@ -256,9 +258,8 @@ class TestSpecValidation:
                      "pso.*sphere.*w_start must be finite", id="inf-w-start"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": float("inf")}},
                      "pso.*sphere.*v_max must be finite", id="inf-v-max"),
-        pytest.param({"functions": ("rastrigin",), "algorithms": ("pso",),
-                      "pso_presets": {"rastrigin": {"v_max": -1.0}}},
-                     "pso.*rastrigin.*v_max", id="bad-preset-value"),
+        pytest.param({"functions": ("rastrigin",), "rwpso_options": {"gaussian_sigma": -1.0}},
+                     "rwpso.*rastrigin.*gaussian_sigma", id="bad-preset-value"),
         pytest.param({"functions": ("rosenbrock",), "dimensions": (1,)},
                      "rosenbrock", id="bad-dimension"),
         pytest.param({"objective_options": {"sphere": {"lower": -1}}},
@@ -290,12 +291,8 @@ class TestSpecValidation:
                      "pso.*sphere.*v_max must be a number or null", id="string-v-max"),
         pytest.param({"objective_options": {"binh4": 5}}, "objective_options for binh4",
                      id="scalar-objective-options"),
-        pytest.param({"rwpso_presets": {"binh4": {"walk_horizn": 3}}},
-                     "rwpso.*binh4.*walk_horizn", id="misspelled-unlisted-preset"),
-        pytest.param({"rwpso_presets": {"binh4": {"walk_horizon": 0}}},
-                     "rwpso.*binh4.*walk_horizon", id="bad-unlisted-preset-value"),
-        pytest.param({"pso_presets": {"sphere": {"vmax": 0.1}}},
-                     "pso.*sphere.*vmax", id="misspelled-unused-algorithm-preset"),
+        pytest.param({"pso_options": {"vmax": 0.1}},
+                     "pso.*sphere.*vmax", id="misspelled-unused-option"),
         pytest.param({"pso_options": {"v_max": -1.0}}, "pso.*sphere.*v_max",
                      id="bad-unused-algorithm-option"),
         pytest.param({"objective_options": {"rastrigin": {"amplitdue": 3}}},
@@ -319,10 +316,20 @@ class TestSpecValidation:
         pytest.param({"population_sizes": (10**400,)}, "population_sizes",
                      id="huge-population"),
         pytest.param({"dimensions": (10**400,)}, "dimensions", id="huge-dimension"),
+        pytest.param({"population_sizes": (10**18,)},
+                     f"a swarm of {10**18} particles in 2 dimensions is too large",
+                     id="unallocatable-population"),
+        pytest.param({"dimensions": (10**18,)},
+                     f"a swarm of 6 particles in {10**18} dimensions is too large",
+                     id="unallocatable-dimension"),
         pytest.param({"objective_options": {"sphere": {"amplitude": None}}},
-                     "sphere: amplitude must not be null", id="null-parameter"),
+                     "bad objective for sphere: .*unexpected keyword argument 'amplitude'",
+                     id="null-parameter"),
         pytest.param({"objective_options": {"sphere": {"lower": None}}},
-                     "sphere: lower must not be null", id="null-bound"),
+                     "bad objective for sphere: .*unexpected keyword argument 'lower'",
+                     id="null-bound"),
+        pytest.param({"objective_options": {"binh4": {"weights": None}}},
+                     "bad objective for binh4: weights must not be null", id="null-weights"),
         pytest.param({"population_sizes": (40, 40)}, "population_sizes lists 40 twice",
                      id="repeated-population"),
         pytest.param({"population_sizes": (6, 6.0)}, "population_sizes lists 6 twice",
@@ -336,12 +343,12 @@ class TestSpecValidation:
         pytest.param({"rwpso_options": {"seed": 3}},
                      "bad rwpso options for sphere: seed is set by the sweep",
                      id="seed-in-options"),
-        pytest.param({"pso_presets": {"sphere": {"swarm_size": 3}}},
+        pytest.param({"pso_options": {"swarm_size": 3}},
                      "bad pso options for sphere: swarm_size is set by the sweep",
-                     id="swarm-size-in-preset"),
-        pytest.param({"rwpso_presets": {"binh4": {"fitness_threshold": 1.0}}},
-                     "bad rwpso options for binh4: fitness_threshold is set by the sweep",
-                     id="threshold-in-unlisted-preset"),
+                     id="swarm-size-in-options"),
+        pytest.param({"functions": ("rastrigin",), "rwpso_options": {"fitness_threshold": 1.0}},
+                     "bad rwpso options for rastrigin: fitness_threshold is set by the sweep",
+                     id="threshold-in-options"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -390,6 +397,28 @@ class TestRunSingle:
         assert result.best_fitness == x * x  # the first objective alone
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("options, sigmas", [
+        pytest.param({}, {"rastrigin": 0.52, "sphere": 0.7}, id="tuning"),
+        pytest.param({"gaussian_sigma": 0.6}, {"rastrigin": 0.6, "sphere": 0.6}, id="options"),
+    ])
+    def test_options_win_over_the_rastrigin_tuning(self, options, sigmas):
+        spec = ExperimentSpec(**{**TINY, "rwpso_options": options})
+        assert {function: harness._optimizer_config(spec, "rwpso", function, 6, 2, 0)
+                .gaussian_sigma for function in sigmas} == sigmas
+
+    def test_pso_runs_one_config_on_every_function(self):
+        spec = ExperimentSpec(**{**TINY, "fitness_thresholds": dict.fromkeys(FUNCTION_NAMES)})
+        configs = {harness._optimizer_config(spec, "pso", function, 6, 2, 0)
+                   for function in FUNCTION_NAMES}
+        assert configs == {PsoConfig(swarm_size=6, dim=2, max_iterations=15)}
+
+    @pytest.mark.parametrize("function", sorted(RWPSO_TUNING))
+    def test_each_tuning_entry_builds_a_config(self, function):
+        assert function in FUNCTION_NAMES
+        RwpsoConfig(swarm_size=2, dim=1, max_iterations=1, **RWPSO_TUNING[function])
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("overrides, message", [
         pytest.param({"fitness_threshold": float("nan")}, "fitness_threshold must be finite",
@@ -404,6 +433,15 @@ class TestRunConfig:
     def test_bad_run_setting_fails_when_built(self, config_class, overrides, message):
         with pytest.raises(ValueError, match=message):
             config_class(swarm_size=5, dim=2, max_iterations=50, **overrides)
+
+    def test_subclass_declared_with_type_objects(self):
+        extended = dataclasses.make_dataclass("Q", [("beta", float, 1.0)], bases=(RunConfig,),
+                                              frozen=True)
+        assert extended(swarm_size=5, dim=2, max_iterations=50).beta == 1.0
+        with pytest.raises(ValueError, match="beta must be a number, got 'x'"):
+            extended(swarm_size=5, dim=2, max_iterations=50, beta="x")
+        with pytest.raises(ValueError, match="beta must be finite, got nan"):
+            extended(swarm_size=5, dim=2, max_iterations=50, beta=float("nan"))
 
 
 class TestRunLoop:

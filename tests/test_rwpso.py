@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmwalk.graph import COINCIDENT_DISTANCE, build_distance_matrix, hop_probabilities
-from swarmwalk.harness import DEFAULT_RWPSO_PRESETS
+from swarmwalk.harness import RWPSO_TUNING
 from swarmwalk.objectives import (ObjectiveSpec, SearchDomain, eval_rastrigin, eval_sphere,
                                   make_objective)
 from swarmwalk.rwpso import (
@@ -240,7 +240,7 @@ class TestStep:
 
     def test_carried_distances_equal_a_rebuild(self):
         obj = make_objective("rastrigin", 10)
-        cfg = config(swarm_size=24, dim=10, **DEFAULT_RWPSO_PRESETS["rastrigin"])
+        cfg = config(swarm_size=24, dim=10, **RWPSO_TUNING["rastrigin"])
         rng = np.random.default_rng(4)
         state = init_state(obj, cfg, rng)
         unmoved = 0
