@@ -41,7 +41,7 @@ from swarmwalk.objectives import (
     make_objective,
     scalarize,
 )
-from swarmwalk.pso import PsoConfig, PsoState, pso_run, pso_step, pso_update_position, pso_update_velocity
+from swarmwalk.pso import PsoState, pso_run, pso_step, pso_update_position, pso_update_velocity
 from swarmwalk.results import AggregateStats, RunResult, mean_best_fitness
 from swarmwalk.rwpso import (
     RwpsoConfig,
@@ -66,7 +66,6 @@ __all__ = [
     "ExperimentSpec",
     "FUNCTION_NAMES",
     "ObjectiveSpec",
-    "PsoConfig",
     "PsoState",
     "RunResult",
     "RwpsoConfig",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from swarmwalk.objectives import FUNCTION_NAMES, make_objective
-from swarmwalk.pso import PsoConfig, pso_run
+from swarmwalk.pso import pso_run
 from swarmwalk.results import (AggregateStats, RunConfig, RunResult, _is_finite_real,
                                check_field_types)
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
@@ -59,7 +59,7 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
 # rastrigin the walker does best when its noise factor sits just under the
 # settling edge, so the swarm keeps basin-hopping for most of the budget and
 # still collapses before it ends; the global defaults favor unimodal
-# refinement instead.  PSO runs its defaults on every function.
+# refinement instead.  PSO runs its textbook constants on every function.
 RWPSO_TUNING: dict[str, dict] = {"rastrigin": {"gaussian_sigma": 0.52}}
 
 CSV_COLUMNS = tuple(f.name for f in fields(AggregateStats))
@@ -71,19 +71,19 @@ Cell = tuple[str, str, int, int]
 class ExperimentSpec:
     """Everything a sweep needs; fully expressible as a JSON config file.
 
-    `rwpso_options` / `pso_options` override the respective config defaults
-    (anything except swarm size, dimension, iteration budget, threshold and
-    seed, which the sweep owns); `rwpso_options` also wins over the
-    walker's fixed per-function tuning, `RWPSO_TUNING`.
+    `rwpso_options` overrides the walker's config defaults (anything except
+    swarm size, dimension, iteration budget, threshold and seed, which the
+    sweep owns) and wins over its fixed per-function tuning, `RWPSO_TUNING`;
+    PSO has no options, as it runs the textbook constants of `swarmwalk.pso`.
     `objective_options` maps function name to make_objective keywords: only
     binh4 and schaffer_n1 take one, their scalarization `weights`; a null
     value is refused.  A value listed twice in `functions`,
     `algorithms`, `population_sizes` or `dimensions` is refused, and so is
     a population or dimension whose N x N distance matrix or (N, D) swarm
     numpy cannot allocate.  Construction builds every objective the sweep
-    will use, every other function's objective, and an optimizer config for
-    every algorithm, so a bad key or value in any option block fails here
-    rather than in the middle of a sweep.
+    will use, every other function's objective, and a walker config, also
+    when the sweep runs only PSO, so a bad key or value in any option block
+    fails here rather than in the middle of a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -98,7 +98,6 @@ class ExperimentSpec:
     )
     workers: int = 1
     rwpso_options: dict = field(default_factory=dict)
-    pso_options: dict = field(default_factory=dict)
     objective_options: dict[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -160,21 +159,19 @@ class ExperimentSpec:
             try:
                 for dimension in self.dimensions if function in self.functions else (2,):
                     make_objective(function, dimension, **options)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, MemoryError) as exc:
                 raise ValueError(f"bad objective for {function}: {exc}") from exc
             for key, value in options.items():
                 if value is None:
                     raise ValueError(f"bad objective for {function}: {key} must not be null")
-        # Each option block must build a config, also for an algorithm the sweep
-        # does not run (the sweep's come first, so an error names one of them).
-        # One function suffices: every `RWPSO_TUNING` entry builds a config.
+        # `rwpso_options` must build a config, also when the sweep does not run
+        # the walker.  One function suffices: every `RWPSO_TUNING` entry builds one.
         function = self.functions[0]
-        for algorithm in dict.fromkeys([*self.algorithms, *ALGORITHMS]):
-            try:
-                _optimizer_config(self, algorithm, function,
-                                  self.population_sizes[0], self.dimensions[0], seed=0)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad {algorithm} options for {function}: {exc}") from exc
+        try:
+            _optimizer_config(self, "rwpso", function,
+                              self.population_sizes[0], self.dimensions[0], seed=0)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad rwpso options for {function}: {exc}") from exc
 
     def threshold_for(self, function: str) -> float | None:
         if function in self.fitness_thresholds:
@@ -217,29 +214,21 @@ def derive_seed(base_seed: int, algorithm: str, function: str,
 
 
 def _optimizer_config(spec: ExperimentSpec, algorithm: str, function: str,
-                      population: int, dim: int, seed: int) -> RwpsoConfig | PsoConfig:
-    """The config of one run: the sweep's fields, `RWPSO_TUNING`, then the options.
+                      population: int, dim: int, seed: int) -> RunConfig:
+    """The config of one run: the sweep's run settings, and for the walker
+    also `RWPSO_TUNING` overridden by `rwpso_options`.
 
     An option may not set a `RunConfig` field; the sweep sets those.
     """
-    if algorithm == "rwpso":
-        config_class, tunables = RwpsoConfig, {**RWPSO_TUNING.get(function, {}),
-                                               **spec.rwpso_options}
-    elif algorithm == "pso":
-        config_class, tunables = PsoConfig, spec.pso_options
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    for f in fields(RunConfig):
-        if f.name in tunables:
-            raise ValueError(f"{f.name} is set by the sweep")
-    return config_class(
-        swarm_size=population,
-        dim=dim,
-        max_iterations=spec.max_iterations,
-        seed=seed,
-        fitness_threshold=spec.threshold_for(function),
-        **tunables,
-    )
+    run_settings = dict(swarm_size=population, dim=dim, max_iterations=spec.max_iterations,
+                        seed=seed, fitness_threshold=spec.threshold_for(function))
+    if algorithm == "pso":
+        return RunConfig(**run_settings)
+    tunables = {**RWPSO_TUNING.get(function, {}), **spec.rwpso_options}
+    for name in run_settings:
+        if name in tunables:
+            raise ValueError(f"{name} is set by the sweep")
+    return RwpsoConfig(**run_settings, **tunables)
 
 
 def run_single(spec: ExperimentSpec, algorithm: str, function: str,

@@ -47,9 +47,10 @@ class RwpsoConfig(RunConfig):
     `gaussian_sigma` = 0.7 times the mean absolute gap.  That pairing keeps
     the swarm's sampling radius proportional to how far particles still
     jump, so it crosses the search box early and anneals into a fine local
-    search late; measured on the bundled benchmarks it is the stable region
-    (factors below ~0.6 freeze the swarm before it reaches the optimum,
-    above ~0.75 it never settles).
+    search late.  Too small a factor freezes the swarm before it reaches
+    the optimum and too large a one never lets it settle, but the workable
+    window depends on the function and the cell: 0.60-0.75 on sphere N=20
+    D=10, 0.52-0.53 on rastrigin N=80 D=10 (REPORT.md, "Tuning sensitivity").
     """
 
     walk_horizon: int = 2

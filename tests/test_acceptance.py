@@ -13,8 +13,8 @@ from swarmwalk.cli import cli_main
 from swarmwalk.graph import build_distance_matrix, compute_ranks, hop_probabilities
 from swarmwalk.harness import ExperimentSpec, run_experiment
 from swarmwalk.objectives import SearchDomain, make_objective
-from swarmwalk.pso import PsoConfig, pso_run
-from swarmwalk.results import mean_best_fitness
+from swarmwalk.pso import pso_run
+from swarmwalk.results import RunConfig, mean_best_fitness
 from swarmwalk.rwpso import (
     RwpsoConfig,
     compute_delta,
@@ -161,7 +161,7 @@ def test_criterion_6_sphere_convergence():
 
     pso_wins = 0
     for seed in range(50):
-        cfg = PsoConfig(swarm_size=20, dim=10, max_iterations=1000,
+        cfg = RunConfig(swarm_size=20, dim=10, max_iterations=1000,
                         seed=seed, fitness_threshold=1e-2)
         result = pso_run(objective, cfg)
         pso_wins += result.best_fitness <= 1e-2

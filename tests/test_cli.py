@@ -137,15 +137,22 @@ class TestRunCommand:
         pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}}, [],
                      "gaussian_sigma must be finite", id="nan-sigma"),
         pytest.param({"algorithms": ["pso"], "pso_options": {"c1": float("inf")}}, [],
-                     "c1 must be finite", id="inf-c1"),
+                     "unknown experiment config keys: ['pso_options']", id="inf-c1"),
+        pytest.param({"algorithms": ["pso"], "rwpso_options": {"gaussian_sigma": float("inf")}},
+                     [], "gaussian_sigma must be finite", id="inf-sigma"),
         pytest.param({"rwpso_options": {"gaussian_sigma_mode": "fixed"}}, [],
                      "gaussian_sigma_mode", id="removed-sigma-mode"),
         pytest.param({"rwpso_options": {"gaussian_mu": 0.5}}, [], "gaussian_mu",
                      id="removed-mu"),
         pytest.param({"pso_options": {"r_per_dimension": False}}, [],
-                     "r_per_dimension", id="removed-r-per-dimension"),
+                     "unknown experiment config keys: ['pso_options']",
+                     id="removed-r-per-dimension"),
         pytest.param({"algorithms": ["pso"], "pso_options": {"v_max": "0.1"}}, [],
-                     "v_max must be a number or null", id="string-v-max"),
+                     "unknown experiment config keys: ['pso_options']", id="string-v-max"),
+        pytest.param({"pso_options": {}}, [], "unknown experiment config keys: ['pso_options']",
+                     id="removed-pso-options"),
+        pytest.param({}, ["--dim", str(10**17)], "bad objective for sphere: Unable to allocate",
+                     id="unmappable-dim-flag"),
     ])
     def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              overrides, flags, named):
@@ -300,6 +307,15 @@ class TestTraceCommand:
     def test_non_finite_threshold_is_rejected(self, capsys):
         assert cli_main(["trace", "--threshold", "inf", "--max-iter", "5"]) == 1
         assert "threshold for sphere" in capsys.readouterr().err
+
+    def test_unmappable_dimension_is_rejected(self, monkeypatch, capsys):
+        # 10**17 coordinates pass the intp check but need 711 PiB: numpy
+        # refuses the domain's bounds at once, without touching memory.
+        monkeypatch.setattr(cli, "run_single", pytest.fail)
+        assert cli_main(["trace", "--pop", "2", "--dim", str(10**17)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad objective for sphere: Unable to allocate")
+        assert err.count("\n") == 1
 
 
 def test_help_exits_zero():

@@ -50,7 +50,6 @@ def _recorded_with() -> str:
 
 VARIANTS = {
     "base": {},
-    "vmax": {"algorithms": ["pso"], "pso_options": {"v_max": 0.15}},
     # D >= 8 reaches numpy's 8-way pairwise summation over the distance axis,
     # and the rastrigin preset leaves over half the walker's particle-steps
     # unmoved, so this pins the distance matrix carried across iterations.
@@ -80,8 +79,6 @@ VARIANTS = {
 DIGESTS = {
     ("base", "csv"): "df6d1179200d6e41c76b3c7906ddba35be34f1c4c1122f1b3f12f61707076039",
     ("base", "json"): "59bddd753b7b67b441635d9d1ead7ca5e70cf2a96888003d4e927eb9b2c09111",
-    ("vmax", "csv"): "c0bc1fa61edafa40c30338a049c34fb233fce85cc00aa42ab2b36ce93e7a6447",
-    ("vmax", "json"): "5c7966e9072a808ef3cf01d3586ee936808a5608ca47db12326a4e57716a051d",
     ("wide", "csv"): "9117f0268841c47032299956b6c575112f5ee8723b6ff3bc2789c5645f4a4ac0",
     ("wide", "json"): "cd38db9ac985d73dfc9d42f7317fdfd79e67f43f0adef40ae405a27a7c0e42af",
     ("large", "csv"): "273f183a977660871b8257071e71a2013e98ccbd01f08adf037dc86da54332b8",

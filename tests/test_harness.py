@@ -30,7 +30,7 @@ from swarmwalk.harness import (
     write_results,
 )
 from swarmwalk.objectives import FUNCTION_NAMES, ObjectiveSpec, make_objective
-from swarmwalk.pso import PsoConfig, pso_run
+from swarmwalk.pso import pso_run
 from swarmwalk.results import AggregateStats, RunConfig, mean_best_fitness, run_loop
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 
@@ -200,6 +200,10 @@ class TestSeedDerivation:
         assert len(seeds) == 7
 
 
+# A config that still sets a former PSO option fails on its removed block.
+PSO_OPTIONS_REMOVED = "unknown experiment config keys: \\['pso_options'\\]"
+
+
 class TestSpecValidation:
     def test_defaults_are_valid(self):
         spec = ExperimentSpec()
@@ -237,7 +241,7 @@ class TestSpecValidation:
         pytest.param({"rwpso_options": {"walk_horizn": 3}},
                      "rwpso.*sphere.*walk_horizn", id="misspelled-key"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"vmax": 0.1}},
-                     "pso.*sphere.*vmax", id="misspelled-pso-key"),
+                     PSO_OPTIONS_REMOVED, id="misspelled-pso-key"),
         pytest.param({"rwpso_options": {"displacement_mode": "toward_target"}},
                      "rwpso.*displacement_mode", id="removed-key"),
         pytest.param({"rwpso_options": {"gaussian_sigma_mode": "fixed"}},
@@ -245,19 +249,23 @@ class TestSpecValidation:
         pytest.param({"rwpso_options": {"gaussian_mu": 0.5}},
                      "rwpso.*sphere.*gaussian_mu", id="removed-mu"),
         pytest.param({"pso_options": {"r_per_dimension": False}},
-                     "pso.*sphere.*r_per_dimension", id="removed-r-per-dimension"),
+                     PSO_OPTIONS_REMOVED, id="removed-r-per-dimension"),
         pytest.param({"rwpso_options": {"walk_horizon": 0}},
                      "rwpso.*sphere.*walk_horizon", id="bad-value"),
         pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}},
                      "rwpso.*sphere.*gaussian_sigma must be finite", id="nan-sigma"),
+        pytest.param({"algorithms": ("pso",), "rwpso_options": {"gaussian_sigma": float("inf")}},
+                     "rwpso.*sphere.*gaussian_sigma must be finite", id="inf-sigma"),
+        pytest.param({"rwpso_options": {"gaussian_sigma": 10**400}},
+                     "rwpso.*sphere.*gaussian_sigma must be finite", id="huge-sigma"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"c1": float("inf")}},
-                     "pso.*sphere.*c1 must be finite", id="inf-c1"),
+                     PSO_OPTIONS_REMOVED, id="inf-c1"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"c2": float("inf")}},
-                     "pso.*sphere.*c2 must be finite", id="inf-c2"),
+                     PSO_OPTIONS_REMOVED, id="inf-c2"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"w_start": float("inf")}},
-                     "pso.*sphere.*w_start must be finite", id="inf-w-start"),
+                     PSO_OPTIONS_REMOVED, id="inf-w-start"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": float("inf")}},
-                     "pso.*sphere.*v_max must be finite", id="inf-v-max"),
+                     PSO_OPTIONS_REMOVED, id="inf-v-max"),
         pytest.param({"functions": ("rastrigin",), "rwpso_options": {"gaussian_sigma": -1.0}},
                      "rwpso.*rastrigin.*gaussian_sigma", id="bad-preset-value"),
         pytest.param({"functions": ("rosenbrock",), "dimensions": (1,)},
@@ -288,13 +296,15 @@ class TestSpecValidation:
         pytest.param({"rwpso_options": {"walk_horizon": 2.5}},
                      "rwpso.*sphere.*walk_horizon", id="fractional-walk-horizon"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": "0.1"}},
-                     "pso.*sphere.*v_max must be a number or null", id="string-v-max"),
+                     PSO_OPTIONS_REMOVED, id="string-v-max"),
+        pytest.param({"rwpso_options": {"gaussian_sigma": "0.5"}},
+                     "rwpso.*sphere.*gaussian_sigma must be a number", id="string-sigma"),
         pytest.param({"objective_options": {"binh4": 5}}, "objective_options for binh4",
                      id="scalar-objective-options"),
-        pytest.param({"pso_options": {"vmax": 0.1}},
-                     "pso.*sphere.*vmax", id="misspelled-unused-option"),
-        pytest.param({"pso_options": {"v_max": -1.0}}, "pso.*sphere.*v_max",
-                     id="bad-unused-algorithm-option"),
+        pytest.param({"algorithms": ("pso",), "rwpso_options": {"walk_horizn": 3}},
+                     "rwpso.*sphere.*walk_horizn", id="misspelled-unused-option"),
+        pytest.param({"algorithms": ("pso",), "rwpso_options": {"gaussian_sigma": -1.0}},
+                     "rwpso.*sphere.*gaussian_sigma", id="bad-unused-algorithm-option"),
         pytest.param({"objective_options": {"rastrigin": {"amplitdue": 3}}},
                      "rastrigin.*amplitdue", id="misspelled-unlisted-objective-key"),
         pytest.param({"objective_options": {"rastrigin": {"amplitude": 3}}},
@@ -322,6 +332,8 @@ class TestSpecValidation:
         pytest.param({"dimensions": (10**18,)},
                      f"a swarm of 6 particles in {10**18} dimensions is too large",
                      id="unallocatable-dimension"),
+        pytest.param({"dimensions": (10**17,)}, "bad objective for sphere: Unable to allocate",
+                     id="unmappable-dimension"),
         pytest.param({"objective_options": {"sphere": {"amplitude": None}}},
                      "bad objective for sphere: .*unexpected keyword argument 'amplitude'",
                      id="null-parameter"),
@@ -343,8 +355,8 @@ class TestSpecValidation:
         pytest.param({"rwpso_options": {"seed": 3}},
                      "bad rwpso options for sphere: seed is set by the sweep",
                      id="seed-in-options"),
-        pytest.param({"pso_options": {"swarm_size": 3}},
-                     "bad pso options for sphere: swarm_size is set by the sweep",
+        pytest.param({"algorithms": ("pso",), "rwpso_options": {"swarm_size": 3}},
+                     "bad rwpso options for sphere: swarm_size is set by the sweep",
                      id="swarm-size-in-options"),
         pytest.param({"functions": ("rastrigin",), "rwpso_options": {"fitness_threshold": 1.0}},
                      "bad rwpso options for rastrigin: fitness_threshold is set by the sweep",
@@ -352,7 +364,7 @@ class TestSpecValidation:
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
-            ExperimentSpec(**{**TINY, **overrides})
+            ExperimentSpec.from_dict({**TINY, **overrides})
 
     def test_unlisted_objective_block_loads_at_any_sweep_dimension(self):
         spec = ExperimentSpec(**{**TINY, "dimensions": (1,), "objective_options": {
@@ -411,7 +423,7 @@ class TestOptimizerConfig:
         spec = ExperimentSpec(**{**TINY, "fitness_thresholds": dict.fromkeys(FUNCTION_NAMES)})
         configs = {harness._optimizer_config(spec, "pso", function, 6, 2, 0)
                    for function in FUNCTION_NAMES}
-        assert configs == {PsoConfig(swarm_size=6, dim=2, max_iterations=15)}
+        assert configs == {RunConfig(swarm_size=6, dim=2, max_iterations=15)}
 
     @pytest.mark.parametrize("function", sorted(RWPSO_TUNING))
     def test_each_tuning_entry_builds_a_config(self, function):
@@ -429,7 +441,7 @@ class TestRunConfig:
                      id="huge-integer-threshold"),
         pytest.param({"seed": -1}, "seed must be >= 0", id="negative-seed"),
     ])
-    @pytest.mark.parametrize("config_class", [RunConfig, RwpsoConfig, PsoConfig])
+    @pytest.mark.parametrize("config_class", [RunConfig, RwpsoConfig])
     def test_bad_run_setting_fails_when_built(self, config_class, overrides, message):
         with pytest.raises(ValueError, match=message):
             config_class(swarm_size=5, dim=2, max_iterations=50, **overrides)
@@ -446,7 +458,7 @@ class TestRunConfig:
 
 class TestRunLoop:
     @pytest.mark.parametrize("config_class, run", [(RwpsoConfig, rwpso_run),
-                                                   (PsoConfig, pso_run)])
+                                                   (RunConfig, pso_run)])
     def test_best_is_the_least_fitness_evaluated(self, monkeypatch, config_class, run):
         evaluated = []
         real_evaluate_batch = ObjectiveSpec.evaluate_batch

@@ -3,7 +3,6 @@ import pytest
 
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, eval_sphere, make_objective
 from swarmwalk.pso import (
-    PsoConfig,
     PsoState,
     inertia_weight,
     init_state,
@@ -12,12 +11,13 @@ from swarmwalk.pso import (
     pso_update_position,
     pso_update_velocity,
 )
+from swarmwalk.results import RunConfig
 
 
-def config(**kwargs) -> PsoConfig:
+def config(**kwargs) -> RunConfig:
     defaults = dict(swarm_size=5, dim=2, max_iterations=10, seed=0)
     defaults.update(kwargs)
-    return PsoConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 class _FixedRng:
@@ -35,46 +35,34 @@ class _FixedRng:
 
 
 class TestVelocityUpdate:
-    DOMAIN = SearchDomain.uniform(2, -10.0, 10.0, -1.0, 1.0)  # width 20
-
     def test_vanishes_at_consensus(self):
         x = np.array([[1.0, 2.0]])
-        v = pso_update_velocity([[3.0, -1.0]], x, x, x[0], 0.0,
-                                config(), _FixedRng([0.5, 0.5, 0.5, 0.5]), self.DOMAIN)
+        v = pso_update_velocity([[3.0, -1.0]], x, x, x[0], 0.0, _FixedRng([0.5, 0.5, 0.5, 0.5]))
         np.testing.assert_array_equal(v, [[0.0, 0.0]])
 
     def test_pure_inertia(self):
-        cfg = config(c1=0.0, c2=0.0, w_start=1.0, w_end=1.0)
+        # zero draws leave only the inertia term
         v0 = np.array([[2.0, -3.0]])
         v = pso_update_velocity(v0, [[0.0, 0.0]], [[5.0, 5.0]], [9.0, 9.0], 1.0,
-                                cfg, _FixedRng([0.7, 0.1, 0.3, 0.9]), self.DOMAIN)
+                                _FixedRng([0.0] * 4))
         np.testing.assert_array_equal(v, v0)
 
     def test_hand_value_with_scripted_draw(self):
-        # v=0, c1=2, R1=(0.5, 0.25) per coordinate, c2=0, pbest - x = (3, 4)
+        # v=0, C1=2, R1=(0.5, 0.25) per coordinate, R2=0, pbest - x = (3, 4)
         # -> new velocity (3, 2)
-        cfg = config(c1=2.0, c2=0.0)
-        v = pso_update_velocity([[0.0, 0.0]], [[0.0, 0.0]], [[3.0, 4.0]], [0.0, 0.0], 0.0,
-                                cfg, _FixedRng([0.5, 0.25, 0.9, 0.9]), self.DOMAIN)
+        v = pso_update_velocity([[0.0, 0.0]], [[0.0, 0.0]], [[3.0, 4.0]], [9.0, 9.0], 0.0,
+                                _FixedRng([0.5, 0.25, 0.0, 0.0]))
         np.testing.assert_array_equal(v, [[3.0, 2.0]])
 
     def test_draws_all_r1_then_all_r2(self):
         # two particles, one coordinate: the stream is R1 of both, then R2
-        cfg = config(dim=1, c1=1.0, c2=1.0)
-        dom = SearchDomain.uniform(1, -10.0, 10.0, -1.0, 1.0)
+        # (C1 = C2 = 2, and the other term's gap is zero)
         v = pso_update_velocity(np.zeros((2, 1)), np.zeros((2, 1)), np.ones((2, 1)),
-                                [0.0], 0.0, cfg, _FixedRng([0.1, 0.2, 0.3, 0.4]), dom)
-        np.testing.assert_allclose(v, [[0.1], [0.2]])
+                                [0.0], 0.0, _FixedRng([0.1, 0.2, 0.3, 0.4]))
+        np.testing.assert_allclose(v, [[0.2], [0.4]])
         v = pso_update_velocity(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)),
-                                [1.0], 0.0, cfg, _FixedRng([0.1, 0.2, 0.3, 0.4]), dom)
-        np.testing.assert_allclose(v, [[0.3], [0.4]])
-
-    def test_velocity_clamp(self):
-        cfg = config(v_max=0.1)
-        v = pso_update_velocity([[0.0, 0.0]], [[0.0, 0.0]], [[50.0, -50.0]],
-                                [50.0, -50.0], 0.0, cfg, _FixedRng([1.0, 1.0, 1.0, 1.0]),
-                                self.DOMAIN)
-        np.testing.assert_array_equal(v, [[2.0, -2.0]])
+                                [1.0], 0.0, _FixedRng([0.1, 0.2, 0.3, 0.4]))
+        np.testing.assert_allclose(v, [[0.6], [0.8]])
 
 
 class TestPositionUpdate:
@@ -82,19 +70,19 @@ class TestPositionUpdate:
 
     def test_zero_velocity_identity(self):
         p = np.array([[1.0, -1.0]])
-        x, v = pso_update_position(p, np.zeros((1, 2)), self.DOMAIN, 0.5)
+        x, v = pso_update_position(p, np.zeros((1, 2)), self.DOMAIN)
         np.testing.assert_array_equal(x, p)
         np.testing.assert_array_equal(v, np.zeros((1, 2)))
 
     def test_hand_value(self):
-        x, v = pso_update_position([[1.0, 1.0]], np.array([[0.5, -0.5]]), self.DOMAIN, 0.5)
+        x, v = pso_update_position([[1.0, 1.0]], np.array([[0.5, -0.5]]), self.DOMAIN)
         np.testing.assert_array_equal(x, [[1.5, 0.5]])
         np.testing.assert_array_equal(v, [[0.5, -0.5]])
 
     def test_overshoot_clamps(self):
         # an overshooting coordinate's velocity is reflected and damped
         x, v = pso_update_position([[9.0, 0.0], [-9.0, 0.0]],
-                                   np.array([[5.0, 1.0], [-4.0, -1.0]]), self.DOMAIN, 0.5)
+                                   np.array([[5.0, 1.0], [-4.0, -1.0]]), self.DOMAIN)
         np.testing.assert_array_equal(x, [[10.0, 1.0], [-10.0, -1.0]])
         np.testing.assert_array_equal(v, [[-2.5, 1.0], [2.0, -1.0]])
 
@@ -115,16 +103,28 @@ class TestInertiaSchedule:
 
 class TestBallisticMotion:
     def test_position_is_linear_in_time_without_attraction(self):
-        obj = ObjectiveSpec("sphere", SearchDomain.uniform(2, -1e6, 1e6, 0.0, 0.0), eval_sphere)
-        cfg = config(c1=0.0, c2=0.0, w_start=1.0, w_end=1.0, max_iterations=7)
-        rng = np.random.default_rng(0)
-        state = init_state(obj, cfg, rng)
-        v0 = np.full((cfg.swarm_size, 2), 1.25)
-        state.velocities = v0.copy()
-        x0 = state.positions.copy()
+        # zero draws and w = 1 leave each particle coasting at its velocity
+        domain = SearchDomain.uniform(2, -1e6, 1e6, 0.0, 0.0)
+        x0 = np.arange(10.0).reshape(5, 2)
+        v0 = np.full((5, 2), 1.25)
+        x, v = x0, v0
         for t in range(1, 8):
-            state = pso_step(state, obj, cfg, rng)
-            np.testing.assert_allclose(state.positions, x0 + t * v0)
+            v = pso_update_velocity(v, x, np.zeros((5, 2)), np.ones(2), 1.0,
+                                    _FixedRng([0.0] * 20))
+            x, v = pso_update_position(x, v, domain)
+            np.testing.assert_allclose(x, x0 + t * v0)
+
+    def test_step_coasts_at_the_scheduled_inertia(self):
+        # zero draws leave the step only its inertia term: v_t = w(t - 1) v_(t-1)
+        obj = ObjectiveSpec("sphere", SearchDomain.uniform(2, -1e6, 1e6, 0.0, 0.0), eval_sphere)
+        cfg = config(max_iterations=7)
+        state = init_state(obj, cfg, np.random.default_rng(0))
+        state.velocities = np.full((cfg.swarm_size, 2), 1.25)
+        for t in range(7):
+            x, v = state.positions, state.velocities
+            state = pso_step(state, obj, cfg, _FixedRng([0.0] * 20))
+            np.testing.assert_array_equal(state.velocities, inertia_weight(cfg, t) * v)
+            np.testing.assert_array_equal(state.positions, x + state.velocities)
 
 
 class TestBestTracking:
@@ -143,10 +143,10 @@ class TestBestTracking:
     @pytest.mark.parametrize("first, second", [(-1.0, 1.0), (1.0, -1.0)])
     def test_global_best_ties_go_to_the_lowest_index(self, first, second):
         # Particles 1 and 2 hold personal bests of equal fitness at -1 and 1.
-        # With only the social term (c2 = 1, R2 = 1) every particle moves
-        # onto the global best, which must be particle 1's.
+        # From rest, with only the social term (R1 = 0, C2 * R2 = 2 * 0.5),
+        # every particle moves onto the global best, which must be particle 1's.
         obj = make_objective("sphere", 1)
-        cfg = config(swarm_size=3, dim=1, c1=0.0, c2=1.0, w_start=0.0, w_end=0.0)
+        cfg = config(swarm_size=3, dim=1)
         state = PsoState(
             positions=np.full((3, 1), 3.0),
             velocities=np.zeros((3, 1)),
@@ -155,7 +155,7 @@ class TestBestTracking:
             personal_best_fitnesses=np.array([9.0, 1.0, 1.0]),
             iteration=0,
         )
-        state = pso_step(state, obj, cfg, _FixedRng([0.0] * 3 + [1.0] * 3))
+        state = pso_step(state, obj, cfg, _FixedRng([0.0] * 3 + [0.5] * 3))
         np.testing.assert_array_equal(state.positions, np.full((3, 1), first))
 
     def test_trace_is_monotone_non_increasing(self):
@@ -184,27 +184,7 @@ class TestRun:
             improved += result.trace[-1] < result.trace[0]
         assert improved >= 48  # >= 95% of 50 seeds
 
-    def test_velocity_clamp_respected_throughout(self):
-        obj = make_objective("sphere", 2)
-        cfg = config(v_max=0.05, max_iterations=20)
-        rng = np.random.default_rng(8)
-        state = init_state(obj, cfg, rng)
-        limit = 0.05 * obj.domain.width
-        for _ in range(20):
-            state = pso_step(state, obj, cfg, rng)
-            assert np.all(np.abs(state.velocities) <= limit + 1e-12)
-
     def test_dim_mismatch_rejected(self):
         obj = make_objective("sphere", 3)
         with pytest.raises(ValueError):
             pso_run(obj, config(dim=2))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            config(c1=-1.0)
-        with pytest.raises(ValueError):
-            config(w_start=0.3, w_end=0.4)
-        with pytest.raises(ValueError):
-            config(v_max=0.0)
-        with pytest.raises(ValueError):
-            config(bounce_damping=1.5)
