@@ -21,7 +21,6 @@ from swarmwalk.harness import (
     derive_seed,
     format_table,
     load_spec,
-    merge_stats,
     read_results,
     run_cell,
     run_experiment,
@@ -90,7 +89,6 @@ __all__ = [
     "load_spec",
     "make_objective",
     "mean_best_fitness",
-    "merge_stats",
     "pso_run",
     "pso_step",
     "pso_update_position",

@@ -12,9 +12,9 @@ from pathlib import Path
 from swarmwalk.harness import (
     ALGORITHMS,
     ExperimentSpec,
+    _write_text,
     format_table,
     load_spec,
-    merge_stats,
     read_results,
     run_experiment,
     run_single,
@@ -48,17 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threshold", type=float,
                      help="success threshold applied to every selected function")
     run.add_argument("--workers", type=int, help="parallel worker processes")
-    run.add_argument("--sideload", metavar="PATH",
-                     help="CSV of external baseline rows merged into the output")
     run.add_argument("--out", metavar="PATH",
                      help="output file (stdout when omitted)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     table = sub.add_parser("table", help="pretty-print a results file")
     table.add_argument("results_path", metavar="RESULTS",
-                       help="CSV or JSON file produced by `run`")
-    table.add_argument("--sideload", metavar="PATH",
-                       help="extra baseline rows to merge into the table")
+                       help="CSV or JSON results file, printed in its row order")
 
     trace = sub.add_parser("trace",
                            help="emit one run's best-fitness-per-iteration series")
@@ -124,15 +120,8 @@ def _check_out(path) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     _check_out(args.out)
-    sideload = merge_stats(read_results(args.sideload)) if args.sideload else []
-    swept = set(spec.cells())
-    for entry in sideload:
-        if entry.cell_key in swept:
-            raise ValueError(f"sideload {args.sideload} holds cell {entry.cell_key}, "
-                             f"which the sweep runs")
     outcome = run_experiment(spec)
-    aggregates = merge_stats(outcome.aggregates, sideload)
-    text = write_results(aggregates, outcome.runs, args.out, args.format)
+    text = write_results(outcome.aggregates, outcome.runs, args.out, args.format)
     if args.out is None:
         sys.stdout.write(text)
     for failure in outcome.failures:
@@ -141,8 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    sideload = read_results(args.sideload) if args.sideload else []
-    sys.stdout.write(format_table(merge_stats(read_results(args.results_path), sideload)))
+    sys.stdout.write(format_table(read_results(args.results_path)))
     return 0
 
 
@@ -165,10 +153,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write results to {args.out}: {exc}") from exc
+        _write_text(args.out, text)
     return 0
 
 

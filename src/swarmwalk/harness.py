@@ -38,7 +38,6 @@ __all__ = [
     "run_experiment",
     "write_results",
     "read_results",
-    "merge_stats",
     "format_table",
 ]
 
@@ -391,18 +390,24 @@ def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     if out_path is not None:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write results to {out_path}: {exc}") from exc
+        _write_text(out_path, text)
     return text
+
+
+def _write_text(out_path, text: str) -> None:
+    """Write `text` to `out_path`; a failure names the path."""
+    try:
+        Path(out_path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write results to {out_path}: {exc}") from exc
 
 
 def read_results(path) -> list[AggregateStats]:
     """Load aggregate rows back from a CSV or JSON results file.
 
-    A malformed file raises ValueError naming the file, and the row and
-    field at fault.
+    Rows keep the file's order.  A malformed file, one that holds a cell
+    twice included, raises ValueError naming the file, and the row and
+    field or cell at fault.
     """
     path = Path(path)
     try:
@@ -420,28 +425,18 @@ def read_results(path) -> list[AggregateStats]:
             missing = set(CSV_COLUMNS) - set(rows.fieldnames or ())
             if missing:
                 raise ValueError(f"lacks columns: {sorted(missing)}")
-        stats = []
+        stats: dict[Cell, AggregateStats] = {}
         for number, row in enumerate(rows, 1):
             try:
-                stats.append(AggregateStats.from_dict(row))
+                entry = AggregateStats.from_dict(row)
+                if entry.cell_key in stats:
+                    raise ValueError(f"cell {entry.cell_key} appears twice")
             except ValueError as exc:
                 raise ValueError(f"row {number}: {exc}") from None
-        return stats
+            stats[entry.cell_key] = entry
+        return list(stats.values())
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"results file {path}: {exc}") from exc
-
-
-def merge_stats(*groups) -> list[AggregateStats]:
-    """Combine aggregate lists into one canonically sorted table.
-
-    Each cell may appear once: a second row for a cell raises ValueError.
-    """
-    combined = sorted((entry for group in groups for entry in group),
-                      key=lambda s: s.cell_key)
-    for before, after in zip(combined, combined[1:]):
-        if before.cell_key == after.cell_key:
-            raise ValueError(f"cell {after.cell_key} appears twice")
-    return combined
 
 
 # format() spec of each numeric table column; the other columns print as is.

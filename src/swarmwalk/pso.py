@@ -82,8 +82,8 @@ def pso_update_position(positions, velocities,
     """Clamped positions x + v, and velocities reflected and damped where x + v left the box."""
     v = np.asarray(velocities, dtype=float)
     raw = np.asarray(positions, dtype=float) + v
-    hit = (raw < domain.lower) | (raw > domain.upper)
-    return domain.clamp(raw), np.where(hit, -BOUNCE_DAMPING * v, v)
+    clamped = domain.clamp(raw)
+    return clamped, np.where(clamped != raw, -BOUNCE_DAMPING * v, v)
 
 
 @dataclass

@@ -46,6 +46,11 @@ class TestRunCommand:
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["run", "--frobnicate", "1"]) == 2
 
+    def test_removed_sideload_flag_is_usage_error(self, monkeypatch, capsys, config_path):
+        monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+        assert cli_main(["run", "--config", str(config_path), "--sideload", "x"]) == 2
+        assert "unrecognized arguments: --sideload x" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli_main(["run", "--config", str(config_path), "--out", str(out1)]) == 0
@@ -73,21 +78,6 @@ class TestRunCommand:
         assert cli_main(["run", "--config", str(config_path)]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("algorithm,function,")
-
-    def test_sideload_merges(self, tmp_path, config_path):
-        side = tmp_path / "baseline.csv"
-        side.write_text(
-            "algorithm,function,population,dimension,runs,mean_iterations,"
-            "mean_best_fitness,std_best_fitness,success_rate\n"
-            "qpso,sphere,6,2,50,5.0,0.0,0.0,1.0\n",
-            encoding="utf-8",
-        )
-        out = tmp_path / "r.csv"
-        code = cli_main(["run", "--config", str(config_path),
-                         "--sideload", str(side), "--out", str(out)])
-        assert code == 0
-        body = out.read_text(encoding="utf-8")
-        assert "qpso" in body
 
     def test_missing_config_file_fails(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
@@ -197,6 +187,10 @@ def test_failed_sweep_keeps_an_existing_results_file(tmp_path, monkeypatch, caps
     assert out.read_text(encoding="utf-8") == "earlier results\n"
 
 
+RESULTS_HEADER = ",".join(CSV_COLUMNS) + "\n"
+ROW = dict(zip(CSV_COLUMNS, ["qpso", "sphere", 6, 2, 50, 5.0, 0.0, 0.0, 1.0]))
+
+
 class TestTableCommand:
     def test_aligned_table(self, tmp_path, config_path, capsys):
         out = tmp_path / "r.csv"
@@ -211,8 +205,21 @@ class TestTableCommand:
     def test_missing_results_file(self, tmp_path):
         assert cli_main(["table", str(tmp_path / "nope.csv")]) == 1
 
+    def test_rows_print_in_file_order(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text(RESULTS_HEADER + "rwpso,sphere,6,2,50,5.0,0.0,0.0,1.0\n"
+                           "pso,sphere,6,2,50,7.0,0.5,0.0,1.0\n", encoding="utf-8")
+        assert cli_main(["table", str(results)]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[2:]
+        assert [row.split()[0] for row in rows] == ["rwpso", "pso"]
 
-ROW = dict(zip(CSV_COLUMNS, ["qpso", "sphere", 6, 2, 50, 5.0, 0.0, 0.0, 1.0]))
+    def test_removed_sideload_flag_is_usage_error(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text(RESULTS_HEADER, encoding="utf-8")
+        assert cli_main(["table", str(results), "--sideload", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --sideload x" in captured.err
 
 
 @pytest.mark.parametrize("name, text, named", [
@@ -226,61 +233,29 @@ ROW = dict(zip(CSV_COLUMNS, ["qpso", "sphere", 6, 2, 50, 5.0, 0.0, 0.0, 1.0]))
                  "population", id="json-fractional-population"),
     pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nqpso,sphere,6,2,50,5.0,0.0,0.0\n",
                  "success_rate", id="csv-missing-value"),
+    pytest.param("r.json", json.dumps({"aggregates": [ROW, ROW]}),
+                 "row 2: cell ('qpso', 'sphere', 6, 2) appears twice", id="json-duplicate-cell"),
 ])
-@pytest.mark.parametrize("command", ["table", "run --sideload"])
-def test_malformed_results_file_is_one_error_line(tmp_path, monkeypatch, capsys, config_path,
-                                                  command, name, text, named):
-    monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+@pytest.mark.parametrize("command", ["table"])
+def test_malformed_results_file_is_one_error_line(tmp_path, capsys, command, name, text, named):
     bad = tmp_path / name
     bad.write_text(text, encoding="utf-8")
-    if command == "table":
-        argv = ["table", str(bad)]
-    else:
-        argv = ["run", "--config", str(config_path), "--sideload", str(bad)]
-    assert cli_main(argv) == 1
+    assert cli_main([command, str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and str(bad) in err
 
 
-SIDELOAD_HEADER = ",".join(CSV_COLUMNS) + "\n"
-
-
 class TestDuplicateCells:
-    def test_table_refuses_a_cell_twice(self, tmp_path, config_path, capsys):
-        out = tmp_path / "r.csv"
-        assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert cli_main(["table", str(out), "--sideload", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: cell ('rwpso', 'sphere', 6, 2) appears twice\n"
-
     def test_table_refuses_a_cell_twice_in_one_file(self, tmp_path, capsys):
         results = tmp_path / "r.csv"
-        results.write_text(SIDELOAD_HEADER + "qpso,sphere,6,2,50,5.0,0.0,0.0,1.0\n" * 2,
-                           encoding="utf-8")
+        results.write_text(RESULTS_HEADER + "rwpso,sphere,6,2,50,5.0,0.0,0.0,1.0\n"
+                           + "qpso,sphere,6,2,50,5.0,0.0,0.0,1.0\n" * 2, encoding="utf-8")
         assert cli_main(["table", str(results)]) == 1
-        assert capsys.readouterr().err == "error: cell ('qpso', 'sphere', 6, 2) appears twice\n"
-
-    @pytest.mark.parametrize("rows, named", [
-        pytest.param(["rwpso,sphere,6,2,50,5.0,0.0,0.0,1.0"], "rwpso', 'sphere', 6, 2",
-                     id="swept-cell"),
-        pytest.param(["qpso,sphere,6,2,50,5.0,0.0,0.0,1.0"] * 2, "qpso', 'sphere', 6, 2",
-                     id="twice-in-sideload"),
-    ])
-    def test_run_refuses_a_clashing_sideload_before_any_run(self, tmp_path, monkeypatch,
-                                                            capsys, config_path, rows, named):
-        monkeypatch.setattr(cli, "run_experiment", pytest.fail)
-        side = tmp_path / "side.csv"
-        side.write_text(SIDELOAD_HEADER + "\n".join(rows) + "\n", encoding="utf-8")
-        out = tmp_path / "r.csv"
-        argv = ["run", "--config", str(config_path), "--sideload", str(side), "--out", str(out)]
-        assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert named in err
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: results file {results}: row 3: "
+                                f"cell ('qpso', 'sphere', 6, 2) appears twice\n")
 
 
 class TestTraceCommand:

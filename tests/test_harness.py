@@ -22,7 +22,6 @@ from swarmwalk.harness import (
     ExperimentSpec,
     derive_seed,
     load_spec,
-    merge_stats,
     read_results,
     run_cell,
     run_experiment,
@@ -711,28 +710,18 @@ class TestWriteAndRead:
 
 
 class TestSideload:
-    def test_external_rows_merge_and_sort(self, tmp_path):
-        spec = ExperimentSpec(**TINY)
-        outcome = run_experiment(spec)
-        baseline = AggregateStats(
-            algorithm="qpso", function="sphere", population=6, dimension=2,
-            runs=50, mean_iterations=5.0, mean_best_fitness=0.0,
-            std_best_fitness=0.0, success_rate=1.0,
-        )
-        side = tmp_path / "baseline.csv"
-        write_results([baseline], None, side)
-        merged = merge_stats(outcome.aggregates, read_results(side))
-        assert baseline in merged
-        keys = [s.cell_key for s in merged]
-        assert keys == sorted(keys)
+    """`read_results` on files from outside the program, e.g. another optimizer's rows."""
 
-    def test_duplicate_cell_refused(self):
+    def test_duplicate_cell_refused(self, tmp_path):
         spec = ExperimentSpec(**TINY)
         outcome = run_experiment(spec)
-        with pytest.raises(ValueError, match=r"cell \('rwpso', 'sphere', 6, 2\) appears twice"):
-            merge_stats(outcome.aggregates, outcome.aggregates)
-        with pytest.raises(ValueError, match="appears twice"):
-            merge_stats(outcome.aggregates * 2)
+        for name, fmt in (("r.csv", "csv"), ("r.json", "json")):
+            out = tmp_path / name
+            write_results(outcome.aggregates * 2, None, out, fmt)
+            with pytest.raises(ValueError) as info:
+                read_results(out)
+            assert str(info.value) == (f"results file {out}: row 2: "
+                                       f"cell ('rwpso', 'sphere', 6, 2) appears twice")
 
     def test_missing_columns_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
