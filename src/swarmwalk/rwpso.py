@@ -6,11 +6,13 @@ r and hops: if r falls below the smallest entry of its hop distribution it
 targets the particle holding that smallest probability (usually itself, so
 good particles tend to stay put), otherwise it targets the particle holding
 the largest probability.  Movement toward the target is the expected drift of
-a constrained biased walk tuned to cover the displacement in `walk_horizon`
-steps, plus a zero-mean Gaussian perturbation whose scale is `gaussian_sigma`
-times the mean absolute gap to the target, one scale per particle, so the
-noise anneals as the swarm contracts.  No velocities and no personal/global
-best memory are kept; the run loop records the best-so-far for reporting only.
+a constrained biased walk tuned to cover the displacement in `WALK_HORIZON`
+= 2 steps, so each move covers half the gap, plus a zero-mean Gaussian
+perturbation whose scale is `gaussian_sigma` times the mean absolute gap to
+the target, one scale per particle, so the noise anneals as the swarm
+contracts.  `gaussian_sigma` is the walker's one setting.  No velocities and
+no personal/global best memory are kept; the run loop records the
+best-so-far for reporting only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
 from swarmwalk.results import RunConfig, RunResult, run_loop
 
 __all__ = [
+    "WALK_HORIZON",
     "RwpsoConfig",
     "RwpsoState",
     "select_target",
@@ -37,29 +40,30 @@ __all__ = [
     "rwpso_run",
 ]
 
+# Steps of the walk whose per-step drift moves a particle: each move covers
+# 1 / WALK_HORIZON of the gap to its target.
+WALK_HORIZON = 2
+
 
 @dataclass(frozen=True)
 class RwpsoConfig(RunConfig):
     """Tunables for one run of the random-walk mover.
 
-    Defaults are the shipped configuration: a 2-step walk horizon (each move
-    covers half the gap to the target) with Gaussian noise whose scale is
-    `gaussian_sigma` = 0.7 times the mean absolute gap.  That pairing keeps
-    the swarm's sampling radius proportional to how far particles still
-    jump, so it crosses the search box early and anneals into a fine local
-    search late.  Too small a factor freezes the swarm before it reaches
+    The one tunable is the Gaussian noise: its scale is `gaussian_sigma`
+    (default 0.7) times the mean absolute gap to the target, beside a drift
+    that covers the gap in `WALK_HORIZON` steps.  That pairing keeps the
+    swarm's sampling radius proportional to how far particles still jump,
+    so it crosses the search box early and anneals into a fine local search
+    late.  Too small a factor freezes the swarm before it reaches
     the optimum and too large a one never lets it settle, but the workable
     window depends on the function and the cell: 0.60-0.75 on sphere N=20
     D=10, 0.52-0.53 on rastrigin N=80 D=10 (REPORT.md, "Tuning sensitivity").
     """
 
-    walk_horizon: int = 2
     gaussian_sigma: float = 0.7
 
     def __post_init__(self):
         super().__post_init__()
-        if self.walk_horizon < 1:
-            raise ValueError("walk_horizon must be >= 1")
         if self.gaussian_sigma <= 0.0:
             raise ValueError("gaussian_sigma must be > 0")
 
@@ -79,25 +83,27 @@ def select_target(prob_rows, r) -> np.ndarray:
     return np.where(r < rows.min(axis=1), rows.argmin(axis=1), rows.argmax(axis=1))
 
 
-def compute_delta(displacement: float, walk_horizon: int) -> float:
+def compute_delta(displacement: float, n: int) -> float:
     """Step-split parameter (1 - d/n) / 2 of a walk covering d in n steps.
 
-    This is the probability of the walk's negative unit step; the
-    complementary walk has expected drift d/n per step and lands on the
-    target in expectation after n steps.
+    For |d| <= n this is the probability of the walk's negative unit step;
+    the complementary walk has expected drift d/n per step and lands on the
+    target in expectation after n steps.  Outside that range no unit-step
+    walk covers d in n steps, and the value leaves [0, 1]
+    (`compute_delta(3.0, 2)` is -0.25).
     """
-    if walk_horizon < 1:
-        raise ValueError("walk_horizon must be >= 1")
-    return (1.0 - displacement / walk_horizon) / 2.0
+    if n < 1:
+        raise ValueError("step count must be >= 1")
+    return (1.0 - displacement / n) / 2.0
 
 
-def displacement_vector(positions, targets, config: RwpsoConfig) -> np.ndarray:
-    """Movement term K, the walk's per-step drift: (targets - positions) / walk_horizon."""
+def displacement_vector(positions, targets) -> np.ndarray:
+    """Movement term K, the walk's per-step drift: (targets - positions) / WALK_HORIZON."""
     p = np.asarray(positions, dtype=float)
     t = np.asarray(targets, dtype=float)
     if p.shape != t.shape:
         raise ValueError("positions and targets must share one shape")
-    return (t - p) / config.walk_horizon
+    return (t - p) / WALK_HORIZON
 
 
 def resolve_sigma(config: RwpsoConfig, displacement) -> np.ndarray:
@@ -154,7 +160,7 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     prob_rows = hop_probabilities(state.distances, state.fitnesses).T
     r = rng.random(config.swarm_size)
     targets = state.positions[select_target(prob_rows, r)]
-    k = displacement_vector(state.positions, targets, config)
+    k = displacement_vector(state.positions, targets)
     g = gaussian_term(config, rng, targets - state.positions)
     positions = update_position(state.positions, k, g, objective.domain)
     fitnesses = objective.evaluate_batch(positions)

@@ -1,11 +1,12 @@
 """One-dimensional random walks: simple, biased, and constrained-step.
 
-These are standalone statistical primitives.  A step lands `+step_plus` with
-probability p and `-step_minus` otherwise; the sign convention is fixed so
-that +1 is always the p-probability outcome.  The simple walk is the fair
-unit-step special case.  `walk_expectation` is the closed-form mean used as
-an oracle by the statistical tests, and the rank-biased particle mover uses
-these walks as the reference model for its per-step drift.
+These are standalone statistical primitives, each returning the final
+position after n steps.  A step lands `+step_plus` with probability p and
+`-step_minus` otherwise; the sign convention is fixed so that +1 is always
+the p-probability outcome.  The simple walk is the fair unit-step special
+case.  `walk_expectation` is the closed-form mean used as an oracle by the
+statistical tests, and the rank-biased particle mover uses these walks as
+the reference model for its per-step drift.
 """
 
 from __future__ import annotations
@@ -32,38 +33,23 @@ def _check_probability(p: float) -> float:
     return float(p)
 
 
-def biased_walk(n: int, p: float, rng: np.random.Generator, *, path: bool = False):
-    """Unit-step walk: +1 with probability p, else -1.
-
-    Returns the integer final position S_n, or the whole trajectory
-    (S_0 = 0 included, length n + 1) when `path` is true.
-    """
-    walk = constrained_biased_walk(n, p, 1.0, 1.0, rng, path=path)
-    return walk.astype(int) if path else int(walk)
+def biased_walk(n: int, p: float, rng: np.random.Generator) -> int:
+    """Unit-step walk: +1 with probability p, else -1; returns the final position S_n."""
+    return int(constrained_biased_walk(n, p, 1.0, 1.0, rng))
 
 
-def simple_walk(n: int, rng: np.random.Generator, *, path: bool = False):
-    """Fair unit-step walk (p = 1/2); same return convention as biased_walk."""
-    return biased_walk(n, 0.5, rng, path=path)
+def simple_walk(n: int, rng: np.random.Generator) -> int:
+    """Fair unit-step walk (p = 1/2); returns the final position S_n."""
+    return biased_walk(n, 0.5, rng)
 
 
-def constrained_biased_walk(
-    n: int,
-    p: float,
-    step_plus: float,
-    step_minus: float,
-    rng: np.random.Generator,
-    *,
-    path: bool = False,
-):
-    """Non-uniform walk: +step_plus with probability p, else -step_minus."""
+def constrained_biased_walk(n: int, p: float, step_plus: float, step_minus: float,
+                            rng: np.random.Generator) -> float:
+    """Non-uniform walk: +step_plus with probability p, else -step_minus;
+    returns the final position."""
     n = _check_steps(n)
     p = _check_probability(p)
     steps = np.where(rng.random(n) < p, float(step_plus), -float(step_minus))
-    if path:
-        positions = np.zeros(n + 1)
-        np.cumsum(steps, out=positions[1:])
-        return positions
     return float(steps.sum())
 
 

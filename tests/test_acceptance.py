@@ -16,6 +16,7 @@ from swarmwalk.objectives import SearchDomain, make_objective
 from swarmwalk.pso import pso_run
 from swarmwalk.results import RunConfig, mean_best_fitness
 from swarmwalk.rwpso import (
+    WALK_HORIZON,
     RwpsoConfig,
     compute_delta,
     displacement_vector,
@@ -129,15 +130,15 @@ def test_criterion_4_step_split_identities():
 
 
 def test_criterion_5_drift_telescoping():
-    n = 25
+    n = WALK_HORIZON
     start = np.array([[-40.0, 12.5, 7.0]])
     target = np.array([[18.0, -3.25, 0.0]])
     domain = SearchDomain.uniform(3, -1000.0, 1000.0, -1.0, 1.0)
     cfg = RwpsoConfig(
-        swarm_size=2, dim=3, max_iterations=n, walk_horizon=n, gaussian_sigma=1e-12,
+        swarm_size=2, dim=3, max_iterations=n, gaussian_sigma=1e-12,
     )
     rng = np.random.default_rng(5)
-    drift = displacement_vector(start, target, cfg)
+    drift = displacement_vector(start, target)
     position = start
     for _ in range(n):
         position = update_position(position, drift, gaussian_term(cfg, rng, drift), domain)

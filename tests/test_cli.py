@@ -134,6 +134,8 @@ class TestRunCommand:
                      "gaussian_sigma_mode", id="removed-sigma-mode"),
         pytest.param({"rwpso_options": {"gaussian_mu": 0.5}}, [], "gaussian_mu",
                      id="removed-mu"),
+        pytest.param({"rwpso_options": {"walk_horizon": 2}}, [],
+                     "unexpected keyword argument 'walk_horizon'", id="removed-walk-horizon"),
         pytest.param({"pso_options": {"r_per_dimension": False}}, [],
                      "unknown experiment config keys: ['pso_options']",
                      id="removed-r-per-dimension"),

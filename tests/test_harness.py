@@ -201,6 +201,10 @@ class TestSeedDerivation:
 
 # A config that still sets a former PSO option fails on its removed block.
 PSO_OPTIONS_REMOVED = "unknown experiment config keys: \\['pso_options'\\]"
+# A config that still sets the walk horizon, now a constant, fails on the
+# removed field whatever its value.
+WALK_HORIZON_REMOVED = ("bad rwpso options for sphere: .*"
+                        "unexpected keyword argument 'walk_horizon'")
 
 
 class TestSpecValidation:
@@ -250,7 +254,7 @@ class TestSpecValidation:
         pytest.param({"pso_options": {"r_per_dimension": False}},
                      PSO_OPTIONS_REMOVED, id="removed-r-per-dimension"),
         pytest.param({"rwpso_options": {"walk_horizon": 0}},
-                     "rwpso.*sphere.*walk_horizon", id="bad-value"),
+                     WALK_HORIZON_REMOVED, id="bad-value"),
         pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}},
                      "rwpso.*sphere.*gaussian_sigma must be finite", id="nan-sigma"),
         pytest.param({"algorithms": ("pso",), "rwpso_options": {"gaussian_sigma": float("inf")}},
@@ -293,7 +297,7 @@ class TestSpecValidation:
         pytest.param({"base_seed": True}, "base_seed", id="bool-seed"),
         pytest.param({"functions": "sphere"}, "functions", id="string-functions"),
         pytest.param({"rwpso_options": {"walk_horizon": 2.5}},
-                     "rwpso.*sphere.*walk_horizon", id="fractional-walk-horizon"),
+                     WALK_HORIZON_REMOVED, id="fractional-walk-horizon"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": "0.1"}},
                      PSO_OPTIONS_REMOVED, id="string-v-max"),
         pytest.param({"rwpso_options": {"gaussian_sigma": "0.5"}},

@@ -8,6 +8,7 @@ from swarmwalk.harness import RWPSO_TUNING
 from swarmwalk.objectives import (ObjectiveSpec, SearchDomain, eval_rastrigin, eval_sphere,
                                   make_objective)
 from swarmwalk.rwpso import (
+    WALK_HORIZON,
     RwpsoConfig,
     compute_delta,
     displacement_vector,
@@ -96,31 +97,29 @@ class TestComputeDelta:
 
 class TestDisplacementVector:
     def test_toward_self_is_zero(self):
-        cfg = config(walk_horizon=10)
         p = np.array([[1.5, -2.0]])
-        np.testing.assert_array_equal(displacement_vector(p, p, cfg), [[0.0, 0.0]])
+        np.testing.assert_array_equal(displacement_vector(p, p), [[0.0, 0.0]])
 
     def test_toward_target_drift(self):
-        cfg = config(walk_horizon=10)
-        k = displacement_vector([[0.0, 0.0], [1.0, 1.0]], [[10.0, -10.0], [1.0, 1.0]], cfg)
-        np.testing.assert_array_equal(k, [[1.0, -1.0], [0.0, 0.0]])
+        # each move covers 1 / WALK_HORIZON = half of the gap
+        k = displacement_vector([[0.0, 0.0], [1.0, 1.0]], [[10.0, -10.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(k, [[5.0, -5.0], [0.0, 0.0]])
 
     def test_dimension_mismatch(self):
-        cfg = config()
         with pytest.raises(ValueError):
-            displacement_vector([[0.0, 0.0]], [[1.0, 2.0, 3.0]], cfg)
+            displacement_vector([[0.0, 0.0]], [[1.0, 2.0, 3.0]])
 
 
 class TestWalkOracle:
     """The movement term is the expected drift of the corresponding walk."""
 
-    @given(st.integers(1, 50), st.floats(-1.0, 1.0))
+    @given(st.floats(-1.0, 1.0))
     @settings(max_examples=100, deadline=None)
-    def test_drift_equals_walk_expectation(self, n, ratio):
+    def test_drift_equals_walk_expectation(self, ratio):
+        n = WALK_HORIZON
         d = ratio * n  # keep the step split a valid probability
         delta = compute_delta(d, n)
-        cfg = config(dim=1, walk_horizon=n)
-        k = displacement_vector([[0.0]], [[d]], cfg)
+        k = displacement_vector([[0.0]], [[d]])
         assert walk_expectation(n, 1.0 - delta) == pytest.approx(n * k[0, 0], abs=1e-9)
 
     def test_monte_carlo_walk_reaches_displacement(self):
@@ -231,7 +230,7 @@ class TestStep:
         singles = [select_target(rows[j:j + 1], r[j:j + 1])[0] for j in range(7)]
         np.testing.assert_array_equal(singles, chosen)
         targets = state.positions[chosen]
-        k = displacement_vector(state.positions, targets, cfg)
+        k = displacement_vector(state.positions, targets)
         g = gaussian_term(cfg, rng, targets - state.positions)
         expected = update_position(state.positions, k, g, obj.domain)
         new = rwpso_step(state, obj, cfg, np.random.default_rng(9))
@@ -266,15 +265,14 @@ class TestStep:
 
 class TestDriftTelescoping:
     def test_constant_drift_lands_on_frozen_target(self):
-        n = 17
         target = np.array([4.0, -3.0, 0.5])
         start = np.array([-2.0, 5.0, 1.5])
         dom = SearchDomain.uniform(3, -100.0, 100.0, -1.0, 1.0)
-        cfg = config(dim=3, walk_horizon=n, gaussian_sigma=1e-12)
+        cfg = config(dim=3, gaussian_sigma=1e-12)
         rng = np.random.default_rng(2)
-        k = displacement_vector(start[None], target[None], cfg)
+        k = displacement_vector(start[None], target[None])
         p = start[None]
-        for _ in range(n):
+        for _ in range(WALK_HORIZON):
             p = update_position(p, k, gaussian_term(cfg, rng, k), dom)
         np.testing.assert_allclose(p[0], target, atol=1e-6)
 
@@ -325,9 +323,9 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             config(swarm_size=1)
-        with pytest.raises(ValueError):
-            config(walk_horizon=0)
-        with pytest.raises(TypeError):  # no longer a config field
+        with pytest.raises(TypeError):  # no longer config fields
+            config(walk_horizon=2)
+        with pytest.raises(TypeError):
             config(displacement_mode="toward_target")
         with pytest.raises(TypeError):
             config(boundary_policy="clamp")

@@ -25,6 +25,8 @@ def test_single_step_support():
     values = {simple_walk(1, rng) for _ in range(50)}
     assert values <= {-1, 1}
     assert len(values) == 2
+    values = {constrained_biased_walk(1, 0.6, 2.0, 1.0, rng) for _ in range(50)}
+    assert values == {2.0, -1.0}
 
 
 def test_degenerate_biases():
@@ -110,18 +112,8 @@ def test_unit_steps_reduce_to_biased_walk():
     assert float(a) == b
 
 
-def test_path_mode():
-    path = constrained_biased_walk(50, 0.6, 2.0, 1.0,
-                                   np.random.default_rng(13), path=True)
-    assert path.shape == (51,)
-    assert path[0] == 0.0
-    increments = np.diff(path)
-    assert set(np.round(increments, 12)) <= {2.0, -1.0}
-    ipath = simple_walk(50, np.random.default_rng(14), path=True)
-    assert ipath[0] == 0 and set(np.diff(ipath)) <= {1, -1}
-
-
-def test_same_seed_same_trajectory():
-    p1 = biased_walk(100, 0.55, np.random.default_rng(99), path=True)
-    p2 = biased_walk(100, 0.55, np.random.default_rng(99), path=True)
-    np.testing.assert_array_equal(p1, p2)
+def test_same_seed_same_final_position():
+    assert (biased_walk(100, 0.55, np.random.default_rng(99))
+            == biased_walk(100, 0.55, np.random.default_rng(99)))
+    assert (constrained_biased_walk(100, 0.6, 2.0, 1.0, np.random.default_rng(99))
+            == constrained_biased_walk(100, 0.6, 2.0, 1.0, np.random.default_rng(99)))
