@@ -38,7 +38,6 @@ from swarmwalk.objectives import (
     eval_sphere,
     init_positions,
     make_objective,
-    scalarize,
 )
 from swarmwalk.pso import PsoState, pso_run, pso_step, pso_update_position, pso_update_velocity
 from swarmwalk.results import AggregateStats, RunResult, mean_best_fitness
@@ -99,7 +98,6 @@ __all__ = [
     "run_single",
     "rwpso_run",
     "rwpso_step",
-    "scalarize",
     "select_target",
     "simple_walk",
     "update_distance_matrix",

@@ -24,6 +24,11 @@ from swarmwalk.objectives import FUNCTION_NAMES
 
 __all__ = ["build_parser", "cli_main", "main"]
 
+# argparse reads a negative number in exponent form, such as "-1e-3", as a
+# flag of its own, so such a value (binh4's fitness is negative over much of
+# its box) needs the "=" form.
+_NEGATIVE_THRESHOLD_HELP = "a negative value in exponent form needs '=', as in --threshold=-1e-3"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iter", type=int, help="iteration budget per run")
     run.add_argument("--seed", type=int, help="base seed for the sweep")
     run.add_argument("--threshold", type=float,
-                     help="success threshold applied to every selected function")
+                     help="success threshold applied to every selected function; "
+                          f"{_NEGATIVE_THRESHOLD_HELP}")
     run.add_argument("--workers", type=int, help="parallel worker processes")
     run.add_argument("--out", metavar="PATH",
                      help="output file (stdout when omitted)")
@@ -64,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--dim", type=int, default=10)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--max-iter", type=int, default=500)
-    trace.add_argument("--threshold", type=float)
+    trace.add_argument("--threshold", type=float,
+                       help=f"stop once the best fitness reaches it; {_NEGATIVE_THRESHOLD_HELP}")
     trace.add_argument("--out", metavar="PATH",
                        help="output file (stdout when omitted)")
     return parser

@@ -1,10 +1,11 @@
 """Per-iteration swarm graph: pairwise distances, fitness ranks, hop probabilities.
 
 The swarm is viewed as a complete weighted graph of its current positions:
-nodes are particles, edge weights are Euclidean distances, and every node's
-self-loop weight is pinned to 1.  Fitness ranks (N for the best particle down
-to 1 for the worst) bias a random walker on this graph; the probability of
-hopping from source j to node i is rank_i * weight_ij, normalized over all i.
+nodes are particles, an edge's weight is the Euclidean distance between its
+two particles, and every node's self-loop weight is pinned to 1.  Fitness
+ranks (N for the best particle down to 1 for the worst) bias a random walker
+on this graph; the probability of hopping from source j to node i is
+rank_i * weight_ij, normalized over all i.
 
 The distance matrix can be carried from one iteration to the next with only
 the rows and columns of moved particles recomputed.  That is bit-identical to

@@ -73,16 +73,15 @@ class ExperimentSpec:
     `rwpso_options` overrides the walker's config defaults (anything except
     swarm size, dimension, iteration budget, threshold and seed, which the
     sweep owns) and wins over its fixed per-function tuning, `RWPSO_TUNING`;
-    PSO has no options, as it runs the textbook constants of `swarmwalk.pso`.
-    `objective_options` maps function name to make_objective keywords: only
-    binh4 and schaffer_n1 take one, their scalarization `weights`; a null
-    value is refused.  A value listed twice in `functions`,
-    `algorithms`, `population_sizes` or `dimensions` is refused, and so is
-    a population or dimension whose N x N distance matrix or (N, D) swarm
-    numpy cannot allocate.  Construction builds every objective the sweep
-    will use, every other function's objective, and a walker config, also
-    when the sweep runs only PSO, so a bad key or value in any option block
-    fails here rather than in the middle of a sweep.
+    PSO has no options, as it runs the textbook constants of `swarmwalk.pso`,
+    and the objectives have none, as each is one fixed problem.  A value
+    listed twice in `functions`, `algorithms`, `population_sizes` or
+    `dimensions` is refused, and so is a population or dimension whose
+    N x N distance matrix or (N, D) swarm numpy cannot allocate.
+    Construction builds every objective the sweep will use and a walker
+    config, also when the sweep runs only PSO, so a bad dimension or a bad
+    key or value in `rwpso_options` fails here rather than in the middle of
+    a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -97,7 +96,6 @@ class ExperimentSpec:
     )
     workers: int = 1
     rwpso_options: dict = field(default_factory=dict)
-    objective_options: dict[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
         check_field_types(self)
@@ -129,11 +127,6 @@ class ExperimentSpec:
             if threshold is not None and not _is_finite_real(threshold):
                 raise ValueError(f"threshold for {function} must be a finite number "
                                  f"or null, got {threshold!r}")
-        for function, options in self.objective_options.items():
-            if function not in FUNCTION_NAMES:
-                raise ValueError(f"options for unknown function {function!r}")
-            if not isinstance(options, dict):
-                raise ValueError(f"objective_options for {function} must be an object")
         if self.runs_per_cell < 1:
             raise ValueError("runs_per_cell must be >= 1")
         if self.max_iterations < 1:
@@ -150,19 +143,12 @@ class ExperimentSpec:
         if 8 * population * max(population, dimension) > np.iinfo(np.intp).max:
             raise ValueError(f"a swarm of {population} particles in {dimension} dimensions "
                              f"is too large for numpy to allocate")
-        # An unlisted function is built at D = 2, which every function
-        # accepts, so a sweep at D = 1 keeps a valid rosenbrock block.  A key
-        # no function takes fails in make_objective before its value is read.
-        for function in dict.fromkeys([*self.functions, *FUNCTION_NAMES]):
-            options = self.objective_options.get(function, {})
+        for function in self.functions:
             try:
-                for dimension in self.dimensions if function in self.functions else (2,):
-                    make_objective(function, dimension, **options)
-            except (TypeError, ValueError, MemoryError) as exc:
+                for dimension in self.dimensions:
+                    make_objective(function, dimension)
+            except (ValueError, MemoryError) as exc:
                 raise ValueError(f"bad objective for {function}: {exc}") from exc
-            for key, value in options.items():
-                if value is None:
-                    raise ValueError(f"bad objective for {function}: {key} must not be null")
         # `rwpso_options` must build a config, also when the sweep does not run
         # the walker.  One function suffices: every `RWPSO_TUNING` entry builds one.
         function = self.functions[0]
@@ -171,6 +157,16 @@ class ExperimentSpec:
                               self.population_sizes[0], self.dimensions[0], seed=0)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad rwpso options for {function}: {exc}") from exc
+
+    @property
+    def objective_options(self) -> dict:
+        """Always empty, and neither a field nor a config key.
+
+        perfbench/run.py still reads `spec.objective_options.get(function, {})`
+        and may change only in a benchmark change.  ROADMAP item 1, that
+        change, deletes this attribute together with those reads.
+        """
+        return {}
 
     def threshold_for(self, function: str) -> float | None:
         if function in self.fitness_thresholds:
@@ -199,9 +195,17 @@ class ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    """Read an ExperimentSpec from a JSON config file."""
+    """Read an ExperimentSpec from a JSON config file.
+
+    A file that is not UTF-8 JSON, or nests too deeply to decode, raises
+    ValueError naming the file.
+    """
     with open(path, encoding="utf-8") as handle:
-        return ExperimentSpec.from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except (ValueError, RecursionError) as exc:  # ValueError: JSON or UTF-8
+            raise ValueError(f"config file {path}: {exc}") from exc
+    return ExperimentSpec.from_dict(data)
 
 
 def derive_seed(base_seed: int, algorithm: str, function: str,
@@ -238,8 +242,7 @@ def run_single(spec: ExperimentSpec, algorithm: str, function: str,
     functions (binh4, schaffer_n1) are evaluated in their own dimensionality
     regardless.
     """
-    objective = make_objective(function, dimension,
-                               **spec.objective_options.get(function, {}))
+    objective = make_objective(function, dimension)
     seed = derive_seed(spec.base_seed, algorithm, function,
                        population, dimension, run_index)
     config = _optimizer_config(spec, algorithm, function, population, objective.dim, seed)
@@ -435,7 +438,7 @@ def read_results(path) -> list[AggregateStats]:
                 raise ValueError(f"row {number}: {exc}") from None
             stats[entry.cell_key] = entry
         return list(stats.values())
-    except (ValueError, csv.Error) as exc:
+    except (ValueError, RecursionError, csv.Error) as exc:
         raise ValueError(f"results file {path}: {exc}") from exc
 
 

@@ -2,11 +2,11 @@
 
 Five benchmarks are provided: sphere, rosenbrock and rastrigin (single
 objective) plus binh4 and schaffer_n1 (two objectives each, collapsed to one
-fitness value by weighted-sum scalarization).  Each is one fixed problem: its
+fitness value by an equal-weight sum).  Each is one fixed problem: its
 constants, its search box, and an asymmetric initialization sub-range where
 particles start, a corner of the box that does not contain the optimum, so
-an optimizer has to travel, not just refine.  Only the scalarization weights
-are settable.
+an optimizer has to travel, not just refine.  Nothing about them is
+settable but the dimension of the three scalable ones.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from swarmwalk.results import _is_finite_real
-
 __all__ = [
     "SearchDomain",
     "ObjectiveSpec",
@@ -28,7 +26,7 @@ __all__ = [
     "eval_rastrigin",
     "eval_binh4",
     "eval_schaffer_n1",
-    "scalarize",
+    "OBJECTIVE_WEIGHT",
     "init_positions",
     "make_objective",
 ]
@@ -164,32 +162,21 @@ def eval_schaffer_n1(x: float) -> tuple[float, float]:
     return (x * x, (x - 2.0) * (x - 2.0))
 
 
-def _floats(values) -> list[float]:
-    """`values` as a list of Python floats; a 0-d value becomes a list of one."""
-    try:
-        items = iter(values)
-    except TypeError:
-        return [float(values)]
-    return [float(v) for v in items]
+# binh4's and schaffer_n1's fitness weighs their two objectives equally:
+# f1 * W + f2 * W with W = OBJECTIVE_WEIGHT.  It is summed in Python floats,
+# left to right, so it is the same on every CPU (no BLAS kernel fuses the
+# multiply and the add) and a sum of two -0.0 products stays -0.0.
+OBJECTIVE_WEIGHT = 0.5
 
 
-def scalarize(objectives, weights) -> float:
-    """Weighted sum collapsing an objective vector to a single fitness value.
+def _binh4_fitness(x) -> float:
+    f1, f2 = eval_binh4(float(x[0]), float(x[1]))
+    return f1 * OBJECTIVE_WEIGHT + f2 * OBJECTIVE_WEIGHT
 
-    The products are summed left to right in Python floats, starting from the
-    first product, so the value is `w1 * f1 + w2 * f2` on every CPU: no BLAS
-    kernel (which may fuse a multiply and an add) and no `0.0 +` that would
-    turn a -0.0 product into +0.0.
-    """
-    obj, w = _floats(objectives), _floats(weights)
-    if len(obj) != len(w):
-        raise ValueError(f"{len(obj)} objectives do not match {len(w)} weights")
-    if not obj:
-        return 0.0
-    total = obj[0] * w[0]
-    for f, wf in zip(obj[1:], w[1:]):
-        total += f * wf
-    return total
+
+def _schaffer_n1_fitness(x) -> float:
+    f1, f2 = eval_schaffer_n1(float(x[0]))
+    return f1 * OBJECTIVE_WEIGHT + f2 * OBJECTIVE_WEIGHT
 
 
 def init_positions(domain: SearchDomain, n_particles: int, rng: np.random.Generator) -> np.ndarray:
@@ -206,7 +193,8 @@ class ObjectiveSpec:
 
     `fitness` maps a position (array-like; it converts the position itself)
     to its scalar fitness, a two-objective function's values already
-    weighted.  Evaluators are pure and deterministic.
+    summed with weight `OBJECTIVE_WEIGHT` each.  Evaluators are pure and
+    deterministic.
     """
 
     name: str
@@ -237,13 +225,20 @@ _DOMAINS = {
 
 FUNCTION_NAMES = tuple(_DOMAINS)
 
+_FITNESS = {
+    "sphere": eval_sphere,
+    "rosenbrock": eval_rosenbrock,
+    "rastrigin": eval_rastrigin,
+    "binh4": _binh4_fitness,
+    "schaffer_n1": _schaffer_n1_fitness,
+}
+
 # binh4 is intrinsically 2-D and schaffer_n1 1-D; the benchmark protocol may
 # still sweep a nominal dimension over them, which these functions ignore.
-# They are the two scalarized functions, the only ones that take weights.
 _FIXED_DIMS = {"binh4": 2, "schaffer_n1": 1}
 
 
-def make_objective(name: str, dim: int | None = None, *, weights=None) -> ObjectiveSpec:
+def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
     """Build one of the five benchmark objectives on its fixed domain.
 
     Parameters
@@ -251,17 +246,12 @@ def make_objective(name: str, dim: int | None = None, *, weights=None) -> Object
     name : one of FUNCTION_NAMES.
     dim : search-space dimension; required for the three scalable functions,
         ignored by binh4 (always 2-D) and schaffer_n1 (always 1-D).
-    weights : binh4 and schaffer_n1 only; the two scalarization weights,
-        finite, >= 0 and summing to 1 (default equal weights).  A
-        single-objective function refuses it, even a weight of 1.
 
     A problem on another domain is an `ObjectiveSpec` built directly, e.g.
     `ObjectiveSpec("sphere", SearchDomain.uniform(3, -1, 1, 0, 1), eval_sphere)`.
     """
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
-    if weights is not None and name not in _FIXED_DIMS:
-        raise ValueError(f"{name} takes no parameter 'weights'")
 
     if name in _FIXED_DIMS:
         dim = _FIXED_DIMS[name]
@@ -270,25 +260,4 @@ def make_objective(name: str, dim: int | None = None, *, weights=None) -> Object
     elif dim < 1 or (name == "rosenbrock" and dim < 2):
         raise ValueError(f"invalid dimension {dim} for {name}")
     domain = SearchDomain.uniform(dim, *_DOMAINS[name])
-
-    if name in _FIXED_DIMS:
-        items = np.asarray((0.5, 0.5) if weights is None else weights, dtype=object).ravel()
-        if not all(_is_finite_real(w) for w in items):
-            raise ValueError(f"{name} weights must be finite numbers, got {weights!r}")
-        weights = tuple(float(w) for w in items)
-        if len(weights) != 2:
-            raise ValueError(f"{name} needs 2 scalarization weights")
-        if not (min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9):
-            raise ValueError("scalarization weights must be >= 0 and sum to 1")
-
-    if name == "sphere":
-        fitness = eval_sphere
-    elif name == "rosenbrock":
-        fitness = eval_rosenbrock
-    elif name == "rastrigin":
-        fitness = eval_rastrigin
-    elif name == "binh4":
-        fitness = lambda x: scalarize(eval_binh4(float(x[0]), float(x[1])), weights)
-    else:
-        fitness = lambda x: scalarize(eval_schaffer_n1(float(x[0])), weights)
-    return ObjectiveSpec(name=name, domain=domain, fitness=fitness)
+    return ObjectiveSpec(name=name, domain=domain, fitness=_FITNESS[name])

@@ -21,6 +21,10 @@ TINY_CONFIG = {
 }
 
 
+# The objectives are fixed problems; their former option block is no config key.
+OBJECTIVE_OPTIONS_REMOVED = "unknown experiment config keys: ['objective_options']"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "exp.json"
@@ -93,17 +97,17 @@ class TestRunCommand:
                      "unknown experiment config keys: ['rwpso_presets']",
                      id="removed-rwpso-presets"),
         pytest.param({"objective_options": {"schaffer_n1": {"weights": [float("nan"), 0.5]}}},
-                     [], "weights", id="nan-weight"),
+                     [], OBJECTIVE_OPTIONS_REMOVED, id="nan-weight"),
         pytest.param({"population_sizes": [40, 40], "runs_per_cell": 3}, [],
                      "population_sizes lists 40 twice", id="repeated-population"),
         pytest.param({"functions": ["sphere", "sphere"]}, [], "functions lists 'sphere' twice",
                      id="repeated-function"),
-        pytest.param({"objective_options": {"sphere": {"lower": -1}}}, [], "'lower'",
-                     id="removed-lower"),
-        pytest.param({"objective_options": {"rastrigin": {"amplitude": 3}}}, [], "'amplitude'",
-                     id="removed-amplitude"),
-        pytest.param({"objective_options": {"schaffer_n1": {"bound": 50}}}, [], "'bound'",
-                     id="removed-bound"),
+        pytest.param({"objective_options": {"sphere": {"lower": -1}}}, [],
+                     OBJECTIVE_OPTIONS_REMOVED, id="removed-lower"),
+        pytest.param({"objective_options": {"rastrigin": {"amplitude": 3}}}, [],
+                     OBJECTIVE_OPTIONS_REMOVED, id="removed-amplitude"),
+        pytest.param({"objective_options": {"schaffer_n1": {"bound": 50}}}, [],
+                     OBJECTIVE_OPTIONS_REMOVED, id="removed-bound"),
         pytest.param({"best_fraction": 0.5}, [], "best_fraction", id="removed-best-fraction"),
         pytest.param({"fitness_thresholds": {"sphere": 10**400}}, [], "threshold for sphere",
                      id="huge-threshold"),
@@ -119,7 +123,7 @@ class TestRunCommand:
         pytest.param({}, ["--dim", str(10**18)], "too large for numpy to allocate",
                      id="unallocatable-dim-flag"),
         pytest.param({"objective_options": {"binh4": {"weights": [10**400, 0.5]}}}, [],
-                     "binh4 weights must be finite numbers", id="huge-weight"),
+                     OBJECTIVE_OPTIONS_REMOVED, id="huge-weight"),
         pytest.param({"rwpso_options": {"seed": 3}}, [], "seed is set by the sweep",
                      id="seed-in-options"),
         pytest.param({"pso_presets": {"sphere": {"v_max": 0.15}}}, [],
@@ -143,6 +147,8 @@ class TestRunCommand:
                      "unknown experiment config keys: ['pso_options']", id="string-v-max"),
         pytest.param({"pso_options": {}}, [], "unknown experiment config keys: ['pso_options']",
                      id="removed-pso-options"),
+        pytest.param({"objective_options": {}}, [], OBJECTIVE_OPTIONS_REMOVED,
+                     id="removed-objective-options"),
         pytest.param({}, ["--dim", str(10**17)], "bad objective for sphere: Unable to allocate",
                      id="unmappable-dim-flag"),
     ])
@@ -155,6 +161,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("content, reason", [
+        pytest.param(b'{"functions": ["sphere"], ', "Expecting property name enclosed in "
+                     "double quotes: line 1 column 27 (char 26)", id="truncated-json"),
+        pytest.param(b"\xff" + json.dumps(TINY_CONFIG).encode(), "'utf-8' codec can't decode "
+                     "byte 0xff in position 0: invalid start byte", id="not-utf-8"),
+        pytest.param(b"[" * 100_000, "maximum recursion depth exceeded", id="too-deep"),
+    ])
+    def test_unparsable_config_names_the_file(self, tmp_path, monkeypatch, capsys,
+                                              content, reason):
+        monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+        config = tmp_path / "exp.json"
+        config.write_bytes(content)
+        assert cli_main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config file {config}: {reason}")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("out", [
@@ -237,6 +261,7 @@ class TestTableCommand:
                  "success_rate", id="csv-missing-value"),
     pytest.param("r.json", json.dumps({"aggregates": [ROW, ROW]}),
                  "row 2: cell ('qpso', 'sphere', 6, 2) appears twice", id="json-duplicate-cell"),
+    pytest.param("r.json", "[" * 100_000, "maximum recursion depth exceeded", id="json-too-deep"),
 ])
 @pytest.mark.parametrize("command", ["table"])
 def test_malformed_results_file_is_one_error_line(tmp_path, capsys, command, name, text, named):
@@ -293,6 +318,22 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bad objective for sphere: Unable to allocate")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_negative_threshold_loads_and_runs_in_equals_form(capsys, config_path, command):
+    # binh4's fitness is negative over much of its box.  argparse reads a
+    # separate "-4.5e0" as a flag, but "--threshold=-4.5e0" as a value.
+    argv = ["run", "--config", str(config_path)] if command == "run" else ["trace"]
+    argv += ["--function", "binh4", "--pop", "6", "--max-iter", "40"]
+    assert cli_main([*argv, "--threshold=-4.5e0"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    if command == "run":
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["success_rate"]) > 0.0 and float(row["mean_iterations"]) < 40
+    else:
+        values = [float(line.split(",")[1]) for line in lines[1:]]
+        assert len(values) < 40 and values[-1] <= -4.5 < min(values[:-1])
 
 
 def test_help_exits_zero():

