@@ -154,8 +154,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     _check_out(args.out)
     result = run_single(spec, args.algo, args.function, args.pop, args.dim, 0)
+    # iteration 0 is the start swarm's best, so a run whose start swarm
+    # already meets the threshold still has a row
     lines = ["iteration,best_fitness"]
-    lines += [f"{i + 1},{repr(float(v))}" for i, v in enumerate(result.trace)]
+    lines += [f"{i},{repr(float(v))}"
+              for i, v in enumerate([result.initial_best_fitness, *result.trace])]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

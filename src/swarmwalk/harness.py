@@ -54,12 +54,13 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
     "schaffer_n1": None,
 }
 
-# The walker's fixed per-function tuning, under `rwpso_options`.  On
-# rastrigin the walker does best when its noise factor sits just under the
-# settling edge, so the swarm keeps basin-hopping for most of the budget and
-# still collapses before it ends; the global defaults favor unimodal
-# refinement instead.  PSO runs its textbook constants on every function.
-RWPSO_TUNING: dict[str, dict] = {"rastrigin": {"gaussian_sigma": 0.52}}
+# The walker's fixed per-function `gaussian_sigma`, where it differs from
+# `RwpsoConfig`'s default.  On rastrigin the walker does best when its noise
+# factor sits just under the settling edge, so the swarm keeps basin-hopping
+# for most of the budget and still collapses before it ends; the default
+# favors unimodal refinement instead.  PSO runs its textbook constants on
+# every function.
+RWPSO_TUNING: dict[str, float] = {"rastrigin": 0.52}
 
 CSV_COLUMNS = tuple(f.name for f in fields(AggregateStats))
 
@@ -70,18 +71,16 @@ Cell = tuple[str, str, int, int]
 class ExperimentSpec:
     """Everything a sweep needs; fully expressible as a JSON config file.
 
-    `rwpso_options` overrides the walker's config defaults (anything except
-    swarm size, dimension, iteration budget, threshold and seed, which the
-    sweep owns) and wins over its fixed per-function tuning, `RWPSO_TUNING`;
-    PSO has no options, as it runs the textbook constants of `swarmwalk.pso`,
-    and the objectives have none, as each is one fixed problem.  A value
-    listed twice in `functions`, `algorithms`, `population_sizes` or
-    `dimensions` is refused, and so is a population or dimension whose
-    N x N distance matrix or (N, D) swarm numpy cannot allocate.
-    Construction builds every objective the sweep will use and a walker
-    config, also when the sweep runs only PSO, so a bad dimension or a bad
-    key or value in `rwpso_options` fails here rather than in the middle of
-    a sweep.
+    `gaussian_sigma`, when set, is the walker's noise factor on every
+    function, in place of its fixed per-function tuning, `RWPSO_TUNING`, and
+    of `RwpsoConfig`'s default; PSO has no settings, as it runs the textbook
+    constants of `swarmwalk.pso`, and the objectives have none, as each is
+    one fixed problem.  A value listed twice in `functions`, `algorithms`,
+    `population_sizes` or `dimensions` is refused, and so is a population or
+    dimension whose N x N distance matrix or (N, D) swarm numpy cannot
+    allocate.  Construction builds every objective the sweep will use and a
+    walker config, also when the sweep runs only PSO, so a bad dimension or
+    a bad `gaussian_sigma` fails here rather than in the middle of a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -95,7 +94,7 @@ class ExperimentSpec:
         default_factory=lambda: dict(DEFAULT_THRESHOLDS)
     )
     workers: int = 1
-    rwpso_options: dict = field(default_factory=dict)
+    gaussian_sigma: float | None = None
 
     def __post_init__(self):
         check_field_types(self)
@@ -149,14 +148,11 @@ class ExperimentSpec:
                     make_objective(function, dimension)
             except (ValueError, MemoryError) as exc:
                 raise ValueError(f"bad objective for {function}: {exc}") from exc
-        # `rwpso_options` must build a config, also when the sweep does not run
-        # the walker.  One function suffices: every `RWPSO_TUNING` entry builds one.
-        function = self.functions[0]
-        try:
-            _optimizer_config(self, "rwpso", function,
-                              self.population_sizes[0], self.dimensions[0], seed=0)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad rwpso options for {function}: {exc}") from exc
+        # `gaussian_sigma` must build a walker config, also when the sweep does
+        # not run the walker.  One function suffices: every `RWPSO_TUNING`
+        # entry builds one.
+        _optimizer_config(self, "rwpso", self.functions[0],
+                          self.population_sizes[0], self.dimensions[0], seed=0)
 
     @property
     def objective_options(self) -> dict:
@@ -219,19 +215,16 @@ def derive_seed(base_seed: int, algorithm: str, function: str,
 def _optimizer_config(spec: ExperimentSpec, algorithm: str, function: str,
                       population: int, dim: int, seed: int) -> RunConfig:
     """The config of one run: the sweep's run settings, and for the walker
-    also `RWPSO_TUNING` overridden by `rwpso_options`.
-
-    An option may not set a `RunConfig` field; the sweep sets those.
-    """
+    also its `gaussian_sigma`: the spec's if set, else the function's in
+    `RWPSO_TUNING`, else `RwpsoConfig`'s default."""
     run_settings = dict(swarm_size=population, dim=dim, max_iterations=spec.max_iterations,
                         seed=seed, fitness_threshold=spec.threshold_for(function))
     if algorithm == "pso":
         return RunConfig(**run_settings)
-    tunables = {**RWPSO_TUNING.get(function, {}), **spec.rwpso_options}
-    for name in run_settings:
-        if name in tunables:
-            raise ValueError(f"{name} is set by the sweep")
-    return RwpsoConfig(**run_settings, **tunables)
+    sigma = spec.gaussian_sigma
+    if sigma is None:
+        sigma = RWPSO_TUNING.get(function, RwpsoConfig.gaussian_sigma)
+    return RwpsoConfig(**run_settings, gaussian_sigma=sigma)
 
 
 def run_single(spec: ExperimentSpec, algorithm: str, function: str,

@@ -69,8 +69,10 @@ def mean_best_fitness(fitnesses, fraction: float = 0.8) -> float:
 class RunResult:
     """One seeded optimizer run.
 
-    `trace` holds the best-so-far fitness after each completed iteration, so
-    its length equals `iterations_used` and it never increases.
+    `initial_best_fitness` is the best fitness of the start swarm, before
+    any iteration.  `trace` holds the best-so-far fitness after each
+    completed iteration, so its length equals `iterations_used` and it
+    never increases.
     `mean_best_80` is the mean fitness of the best 80% of the *final* swarm.
     """
 
@@ -80,6 +82,7 @@ class RunResult:
     dimension: int
     seed: int
     iterations_used: int
+    initial_best_fitness: float
     best_fitness: float
     best_position: np.ndarray
     trace: np.ndarray
@@ -142,6 +145,7 @@ def run_loop(algorithm: str, objective, config: RunConfig, init_state, step) -> 
     rng = np.random.default_rng(config.seed)
     state = init_state(objective, config, rng)
     best_fitness, best_position = _swarm_best(state)
+    initial_best_fitness = best_fitness
     threshold = config.fitness_threshold
     trace = []
     while len(trace) < config.max_iterations and (
@@ -159,6 +163,7 @@ def run_loop(algorithm: str, objective, config: RunConfig, init_state, step) -> 
         dimension=config.dim,
         seed=config.seed,
         iterations_used=len(trace),
+        initial_best_fitness=initial_best_fitness,
         best_fitness=best_fitness,
         best_position=best_position,
         trace=np.asarray(trace),

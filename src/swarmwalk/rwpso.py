@@ -65,7 +65,7 @@ class RwpsoConfig(RunConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.gaussian_sigma <= 0.0:
-            raise ValueError("gaussian_sigma must be > 0")
+            raise ValueError(f"gaussian_sigma must be > 0, got {self.gaussian_sigma!r}")
 
 
 def select_target(prob_rows, r) -> np.ndarray:

@@ -23,6 +23,8 @@ TINY_CONFIG = {
 
 # The objectives are fixed problems; their former option block is no config key.
 OBJECTIVE_OPTIONS_REMOVED = "unknown experiment config keys: ['objective_options']"
+# Nor is the walker's: its one setting is the top-level `gaussian_sigma`.
+RWPSO_OPTIONS_REMOVED = "unknown experiment config keys: ['rwpso_options']"
 
 
 @pytest.fixture
@@ -87,8 +89,8 @@ class TestRunCommand:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
     @pytest.mark.parametrize("overrides, flags, named", [
-        pytest.param({"rwpso_options": {"walk_horizn": 3}}, [], "walk_horizn",
-                     id="misspelled-key"),
+        pytest.param({"gaussian_sigam": 0.5}, [],
+                     "unknown experiment config keys: ['gaussian_sigam']", id="misspelled-key"),
         pytest.param({}, ["--threshold", "nan"], "threshold", id="nan-threshold"),
         pytest.param({"runs_per_cell": "3"}, [], "runs_per_cell", id="string-runs"),
         pytest.param({"base_seed": 7.0}, [], "base_seed", id="float-seed"),
@@ -124,22 +126,25 @@ class TestRunCommand:
                      id="unallocatable-dim-flag"),
         pytest.param({"objective_options": {"binh4": {"weights": [10**400, 0.5]}}}, [],
                      OBJECTIVE_OPTIONS_REMOVED, id="huge-weight"),
-        pytest.param({"rwpso_options": {"seed": 3}}, [], "seed is set by the sweep",
+        pytest.param({"rwpso_options": {"seed": 3}}, [], RWPSO_OPTIONS_REMOVED,
                      id="seed-in-options"),
         pytest.param({"pso_presets": {"sphere": {"v_max": 0.15}}}, [],
                      "unknown experiment config keys: ['pso_presets']", id="removed-pso-presets"),
-        pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}}, [],
+        pytest.param({"gaussian_sigma": float("nan")}, [],
                      "gaussian_sigma must be finite", id="nan-sigma"),
         pytest.param({"algorithms": ["pso"], "pso_options": {"c1": float("inf")}}, [],
                      "unknown experiment config keys: ['pso_options']", id="inf-c1"),
-        pytest.param({"algorithms": ["pso"], "rwpso_options": {"gaussian_sigma": float("inf")}},
+        pytest.param({"algorithms": ["pso"], "gaussian_sigma": float("inf")},
                      [], "gaussian_sigma must be finite", id="inf-sigma"),
-        pytest.param({"rwpso_options": {"gaussian_sigma_mode": "fixed"}}, [],
-                     "gaussian_sigma_mode", id="removed-sigma-mode"),
-        pytest.param({"rwpso_options": {"gaussian_mu": 0.5}}, [], "gaussian_mu",
+        pytest.param({"gaussian_sigma_mode": "fixed"}, [],
+                     "unknown experiment config keys: ['gaussian_sigma_mode']",
+                     id="removed-sigma-mode"),
+        pytest.param({"gaussian_mu": 0.5}, [], "unknown experiment config keys: ['gaussian_mu']",
                      id="removed-mu"),
-        pytest.param({"rwpso_options": {"walk_horizon": 2}}, [],
-                     "unexpected keyword argument 'walk_horizon'", id="removed-walk-horizon"),
+        pytest.param({"walk_horizon": 2}, [],
+                     "unknown experiment config keys: ['walk_horizon']", id="removed-walk-horizon"),
+        pytest.param({"rwpso_options": {"gaussian_sigma": 0.6}}, [], RWPSO_OPTIONS_REMOVED,
+                     id="removed-rwpso-options"),
         pytest.param({"pso_options": {"r_per_dimension": False}}, [],
                      "unknown experiment config keys: ['pso_options']",
                      id="removed-r-per-dimension"),
@@ -161,6 +166,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("sigma, reason", [
+        pytest.param(0, "must be > 0, got 0", id="zero"),
+        pytest.param(-1, "must be > 0, got -1", id="negative"),
+        pytest.param(float("nan"), "must be finite, got nan", id="nan"),
+        pytest.param(float("inf"), "must be finite, got inf", id="inf"),
+        pytest.param(True, "must be a number or null, got True", id="bool"),
+        pytest.param("0.5", "must be a number or null, got '0.5'", id="string"),
+    ])
+    @pytest.mark.parametrize("algorithms", [["rwpso"], ["pso"]], ids=["rwpso", "pso-only"])
+    def test_bad_sigma_exits_at_load(self, tmp_path, monkeypatch, capsys,
+                                     algorithms, sigma, reason):
+        monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "algorithms": algorithms,
+                                      "gaussian_sigma": sigma}), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: gaussian_sigma {reason}\n"
 
     @pytest.mark.parametrize("content, reason", [
         pytest.param(b'{"functions": ["sphere"], ', "Expecting property name enclosed in "
@@ -295,8 +318,17 @@ class TestTraceCommand:
         assert lines[0] == "iteration,best_fitness"
         iterations = [int(line.split(",")[0]) for line in lines[1:]]
         values = [float(line.split(",")[1]) for line in lines[1:]]
-        assert iterations == list(range(1, len(values) + 1))
+        assert iterations == list(range(len(values)))
         assert np.all(np.diff(values) <= 0.0)
+
+    def test_start_swarm_meeting_the_threshold_prints_its_best(self, capsys):
+        # binh4's start region holds fitness values down to -4.5, so the
+        # start swarm meets -1e-3 and the run takes no iteration
+        assert cli_main(["trace", "--function", "binh4", "--threshold=-1e-3"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0] == "iteration,best_fitness" and lines[2:] == [""]
+        iteration, best = lines[1].split(",")
+        assert iteration == "0" and -4.5 <= float(best) <= -1e-3
 
     def test_trace_to_file(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -71,11 +71,11 @@ VARIANTS = {
 
 DIGESTS = {
     ("base", "csv"): "df6d1179200d6e41c76b3c7906ddba35be34f1c4c1122f1b3f12f61707076039",
-    ("base", "json"): "59bddd753b7b67b441635d9d1ead7ca5e70cf2a96888003d4e927eb9b2c09111",
+    ("base", "json"): "45eb97c23cffb26fbbb3282f655bf46f10093ef2a5261ecd3dec36960d565666",
     ("wide", "csv"): "9117f0268841c47032299956b6c575112f5ee8723b6ff3bc2789c5645f4a4ac0",
-    ("wide", "json"): "cd38db9ac985d73dfc9d42f7317fdfd79e67f43f0adef40ae405a27a7c0e42af",
+    ("wide", "json"): "5f959011d2e3a6a3d35c47a23597cdd52efe4fd579e0f299a0928cf0bc9c6b2f",
     ("large", "csv"): "273f183a977660871b8257071e71a2013e98ccbd01f08adf037dc86da54332b8",
-    ("large", "json"): "026bf9c096357c0fb88e0a5575d82433a328f81cc2e5b889209967fd63fa3562",
+    ("large", "json"): "d908d478e425c63dc64673cb5141b3efb74d968598d488d48c6666baf8c58966",
 }
 
 

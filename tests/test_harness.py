@@ -204,10 +204,9 @@ PSO_OPTIONS_REMOVED = "unknown experiment config keys: \\['pso_options'\\]"
 # The objectives are fixed problems: a config that still names
 # objective_options fails on the removed field whatever it holds.
 OBJECTIVE_OPTIONS_REMOVED = "unknown experiment config keys: \\['objective_options'\\]"
-# A config that still sets the walk horizon, now a constant, fails on the
-# removed field whatever its value.
-WALK_HORIZON_REMOVED = ("bad rwpso options for sphere: .*"
-                        "unexpected keyword argument 'walk_horizon'")
+# The walker's one setting is the spec's `gaussian_sigma`: a config that
+# still names the former walker option block fails on it whatever it holds.
+RWPSO_OPTIONS_REMOVED = "unknown experiment config keys: \\['rwpso_options'\\]"
 
 
 class TestSpecValidation:
@@ -244,26 +243,30 @@ class TestSpecValidation:
         assert len(spec.cells()) == 4
 
     @pytest.mark.parametrize("overrides, message", [
-        pytest.param({"rwpso_options": {"walk_horizn": 3}},
-                     "rwpso.*sphere.*walk_horizn", id="misspelled-key"),
+        pytest.param({"gaussian_sigam": 0.5},
+                     "unknown experiment config keys: \\['gaussian_sigam'\\]",
+                     id="misspelled-key"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"vmax": 0.1}},
                      PSO_OPTIONS_REMOVED, id="misspelled-pso-key"),
         pytest.param({"rwpso_options": {"displacement_mode": "toward_target"}},
-                     "rwpso.*displacement_mode", id="removed-key"),
-        pytest.param({"rwpso_options": {"gaussian_sigma_mode": "fixed"}},
-                     "rwpso.*sphere.*gaussian_sigma_mode", id="removed-sigma-mode"),
-        pytest.param({"rwpso_options": {"gaussian_mu": 0.5}},
-                     "rwpso.*sphere.*gaussian_mu", id="removed-mu"),
+                     RWPSO_OPTIONS_REMOVED, id="removed-key"),
+        pytest.param({"gaussian_sigma_mode": "fixed"},
+                     "unknown experiment config keys: \\['gaussian_sigma_mode'\\]",
+                     id="removed-sigma-mode"),
+        pytest.param({"gaussian_mu": 0.5},
+                     "unknown experiment config keys: \\['gaussian_mu'\\]", id="removed-mu"),
         pytest.param({"pso_options": {"r_per_dimension": False}},
                      PSO_OPTIONS_REMOVED, id="removed-r-per-dimension"),
-        pytest.param({"rwpso_options": {"walk_horizon": 0}},
-                     WALK_HORIZON_REMOVED, id="bad-value"),
-        pytest.param({"rwpso_options": {"gaussian_sigma": float("nan")}},
-                     "rwpso.*sphere.*gaussian_sigma must be finite", id="nan-sigma"),
-        pytest.param({"algorithms": ("pso",), "rwpso_options": {"gaussian_sigma": float("inf")}},
-                     "rwpso.*sphere.*gaussian_sigma must be finite", id="inf-sigma"),
-        pytest.param({"rwpso_options": {"gaussian_sigma": 10**400}},
-                     "rwpso.*sphere.*gaussian_sigma must be finite", id="huge-sigma"),
+        pytest.param({"gaussian_sigma": 0}, "^gaussian_sigma must be > 0, got 0$",
+                     id="bad-value"),
+        pytest.param({"gaussian_sigma": float("nan")},
+                     "^gaussian_sigma must be finite, got nan$", id="nan-sigma"),
+        pytest.param({"algorithms": ("pso",), "gaussian_sigma": float("inf")},
+                     "^gaussian_sigma must be finite, got inf$", id="inf-sigma"),
+        pytest.param({"gaussian_sigma": 10**400},
+                     "^gaussian_sigma must be finite", id="huge-sigma"),
+        pytest.param({"gaussian_sigma": True},
+                     "^gaussian_sigma must be a number or null, got True$", id="bool-sigma"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"c1": float("inf")}},
                      PSO_OPTIONS_REMOVED, id="inf-c1"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"c2": float("inf")}},
@@ -272,8 +275,8 @@ class TestSpecValidation:
                      PSO_OPTIONS_REMOVED, id="inf-w-start"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": float("inf")}},
                      PSO_OPTIONS_REMOVED, id="inf-v-max"),
-        pytest.param({"functions": ("rastrigin",), "rwpso_options": {"gaussian_sigma": -1.0}},
-                     "rwpso.*rastrigin.*gaussian_sigma", id="bad-preset-value"),
+        pytest.param({"functions": ("rastrigin",), "gaussian_sigma": -1.0},
+                     "^gaussian_sigma must be > 0, got -1.0$", id="bad-preset-value"),
         pytest.param({"functions": ("rosenbrock",), "dimensions": (1,)},
                      "rosenbrock", id="bad-dimension"),
         pytest.param({"objective_options": {"sphere": {"lower": -1}}},
@@ -299,18 +302,20 @@ class TestSpecValidation:
         pytest.param({"base_seed": "7"}, "base_seed", id="string-seed"),
         pytest.param({"base_seed": True}, "base_seed", id="bool-seed"),
         pytest.param({"functions": "sphere"}, "functions", id="string-functions"),
-        pytest.param({"rwpso_options": {"walk_horizon": 2.5}},
-                     WALK_HORIZON_REMOVED, id="fractional-walk-horizon"),
+        pytest.param({"walk_horizon": 2.5},
+                     "unknown experiment config keys: \\['walk_horizon'\\]",
+                     id="fractional-walk-horizon"),
         pytest.param({"algorithms": ("pso",), "pso_options": {"v_max": "0.1"}},
                      PSO_OPTIONS_REMOVED, id="string-v-max"),
-        pytest.param({"rwpso_options": {"gaussian_sigma": "0.5"}},
-                     "rwpso.*sphere.*gaussian_sigma must be a number", id="string-sigma"),
+        pytest.param({"gaussian_sigma": "0.5"},
+                     "^gaussian_sigma must be a number or null, got '0.5'$", id="string-sigma"),
         pytest.param({"objective_options": {"binh4": 5}},
                      OBJECTIVE_OPTIONS_REMOVED, id="scalar-objective-options"),
-        pytest.param({"algorithms": ("pso",), "rwpso_options": {"walk_horizn": 3}},
-                     "rwpso.*sphere.*walk_horizn", id="misspelled-unused-option"),
-        pytest.param({"algorithms": ("pso",), "rwpso_options": {"gaussian_sigma": -1.0}},
-                     "rwpso.*sphere.*gaussian_sigma", id="bad-unused-algorithm-option"),
+        pytest.param({"algorithms": ("pso",), "gaussian_sigam": 3},
+                     "unknown experiment config keys: \\['gaussian_sigam'\\]",
+                     id="misspelled-unused-option"),
+        pytest.param({"algorithms": ("pso",), "gaussian_sigma": -1.0},
+                     "^gaussian_sigma must be > 0, got -1.0$", id="bad-unused-algorithm-option"),
         pytest.param({"objective_options": {"rastrigin": {"amplitdue": 3}}},
                      OBJECTIVE_OPTIONS_REMOVED, id="misspelled-unlisted-objective-key"),
         pytest.param({"objective_options": {"rastrigin": {"amplitude": 3}}},
@@ -356,15 +361,13 @@ class TestSpecValidation:
                      id="repeated-function"),
         pytest.param({"algorithms": ("rwpso", "pso", "rwpso")},
                      "algorithms lists 'rwpso' twice", id="repeated-algorithm"),
-        pytest.param({"rwpso_options": {"seed": 3}},
-                     "bad rwpso options for sphere: seed is set by the sweep",
+        pytest.param({"rwpso_options": {"seed": 3}}, RWPSO_OPTIONS_REMOVED,
                      id="seed-in-options"),
         pytest.param({"algorithms": ("pso",), "rwpso_options": {"swarm_size": 3}},
-                     "bad rwpso options for sphere: swarm_size is set by the sweep",
-                     id="swarm-size-in-options"),
+                     RWPSO_OPTIONS_REMOVED, id="swarm-size-in-options"),
         pytest.param({"functions": ("rastrigin",), "rwpso_options": {"fitness_threshold": 1.0}},
-                     "bad rwpso options for rastrigin: fitness_threshold is set by the sweep",
-                     id="threshold-in-options"),
+                     RWPSO_OPTIONS_REMOVED, id="threshold-in-options"),
+        pytest.param({"rwpso_options": {}}, RWPSO_OPTIONS_REMOVED, id="removed-rwpso-options"),
     ])
     def test_bad_config_fails_at_load(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -417,7 +420,7 @@ class TestOptimizerConfig:
         pytest.param({"gaussian_sigma": 0.6}, {"rastrigin": 0.6, "sphere": 0.6}, id="options"),
     ])
     def test_options_win_over_the_rastrigin_tuning(self, options, sigmas):
-        spec = ExperimentSpec(**{**TINY, "rwpso_options": options})
+        spec = ExperimentSpec(**TINY, **options)
         assert {function: harness._optimizer_config(spec, "rwpso", function, 6, 2, 0)
                 .gaussian_sigma for function in sigmas} == sigmas
 
@@ -430,7 +433,7 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize("function", sorted(RWPSO_TUNING))
     def test_each_tuning_entry_builds_a_config(self, function):
         assert function in FUNCTION_NAMES
-        RwpsoConfig(swarm_size=2, dim=1, max_iterations=1, **RWPSO_TUNING[function])
+        RwpsoConfig(swarm_size=2, dim=1, max_iterations=1, gaussian_sigma=RWPSO_TUNING[function])
 
 
 class TestRunConfig:
@@ -474,6 +477,7 @@ class TestRunLoop:
         objective = make_objective("rastrigin", 3)
         result = run(objective, config_class(swarm_size=8, dim=3, max_iterations=40, seed=5))
         assert len(evaluated) == result.iterations_used + 1
+        assert result.initial_best_fitness == evaluated[0].min()
         assert result.best_fitness == min(f.min() for f in evaluated)
         assert objective.evaluate(result.best_position) == result.best_fitness
 
@@ -497,6 +501,15 @@ class TestRunLoop:
         assert result.trace.tolist() == [1.0, 0.25, 0.25]
         assert result.iterations_used == 3
         assert result.best_fitness == 0.25 and result.best_position.tolist() == [0.5]
+        assert result.initial_best_fitness == 1.0
+
+    def test_start_swarm_meeting_the_threshold_is_recorded(self):
+        start = SimpleNamespace(positions=np.array([[2.0], [0.5]]), fitnesses=np.array([4.0, 0.25]))
+        result = run_loop("fake", make_objective("sphere", 1),
+                          RunConfig(swarm_size=2, dim=1, max_iterations=3, fitness_threshold=1.0),
+                          lambda *args: start, pytest.fail)
+        assert result.iterations_used == 0 and result.trace.tolist() == []
+        assert result.initial_best_fitness == result.best_fitness == 0.25
 
 
 class TestRunCell:
@@ -745,7 +758,7 @@ def test_readme_config_example_loads():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     spec = ExperimentSpec.from_dict(json.loads(example))
-    assert spec.rwpso_options
+    assert spec.gaussian_sigma == 0.7
 
 
 def test_format_table_matches_readme_sample():

@@ -239,7 +239,7 @@ class TestStep:
 
     def test_carried_distances_equal_a_rebuild(self):
         obj = make_objective("rastrigin", 10)
-        cfg = config(swarm_size=24, dim=10, **RWPSO_TUNING["rastrigin"])
+        cfg = config(swarm_size=24, dim=10, gaussian_sigma=RWPSO_TUNING["rastrigin"])
         rng = np.random.default_rng(4)
         state = init_state(obj, cfg, rng)
         unmoved = 0
