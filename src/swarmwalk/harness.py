@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swarmwalk.objectives import FUNCTION_NAMES, make_objective
+from swarmwalk.objectives import FUNCTION_NAMES, ObjectiveSpec, make_objective
 from swarmwalk.pso import pso_run
 from swarmwalk.results import (AggregateStats, RunConfig, RunResult, _is_finite_real,
                                check_field_types)
@@ -78,9 +78,10 @@ class ExperimentSpec:
     one fixed problem.  A value listed twice in `functions`, `algorithms`,
     `population_sizes` or `dimensions` is refused, and so is a population or
     dimension whose N x N distance matrix or (N, D) swarm numpy cannot
-    allocate.  Construction builds every objective the sweep will use and a
-    walker config, also when the sweep runs only PSO, so a bad dimension or
-    a bad `gaussian_sigma` fails here rather than in the middle of a sweep.
+    allocate.  Construction builds the objective and config of run 0 of
+    every cell, for both algorithms also when the sweep runs only one, so a
+    bad dimension or a bad `gaussian_sigma` fails here rather than in the
+    middle of a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -128,8 +129,6 @@ class ExperimentSpec:
                                  f"or null, got {threshold!r}")
         if self.runs_per_cell < 1:
             raise ValueError("runs_per_cell must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.population_sizes or any(p < 2 for p in self.population_sizes):
@@ -142,17 +141,9 @@ class ExperimentSpec:
         if 8 * population * max(population, dimension) > np.iinfo(np.intp).max:
             raise ValueError(f"a swarm of {population} particles in {dimension} dimensions "
                              f"is too large for numpy to allocate")
-        for function in self.functions:
-            try:
-                for dimension in self.dimensions:
-                    make_objective(function, dimension)
-            except (ValueError, MemoryError) as exc:
-                raise ValueError(f"bad objective for {function}: {exc}") from exc
-        # `gaussian_sigma` must build a walker config, also when the sweep does
-        # not run the walker.  One function suffices: every `RWPSO_TUNING`
-        # entry builds one.
-        _optimizer_config(self, "rwpso", self.functions[0],
-                          self.population_sizes[0], self.dimensions[0], seed=0)
+        for cell in product(ALGORITHMS, self.functions, self.population_sizes,
+                            self.dimensions):
+            _run_setup(self, cell, 0)
 
     @property
     def objective_options(self) -> dict:
@@ -212,19 +203,26 @@ def derive_seed(base_seed: int, algorithm: str, function: str,
     return int.from_bytes(digest[:8], "big")
 
 
-def _optimizer_config(spec: ExperimentSpec, algorithm: str, function: str,
-                      population: int, dim: int, seed: int) -> RunConfig:
-    """The config of one run: the sweep's run settings, and for the walker
-    also its `gaussian_sigma`: the spec's if set, else the function's in
+def _run_setup(spec: ExperimentSpec, cell: Cell,
+               run_index: int) -> tuple[ObjectiveSpec, RunConfig]:
+    """The objective and config of one run of `cell`: the sweep's run
+    settings, its seed from `derive_seed`, and for the walker also its
+    `gaussian_sigma`: the spec's if set, else the function's in
     `RWPSO_TUNING`, else `RwpsoConfig`'s default."""
-    run_settings = dict(swarm_size=population, dim=dim, max_iterations=spec.max_iterations,
-                        seed=seed, fitness_threshold=spec.threshold_for(function))
+    algorithm, function, population, dimension = cell
+    try:
+        objective = make_objective(function, dimension)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"bad objective for {function}: {exc}") from exc
+    run_settings = dict(swarm_size=population, max_iterations=spec.max_iterations,
+                        seed=derive_seed(spec.base_seed, *cell, run_index),
+                        fitness_threshold=spec.threshold_for(function))
     if algorithm == "pso":
-        return RunConfig(**run_settings)
+        return objective, RunConfig(**run_settings)
     sigma = spec.gaussian_sigma
     if sigma is None:
         sigma = RWPSO_TUNING.get(function, RwpsoConfig.gaussian_sigma)
-    return RwpsoConfig(**run_settings, gaussian_sigma=sigma)
+    return objective, RwpsoConfig(**run_settings, gaussian_sigma=sigma)
 
 
 def run_single(spec: ExperimentSpec, algorithm: str, function: str,
@@ -235,10 +233,8 @@ def run_single(spec: ExperimentSpec, algorithm: str, function: str,
     functions (binh4, schaffer_n1) are evaluated in their own dimensionality
     regardless.
     """
-    objective = make_objective(function, dimension)
-    seed = derive_seed(spec.base_seed, algorithm, function,
-                       population, dimension, run_index)
-    config = _optimizer_config(spec, algorithm, function, population, objective.dim, seed)
+    objective, config = _run_setup(spec, (algorithm, function, population, dimension),
+                                   run_index)
     run = rwpso_run if algorithm == "rwpso" else pso_run
     return replace(run(objective, config), dimension=dimension)
 

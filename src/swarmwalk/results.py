@@ -104,7 +104,6 @@ class RunConfig:
     """
 
     swarm_size: int
-    dim: int
     max_iterations: int
     seed: int = 0
     fitness_threshold: float | None = None
@@ -115,8 +114,6 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -136,12 +133,9 @@ def run_loop(algorithm: str, objective, config: RunConfig, init_state, step) -> 
     bookkeeping itself: the best-so-far fitness and position, taken from each
     state and replaced only on a strict improvement (ties go to the lowest
     index), and the iteration count, which is the length of its trace.  The
-    result's `mean_best_80` is the mean of the best 80% of the final swarm.
+    result's `dimension` is the objective's, and its `mean_best_80` is the
+    mean of the best 80% of the final swarm.
     """
-    if config.dim != objective.domain.dim:
-        raise ValueError(
-            f"config dim {config.dim} does not match objective dim {objective.domain.dim}"
-        )
     rng = np.random.default_rng(config.seed)
     state = init_state(objective, config, rng)
     best_fitness, best_position = _swarm_best(state)
@@ -160,7 +154,7 @@ def run_loop(algorithm: str, objective, config: RunConfig, init_state, step) -> 
         algorithm=algorithm,
         function=objective.name,
         population=config.swarm_size,
-        dimension=config.dim,
+        dimension=objective.dim,
         seed=config.seed,
         iterations_used=len(trace),
         initial_best_fitness=initial_best_fitness,

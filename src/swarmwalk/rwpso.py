@@ -153,9 +153,10 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
                rng: np.random.Generator) -> RwpsoState:
     """Advance the whole swarm one iteration against a frozen graph snapshot.
 
-    Per particle this draws one uniform for target selection and `dim`
-    normals for the perturbation; the batch draw order (all uniforms, then
-    the normal matrix) is part of the seeded-determinism contract.
+    Per particle this draws one uniform for target selection and
+    `objective.dim` normals for the perturbation; the batch draw order (all
+    uniforms, then the normal matrix) is part of the seeded-determinism
+    contract.
     """
     prob_rows = hop_probabilities(state.distances, state.fitnesses).T
     r = rng.random(config.swarm_size)

@@ -135,7 +135,7 @@ def test_criterion_5_drift_telescoping():
     target = np.array([[18.0, -3.25, 0.0]])
     domain = SearchDomain.uniform(3, -1000.0, 1000.0, -1.0, 1.0)
     cfg = RwpsoConfig(
-        swarm_size=2, dim=3, max_iterations=n, gaussian_sigma=1e-12,
+        swarm_size=2, max_iterations=n, gaussian_sigma=1e-12,
     )
     rng = np.random.default_rng(5)
     drift = displacement_vector(start, target)
@@ -155,14 +155,14 @@ def test_criterion_6_sphere_convergence():
 
     rw_wins = 0
     for seed in range(50):
-        cfg = RwpsoConfig(swarm_size=20, dim=10, max_iterations=500,
+        cfg = RwpsoConfig(swarm_size=20, max_iterations=500,
                           seed=seed, fitness_threshold=1e-2)
         result = rwpso_run(objective, cfg)
         rw_wins += result.best_fitness <= 1e-2
 
     pso_wins = 0
     for seed in range(50):
-        cfg = RunConfig(swarm_size=20, dim=10, max_iterations=1000,
+        cfg = RunConfig(swarm_size=20, max_iterations=1000,
                         seed=seed, fitness_threshold=1e-2)
         result = pso_run(objective, cfg)
         pso_wins += result.best_fitness <= 1e-2

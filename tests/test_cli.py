@@ -156,6 +156,13 @@ class TestRunCommand:
                      id="removed-objective-options"),
         pytest.param({}, ["--dim", str(10**17)], "bad objective for sphere: Unable to allocate",
                      id="unmappable-dim-flag"),
+        pytest.param({}, ["--pop", "1"], "population sizes must be given and >= 2",
+                     id="one-particle"),
+        pytest.param({}, ["--dim", "0"], "dimensions must be given and >= 1", id="zero-dim"),
+        pytest.param({}, ["--max-iter", "0"], "max_iterations must be >= 1",
+                     id="zero-iterations"),
+        pytest.param({}, ["--runs", "0"], "runs_per_cell must be >= 1", id="zero-runs"),
+        pytest.param({}, ["--workers", "0"], "workers must be >= 1", id="zero-workers"),
     ])
     def test_bad_option_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              overrides, flags, named):
@@ -350,6 +357,17 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bad objective for sphere: Unable to allocate")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--pop", "1"], "population sizes must be given and >= 2",
+                     id="one-particle"),
+        pytest.param(["--dim", "0"], "dimensions must be given and >= 1", id="zero-dim"),
+        pytest.param(["--max-iter", "0"], "max_iterations must be >= 1", id="zero-iterations"),
+    ])
+    def test_out_of_range_setting_is_rejected(self, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(cli, "run_single", pytest.fail)
+        assert cli_main(["trace", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "trace"])

@@ -51,8 +51,9 @@ def _recorded_with() -> str:
 VARIANTS = {
     "base": {},
     # D >= 8 reaches numpy's 8-way pairwise summation over the distance axis,
-    # and the rastrigin preset leaves over half the walker's particle-steps
-    # unmoved, so this pins the distance matrix carried across iterations.
+    # and rastrigin's `RWPSO_TUNING` sigma leaves over half the walker's
+    # particle-steps unmoved, so this pins the distance matrix carried across
+    # iterations.
     "wide": {
         "functions": ["sphere", "rosenbrock", "rastrigin"],
         "population_sizes": [24],
@@ -60,8 +61,8 @@ VARIANTS = {
         "max_iterations": 60,
     },
     # N=160 puts the walker's distance builds, full and most row updates,
-    # on the plane-by-plane kernel; rastrigin's preset leaves some particles
-    # unmoved, so row blocks of many sizes occur.
+    # on the plane-by-plane kernel; rastrigin's `RWPSO_TUNING` sigma leaves
+    # some particles unmoved, so row blocks of many sizes occur.
     "large": {
         "functions": ["sphere", "rastrigin"],
         "population_sizes": [160],

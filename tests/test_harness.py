@@ -421,19 +421,20 @@ class TestOptimizerConfig:
     ])
     def test_options_win_over_the_rastrigin_tuning(self, options, sigmas):
         spec = ExperimentSpec(**TINY, **options)
-        assert {function: harness._optimizer_config(spec, "rwpso", function, 6, 2, 0)
+        assert {function: harness._run_setup(spec, ("rwpso", function, 6, 2), 0)[1]
                 .gaussian_sigma for function in sigmas} == sigmas
 
     def test_pso_runs_one_config_on_every_function(self):
         spec = ExperimentSpec(**{**TINY, "fitness_thresholds": dict.fromkeys(FUNCTION_NAMES)})
-        configs = {harness._optimizer_config(spec, "pso", function, 6, 2, 0)
+        configs = {dataclasses.replace(harness._run_setup(spec, ("pso", function, 6, 2), 0)[1],
+                                       seed=0)
                    for function in FUNCTION_NAMES}
-        assert configs == {RunConfig(swarm_size=6, dim=2, max_iterations=15)}
+        assert configs == {RunConfig(swarm_size=6, max_iterations=15)}
 
     @pytest.mark.parametrize("function", sorted(RWPSO_TUNING))
     def test_each_tuning_entry_builds_a_config(self, function):
         assert function in FUNCTION_NAMES
-        RwpsoConfig(swarm_size=2, dim=1, max_iterations=1, gaussian_sigma=RWPSO_TUNING[function])
+        RwpsoConfig(swarm_size=2, max_iterations=1, gaussian_sigma=RWPSO_TUNING[function])
 
 
 class TestRunConfig:
@@ -445,20 +446,24 @@ class TestRunConfig:
         pytest.param({"fitness_threshold": 10**400}, "fitness_threshold must be finite",
                      id="huge-integer-threshold"),
         pytest.param({"seed": -1}, "seed must be >= 0", id="negative-seed"),
+        pytest.param({"swarm_size": 1}, "swarm_size must be >= 2", id="one-particle"),
+        pytest.param({"max_iterations": 0}, "max_iterations must be >= 1", id="zero-iterations"),
+        pytest.param({"swarm_size": True}, "swarm_size must be an integer, got True",
+                     id="bool-swarm-size"),
     ])
     @pytest.mark.parametrize("config_class", [RunConfig, RwpsoConfig])
     def test_bad_run_setting_fails_when_built(self, config_class, overrides, message):
         with pytest.raises(ValueError, match=message):
-            config_class(swarm_size=5, dim=2, max_iterations=50, **overrides)
+            config_class(**{"swarm_size": 5, "max_iterations": 50, **overrides})
 
     def test_subclass_declared_with_type_objects(self):
         extended = dataclasses.make_dataclass("Q", [("beta", float, 1.0)], bases=(RunConfig,),
                                               frozen=True)
-        assert extended(swarm_size=5, dim=2, max_iterations=50).beta == 1.0
+        assert extended(swarm_size=5, max_iterations=50).beta == 1.0
         with pytest.raises(ValueError, match="beta must be a number, got 'x'"):
-            extended(swarm_size=5, dim=2, max_iterations=50, beta="x")
+            extended(swarm_size=5, max_iterations=50, beta="x")
         with pytest.raises(ValueError, match="beta must be finite, got nan"):
-            extended(swarm_size=5, dim=2, max_iterations=50, beta=float("nan"))
+            extended(swarm_size=5, max_iterations=50, beta=float("nan"))
 
 
 class TestRunLoop:
@@ -475,11 +480,17 @@ class TestRunLoop:
 
         monkeypatch.setattr(ObjectiveSpec, "evaluate_batch", recording)
         objective = make_objective("rastrigin", 3)
-        result = run(objective, config_class(swarm_size=8, dim=3, max_iterations=40, seed=5))
+        result = run(objective, config_class(swarm_size=8, max_iterations=40, seed=5))
         assert len(evaluated) == result.iterations_used + 1
         assert result.initial_best_fitness == evaluated[0].min()
         assert result.best_fitness == min(f.min() for f in evaluated)
         assert objective.evaluate(result.best_position) == result.best_fitness
+
+    @pytest.mark.parametrize("config_class, run", [(RwpsoConfig, rwpso_run),
+                                                   (RunConfig, pso_run)])
+    def test_dimension_is_the_objectives(self, config_class, run):
+        result = run(make_objective("binh4"), config_class(swarm_size=4, max_iterations=3))
+        assert result.dimension == 2 and result.best_position.shape == (2,)
 
     def test_keeps_the_first_of_tied_bests(self):
         # Particles 1 and 2 share the best at the start, and step 1 only ties
@@ -496,7 +507,7 @@ class TestRunLoop:
             return SimpleNamespace(positions=np.array(positions), fitnesses=np.array(fitnesses))
 
         result = run_loop("fake", make_objective("sphere", 1),
-                          RunConfig(swarm_size=3, dim=1, max_iterations=3),
+                          RunConfig(swarm_size=3, max_iterations=3),
                           next_state, next_state)
         assert result.trace.tolist() == [1.0, 0.25, 0.25]
         assert result.iterations_used == 3
@@ -506,7 +517,7 @@ class TestRunLoop:
     def test_start_swarm_meeting_the_threshold_is_recorded(self):
         start = SimpleNamespace(positions=np.array([[2.0], [0.5]]), fitnesses=np.array([4.0, 0.25]))
         result = run_loop("fake", make_objective("sphere", 1),
-                          RunConfig(swarm_size=2, dim=1, max_iterations=3, fitness_threshold=1.0),
+                          RunConfig(swarm_size=2, max_iterations=3, fitness_threshold=1.0),
                           lambda *args: start, pytest.fail)
         assert result.iterations_used == 0 and result.trace.tolist() == []
         assert result.initial_best_fitness == result.best_fitness == 0.25

@@ -15,7 +15,7 @@ from swarmwalk.results import RunConfig
 
 
 def config(**kwargs) -> RunConfig:
-    defaults = dict(swarm_size=5, dim=2, max_iterations=10, seed=0)
+    defaults = dict(swarm_size=5, max_iterations=10, seed=0)
     defaults.update(kwargs)
     return RunConfig(**defaults)
 
@@ -130,7 +130,7 @@ class TestBallisticMotion:
 class TestBestTracking:
     def test_personal_bests_never_worse_than_current(self):
         obj = make_objective("rastrigin", 3)
-        cfg = config(swarm_size=8, dim=3, max_iterations=30, seed=4)
+        cfg = config(swarm_size=8, max_iterations=30, seed=4)
         rng = np.random.default_rng(4)
         state = init_state(obj, cfg, rng)
         for _ in range(30):
@@ -146,7 +146,7 @@ class TestBestTracking:
         # From rest, with only the social term (R1 = 0, C2 * R2 = 2 * 0.5),
         # every particle moves onto the global best, which must be particle 1's.
         obj = make_objective("sphere", 1)
-        cfg = config(swarm_size=3, dim=1)
+        cfg = config(swarm_size=3)
         state = PsoState(
             positions=np.full((3, 1), 3.0),
             velocities=np.zeros((3, 1)),
@@ -160,7 +160,7 @@ class TestBestTracking:
 
     def test_trace_is_monotone_non_increasing(self):
         obj = make_objective("rosenbrock", 4)
-        result = pso_run(obj, config(swarm_size=10, dim=4, max_iterations=50))
+        result = pso_run(obj, config(swarm_size=10, max_iterations=50))
         assert np.all(np.diff(result.trace) <= 0.0)
 
 
@@ -172,19 +172,14 @@ class TestRun:
 
     def test_bitwise_deterministic(self):
         obj = make_objective("sphere", 3)
-        cfg = config(swarm_size=6, dim=3, max_iterations=40, seed=21)
+        cfg = config(swarm_size=6, max_iterations=40, seed=21)
         assert pso_run(obj, cfg).to_dict() == pso_run(obj, cfg).to_dict()
 
     def test_best_decreases_over_the_run_on_sphere(self):
         obj = make_objective("sphere", 10)
         improved = 0
         for seed in range(50):
-            cfg = config(swarm_size=20, dim=10, max_iterations=200, seed=seed)
+            cfg = config(swarm_size=20, max_iterations=200, seed=seed)
             result = pso_run(obj, cfg)
             improved += result.trace[-1] < result.trace[0]
         assert improved >= 48  # >= 95% of 50 seeds
-
-    def test_dim_mismatch_rejected(self):
-        obj = make_objective("sphere", 3)
-        with pytest.raises(ValueError):
-            pso_run(obj, config(dim=2))

@@ -28,7 +28,7 @@ FIVE_POINT_ROW = np.array([0.056, 0.236, 0.124, 0.260, 0.324])
 
 
 def config(**kwargs) -> RwpsoConfig:
-    defaults = dict(swarm_size=4, dim=2, max_iterations=10, seed=0)
+    defaults = dict(swarm_size=4, max_iterations=10, seed=0)
     defaults.update(kwargs)
     return RwpsoConfig(**defaults)
 
@@ -137,7 +137,7 @@ class TestWalkOracle:
 class TestGaussianTerm:
     def test_standard_moments(self):
         # a unit gap scales the noise by gaussian_sigma = 1
-        cfg = config(dim=1, gaussian_sigma=1.0)
+        cfg = config(gaussian_sigma=1.0)
         draws = gaussian_term(cfg, np.random.default_rng(1), np.ones((100_000, 1)))
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
         assert draws.std() == pytest.approx(1.0, abs=0.02)
@@ -145,7 +145,7 @@ class TestGaussianTerm:
     def test_one_block_draw_equals_row_by_row_draws(self):
         # numpy fills the (N, D) block in row-major order, so drawing the
         # swarm at once consumes the stream like N single-particle draws
-        cfg = config(dim=3, gaussian_sigma=0.4)
+        cfg = config(gaussian_sigma=0.4)
         gap = np.random.default_rng(2).normal(size=(5, 3))
         block = gaussian_term(cfg, np.random.default_rng(3), gap)
         rng = np.random.default_rng(3)
@@ -153,7 +153,7 @@ class TestGaussianTerm:
         np.testing.assert_array_equal(block, np.concatenate(rows))
 
     def test_displacement_scaled_is_isotropic_mean_gap(self):
-        cfg = config(dim=3, gaussian_sigma=0.5)
+        cfg = config(gaussian_sigma=0.5)
         sigma = resolve_sigma(cfg, np.array([3.0, 0.0, -3.0]))
         np.testing.assert_allclose(sigma, np.full(1, 1.0))
 
@@ -184,7 +184,7 @@ class TestUpdatePosition:
 class TestStep:
     def test_swarm_at_optimum_is_a_fixed_point(self):
         obj = ObjectiveSpec("sphere", SearchDomain.uniform(2, -10, 10, 0, 0), eval_sphere)
-        cfg = config(swarm_size=2, dim=2, gaussian_sigma=1e-12)
+        cfg = config(swarm_size=2, gaussian_sigma=1e-12)
         rng = np.random.default_rng(0)
         state = init_state(obj, cfg, rng)
         new = rwpso_step(state, obj, cfg, rng)
@@ -195,7 +195,7 @@ class TestStep:
         # with the gap, so neither drift nor noise moves anyone
         obj = ObjectiveSpec("rastrigin", SearchDomain.uniform(3, -5.12, 5.12, 1.5, 1.5),
                             eval_rastrigin)
-        cfg = config(swarm_size=6, dim=3)
+        cfg = config(swarm_size=6)
         rng = np.random.default_rng(11)
         state = init_state(obj, cfg, rng)
         off_diagonal = ~np.eye(6, dtype=bool)
@@ -208,7 +208,7 @@ class TestStep:
 
     def test_same_seed_same_successor(self):
         obj = make_objective("rastrigin", 3)
-        cfg = config(swarm_size=6, dim=3, seed=5)
+        cfg = config(swarm_size=6, seed=5)
         s1 = rwpso_step(init_state(obj, cfg, np.random.default_rng(5)),
                         obj, cfg, np.random.default_rng(77))
         s2 = rwpso_step(init_state(obj, cfg, np.random.default_rng(5)),
@@ -220,7 +220,7 @@ class TestStep:
         # one step is target choice, drift, noise and clamp, drawing all
         # uniforms before the normal block
         obj = make_objective("sphere", 4)
-        cfg = config(swarm_size=7, dim=4)
+        cfg = config(swarm_size=7)
         state = init_state(obj, cfg, np.random.default_rng(3))
         rng = np.random.default_rng(9)
         r = rng.random(7)
@@ -239,7 +239,7 @@ class TestStep:
 
     def test_carried_distances_equal_a_rebuild(self):
         obj = make_objective("rastrigin", 10)
-        cfg = config(swarm_size=24, dim=10, gaussian_sigma=RWPSO_TUNING["rastrigin"])
+        cfg = config(swarm_size=24, gaussian_sigma=RWPSO_TUNING["rastrigin"])
         rng = np.random.default_rng(4)
         state = init_state(obj, cfg, rng)
         unmoved = 0
@@ -254,7 +254,7 @@ class TestStep:
     @settings(max_examples=30, deadline=None)
     def test_positions_stay_in_domain(self, seed, n, dim):
         obj = make_objective("sphere", dim)
-        cfg = config(swarm_size=n, dim=dim, seed=seed)
+        cfg = config(swarm_size=n, seed=seed)
         rng = np.random.default_rng(seed)
         state = init_state(obj, cfg, rng)
         for _ in range(3):
@@ -268,7 +268,7 @@ class TestDriftTelescoping:
         target = np.array([4.0, -3.0, 0.5])
         start = np.array([-2.0, 5.0, 1.5])
         dom = SearchDomain.uniform(3, -100.0, 100.0, -1.0, 1.0)
-        cfg = config(dim=3, gaussian_sigma=1e-12)
+        cfg = config(gaussian_sigma=1e-12)
         rng = np.random.default_rng(2)
         k = displacement_vector(start[None], target[None])
         p = start[None]
@@ -280,24 +280,24 @@ class TestDriftTelescoping:
 class TestRun:
     def test_single_iteration_trace(self):
         obj = make_objective("sphere", 2)
-        result = rwpso_run(obj, config(swarm_size=5, dim=2, max_iterations=1))
+        result = rwpso_run(obj, config(swarm_size=5, max_iterations=1))
         assert result.iterations_used == 1
         assert len(result.trace) == 1
 
     def test_without_threshold_runs_full_budget(self):
         obj = make_objective("sphere", 2)
-        result = rwpso_run(obj, config(swarm_size=5, dim=2, max_iterations=25))
+        result = rwpso_run(obj, config(swarm_size=5, max_iterations=25))
         assert result.iterations_used == 25
         assert len(result.trace) == 25
 
     def test_trace_is_monotone_non_increasing(self):
         obj = make_objective("rastrigin", 4)
-        result = rwpso_run(obj, config(swarm_size=8, dim=4, max_iterations=60))
+        result = rwpso_run(obj, config(swarm_size=8, max_iterations=60))
         assert np.all(np.diff(result.trace) <= 0.0)
 
     def test_threshold_stops_early(self):
         obj = make_objective("sphere", 2)
-        cfg = config(swarm_size=10, dim=2, max_iterations=2000,
+        cfg = config(swarm_size=10, max_iterations=2000,
                      fitness_threshold=1e-2, seed=3)
         result = rwpso_run(obj, cfg)
         assert result.best_fitness <= 1e-2
@@ -305,19 +305,14 @@ class TestRun:
 
     def test_bitwise_deterministic(self):
         obj = make_objective("rastrigin", 3)
-        cfg = config(swarm_size=6, dim=3, max_iterations=40, seed=11)
+        cfg = config(swarm_size=6, max_iterations=40, seed=11)
         a = rwpso_run(obj, cfg)
         b = rwpso_run(obj, cfg)
         assert a.to_dict() == b.to_dict()
 
-    def test_dim_mismatch_rejected(self):
-        obj = make_objective("sphere", 3)
-        with pytest.raises(ValueError):
-            rwpso_run(obj, config(swarm_size=5, dim=2))
-
     def test_best_position_matches_best_fitness(self):
         obj = make_objective("sphere", 3)
-        result = rwpso_run(obj, config(swarm_size=6, dim=3, max_iterations=30))
+        result = rwpso_run(obj, config(swarm_size=6, max_iterations=30))
         assert obj.evaluate(result.best_position) == pytest.approx(result.best_fitness)
 
     def test_config_validation(self):
