@@ -6,15 +6,15 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from swarmwalk.harness import (
     ALGORITHMS,
+    DEFAULT_THRESHOLDS,
     ExperimentSpec,
+    _read_config,
     _write_text,
     format_table,
-    load_spec,
     read_results,
     run_experiment,
     run_single,
@@ -24,10 +24,38 @@ from swarmwalk.objectives import FUNCTION_NAMES
 
 __all__ = ["build_parser", "cli_main", "main"]
 
-# argparse reads a negative number in exponent form, such as "-1e-3", as a
-# flag of its own, so such a value (binh4's fitness is negative over much of
-# its box) needs the "=" form.
-_NEGATIVE_THRESHOLD_HELP = "a negative value in exponent form needs '=', as in --threshold=-1e-3"
+# The config key each flag sets.  A flag for one of the cell axes sets it to
+# a one-item list.
+_CONFIG_KEYS = {
+    "function": "functions", "algo": "algorithms", "pop": "population_sizes",
+    "dim": "dimensions", "max_iter": "max_iterations", "seed": "base_seed",
+    "runs": "runs_per_cell", "workers": "workers",
+}
+_CELL_AXES = ("functions", "algorithms", "population_sizes", "dimensions")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Declare the flags `run` and `trace` share, with the command's defaults.
+
+    Not argparse's `parents=`: its commands share Action objects, so one
+    command's defaults would become the other's.
+    """
+    parser.add_argument("--function", choices=FUNCTION_NAMES,
+                        help="run only this benchmark function")
+    parser.add_argument("--algo", choices=ALGORITHMS, help="run only this algorithm")
+    parser.add_argument("--pop", type=int, help="single population size")
+    parser.add_argument("--dim", type=int, help="single dimension")
+    parser.add_argument("--max-iter", type=int, help="iteration budget per run")
+    parser.add_argument("--seed", type=int, help="base seed")
+    # argparse reads a negative number in exponent form, such as "-1e-3", as
+    # a flag of its own, so such a value (binh4's fitness is negative over
+    # much of its box) needs the "=" form.
+    parser.add_argument("--threshold", type=float,
+                        help="success threshold of every function run; a run stops once "
+                             "its best fitness reaches it; a negative value in exponent "
+                             "form needs '=', as in --threshold=-1e-3")
+    parser.add_argument("--out", metavar="PATH", help="output file (stdout when omitted)")
+    parser.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,21 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment sweep")
     run.add_argument("--config", metavar="PATH",
                      help="JSON experiment config; flags override its values")
-    run.add_argument("--function", choices=FUNCTION_NAMES,
-                     help="restrict the sweep to one benchmark function")
-    run.add_argument("--algo", choices=ALGORITHMS,
-                     help="restrict the sweep to one algorithm")
-    run.add_argument("--pop", type=int, help="single population size")
-    run.add_argument("--dim", type=int, help="single dimension")
+    _add_run_flags(run)
     run.add_argument("--runs", type=int, help="runs per cell")
-    run.add_argument("--max-iter", type=int, help="iteration budget per run")
-    run.add_argument("--seed", type=int, help="base seed for the sweep")
-    run.add_argument("--threshold", type=float,
-                     help="success threshold applied to every selected function; "
-                          f"{_NEGATIVE_THRESHOLD_HELP}")
     run.add_argument("--workers", type=int, help="parallel worker processes")
-    run.add_argument("--out", metavar="PATH",
-                     help="output file (stdout when omitted)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     table = sub.add_parser("table", help="pretty-print a results file")
@@ -64,45 +80,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace",
                            help="emit one run's best-fitness-per-iteration series")
-    trace.add_argument("--algo", choices=ALGORITHMS, default="rwpso")
-    trace.add_argument("--function", choices=FUNCTION_NAMES, default="sphere")
-    trace.add_argument("--pop", type=int, default=20)
-    trace.add_argument("--dim", type=int, default=10)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--max-iter", type=int, default=500)
-    trace.add_argument("--threshold", type=float,
-                       help=f"stop once the best fitness reaches it; {_NEGATIVE_THRESHOLD_HELP}")
-    trace.add_argument("--out", metavar="PATH",
-                       help="output file (stdout when omitted)")
+    _add_run_flags(trace, function="sphere", algo="rwpso", pop=20, dim=10,
+                   max_iter=500, seed=0)
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    spec = load_spec(args.config) if args.config else ExperimentSpec()
-    overrides: dict = {}
-    if args.function is not None:
-        overrides["functions"] = (args.function,)
-    if args.algo is not None:
-        overrides["algorithms"] = (args.algo,)
-    if args.pop is not None:
-        overrides["population_sizes"] = (args.pop,)
-    if args.dim is not None:
-        overrides["dimensions"] = (args.dim,)
-    if args.runs is not None:
-        overrides["runs_per_cell"] = args.runs
-    if args.max_iter is not None:
-        overrides["max_iterations"] = args.max_iter
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.threshold is not None:
-        thresholds = dict(spec.fitness_thresholds)
-        selected = overrides.get("functions", spec.functions)
-        for function in selected:
-            thresholds[function] = args.threshold
-        overrides["fitness_thresholds"] = thresholds
-    return replace(spec, **overrides) if overrides else spec
+def _spec_from_args(args: argparse.Namespace, config: dict) -> ExperimentSpec:
+    """The spec of `config` once the given flags are written into it.
+
+    `--threshold` becomes the threshold of every function the spec runs.
+    """
+    for flag, key in _CONFIG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            config[key] = [value] if key in _CELL_AXES else value
+    functions = config.get("functions", FUNCTION_NAMES)
+    thresholds = config.get("fitness_thresholds", DEFAULT_THRESHOLDS)
+    # a field of the wrong type, or an unknown function, is left for the
+    # spec's own check to name
+    if (args.threshold is not None and isinstance(functions, list | tuple)
+            and isinstance(thresholds, dict)):
+        selected = [function for function in functions if function in FUNCTION_NAMES]
+        config["fitness_thresholds"] = {**thresholds,
+                                        **dict.fromkeys(selected, args.threshold)}
+    return ExperimentSpec.from_dict(config)
 
 
 def _check_out(path) -> None:
@@ -125,7 +126,7 @@ def _check_out(path) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, _read_config(args.config) if args.config else {})
     _check_out(args.out)
     outcome = run_experiment(spec)
     text = write_results(outcome.aggregates, outcome.runs, args.out, args.format)
@@ -142,18 +143,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        functions=(args.function,),
-        algorithms=(args.algo,),
-        population_sizes=(args.pop,),
-        dimensions=(args.dim,),
-        runs_per_cell=1,
-        max_iterations=args.max_iter,
-        base_seed=args.seed,
-        fitness_thresholds={args.function: args.threshold},
-    )
+    spec = _spec_from_args(args, {"runs_per_cell": 1,
+                                  "fitness_thresholds": {args.function: None}})
     _check_out(args.out)
-    result = run_single(spec, args.algo, args.function, args.pop, args.dim, 0)
+    result = run_single(spec, spec.cells()[0], 0)
     # iteration 0 is the start swarm's best, so a run whose start swarm
     # already meets the threshold still has a row
     lines = ["iteration,best_fitness"]

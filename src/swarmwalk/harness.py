@@ -32,6 +32,7 @@ __all__ = [
     "CSV_COLUMNS",
     "ExperimentSpec",
     "ExperimentOutcome",
+    "load_spec",
     "derive_seed",
     "run_single",
     "run_cell",
@@ -181,18 +182,26 @@ class ExperimentSpec:
         return cls(**data)
 
 
-def load_spec(path) -> ExperimentSpec:
-    """Read an ExperimentSpec from a JSON config file.
+def _read_config(path) -> dict:
+    """The JSON object in a config file.
 
-    A file that is not UTF-8 JSON, or nests too deeply to decode, raises
-    ValueError naming the file.
+    A file that is not UTF-8 JSON, nests too deeply to decode, or holds
+    something other than an object raises ValueError naming the file.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except (ValueError, RecursionError) as exc:  # ValueError: JSON or UTF-8
             raise ValueError(f"config file {path}: {exc}") from exc
-    return ExperimentSpec.from_dict(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path}: an experiment config must be an object, "
+                         f"got {type(data).__name__}")
+    return data
+
+
+def load_spec(path) -> ExperimentSpec:
+    """Read an ExperimentSpec from a JSON config file (see `_read_config`)."""
+    return ExperimentSpec.from_dict(_read_config(path))
 
 
 def derive_seed(base_seed: int, algorithm: str, function: str,
@@ -225,16 +234,15 @@ def _run_setup(spec: ExperimentSpec, cell: Cell,
     return objective, RwpsoConfig(**run_settings, gaussian_sigma=sigma)
 
 
-def run_single(spec: ExperimentSpec, algorithm: str, function: str,
-               population: int, dimension: int, run_index: int) -> RunResult:
+def run_single(spec: ExperimentSpec, cell: Cell, run_index: int) -> RunResult:
     """Execute one seeded run of one cell.
 
     The reported `dimension` is the cell's nominal dimension; the fixed-size
     functions (binh4, schaffer_n1) are evaluated in their own dimensionality
     regardless.
     """
-    objective, config = _run_setup(spec, (algorithm, function, population, dimension),
-                                   run_index)
+    algorithm, _, _, dimension = cell
+    objective, config = _run_setup(spec, cell, run_index)
     run = rwpso_run if algorithm == "rwpso" else pso_run
     return replace(run(objective, config), dimension=dimension)
 
@@ -265,16 +273,12 @@ def _aggregate_cell(spec: ExperimentSpec, cell: Cell,
 
 def run_cell(spec: ExperimentSpec, cell: Cell) -> tuple[AggregateStats, list[RunResult]]:
     """All runs of one cell plus their aggregate; any run error aborts the cell."""
-    algorithm, function, population, dimension = cell
     results = []
     for run_index in range(spec.runs_per_cell):
         try:
-            results.append(
-                run_single(spec, algorithm, function, population, dimension, run_index)
-            )
+            results.append(run_single(spec, cell, run_index))
         except Exception as exc:
-            seed = derive_seed(spec.base_seed, algorithm, function,
-                               population, dimension, run_index)
+            seed = derive_seed(spec.base_seed, *cell, run_index)
             raise RuntimeError(
                 f"cell {cell} run {run_index} (seed {seed}) failed: {exc}"
             ) from exc

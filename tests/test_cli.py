@@ -1,14 +1,17 @@
+import ast
 import importlib
 import json
 import pkgutil
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import swarmwalk
-from swarmwalk import cli
-from swarmwalk.cli import cli_main
-from swarmwalk.harness import CSV_COLUMNS
+from swarmwalk import cli, harness
+from swarmwalk.cli import build_parser, cli_main
+from swarmwalk.harness import CSV_COLUMNS, ExperimentOutcome
 
 TINY_CONFIG = {
     "functions": ["sphere"],
@@ -71,6 +74,16 @@ class TestRunCommand:
         row = out.read_text(encoding="utf-8").strip().split("\n")[1].split(",")
         assert row[2] == "4"   # population
         assert row[4] == "1"   # runs
+
+    def test_flag_replaces_a_bad_config_value(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "population_sizes": [1]}),
+                          encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--config", str(config), "--pop", "20",
+                         "--out", str(out)]) == 0
+        row = out.read_text(encoding="utf-8").strip().split("\n")[1].split(",")
+        assert row[2] == "20"   # population
 
     def test_json_output(self, tmp_path, config_path):
         out = tmp_path / "r.json"
@@ -370,6 +383,54 @@ class TestTraceCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+SHARED_FLAGS = ("function", "algo", "pop", "dim", "max_iter", "seed", "threshold", "out")
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("argv, setups", [
+        pytest.param(["run", "--pop", "20", "--max-iter", "5"], 30, id="run-default-sweep"),
+        pytest.param(["run", "--function", "sphere", "--pop", "20"], 6, id="run-one-function"),
+        pytest.param(["trace"], 2, id="trace"),
+    ])
+    def test_each_command_checks_one_spec(self, monkeypatch, argv, setups):
+        # the load check builds run 0 of each cell for both algorithms, and
+        # nothing more: the unflagged config is never checked on its own
+        calls = []
+        run_setup = harness._run_setup
+
+        def counted(*args):
+            calls.append(args)
+            return run_setup(*args)
+
+        monkeypatch.setattr(harness, "_run_setup", counted)
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: ExperimentOutcome([], []))
+        monkeypatch.setattr(cli, "run_single", lambda spec, cell, run_index: SimpleNamespace(
+            initial_best_fitness=0.0, trace=[]))
+        assert cli_main(argv) == 0
+        assert len(calls) == setups
+
+    def test_run_flags_default_to_none(self):
+        args = build_parser().parse_args(["run"])
+        assert {flag: getattr(args, flag) for flag in SHARED_FLAGS} == dict.fromkeys(
+            SHARED_FLAGS)
+
+    def test_trace_defaults(self):
+        args = build_parser().parse_args(["trace"])
+        assert {flag: getattr(args, flag) for flag in SHARED_FLAGS} == {
+            "function": "sphere", "algo": "rwpso", "pop": 20, "dim": 10, "max_iter": 500,
+            "seed": 0, "threshold": None, "out": None}
+
+    def test_trace_prints_the_run_that_run_records(self, capsys):
+        flags = ["--algo", "pso", "--function", "sphere", "--pop", "6", "--dim", "2",
+                 "--seed", "7", "--max-iter", "40", "--threshold", "1e-2"]
+        assert cli_main(["trace", *flags]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")[1:]
+        rows = [float(line.split(",")[1]) for line in lines]
+        assert cli_main(["run", *flags, "--runs", "1", "--format", "json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["runs"]
+        assert rows == [record["initial_best_fitness"], *record["trace"]]
+
+
 @pytest.mark.parametrize("command", ["run", "trace"])
 def test_negative_threshold_loads_and_runs_in_equals_form(capsys, config_path, command):
     # binh4's fitness is negative over much of its box.  argparse reads a
@@ -400,3 +461,10 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from swarmwalk import *", namespace)
     assert set(swarmwalk.__all__) <= set(namespace)
+    # each name the package exports is exported by the module it comes from
+    source = Path(swarmwalk.__file__).read_text(encoding="utf-8")
+    origin = {alias.name: node.module for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unlisted = [name for name in swarmwalk.__all__ if name in origin
+                and name not in importlib.import_module(origin[name]).__all__]
+    assert not unlisted, f"swarmwalk.__all__ names missing from their modules' __all__: {unlisted}"

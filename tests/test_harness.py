@@ -400,16 +400,16 @@ class TestSpecValidation:
 class TestRunSingle:
     def test_seed_recorded_matches_derivation(self):
         spec = ExperimentSpec(**TINY)
-        result = run_single(spec, "rwpso", "sphere", 6, 2, run_index=1)
+        result = run_single(spec, ("rwpso", "sphere", 6, 2), run_index=1)
         assert result.seed == derive_seed(123, "rwpso", "sphere", 6, 2, 1)
 
     def test_fixed_dim_function_keeps_nominal_dimension(self):
         spec = ExperimentSpec(**{**TINY, "functions": ("binh4",)})
-        result = run_single(spec, "rwpso", "binh4", 6, 2, run_index=0)
+        result = run_single(spec, ("rwpso", "binh4", 6, 2), run_index=0)
         assert result.dimension == 2
         assert len(result.best_position) == 2
         spec30 = ExperimentSpec(**{**TINY, "functions": ("schaffer_n1",), "dimensions": (30,)})
-        result30 = run_single(spec30, "rwpso", "schaffer_n1", 6, 30, run_index=0)
+        result30 = run_single(spec30, ("rwpso", "schaffer_n1", 6, 30), run_index=0)
         assert result30.dimension == 30
         assert len(result30.best_position) == 1
 
