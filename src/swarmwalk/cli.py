@@ -44,7 +44,8 @@ def _add_run_flags(parser: argparse.ArgumentParser, **defaults) -> None:
                         help="run only this benchmark function")
     parser.add_argument("--algo", choices=ALGORITHMS, help="run only this algorithm")
     parser.add_argument("--pop", type=int, help="single population size")
-    parser.add_argument("--dim", type=int, help="single dimension")
+    parser.add_argument("--dim", type=int, help="single dimension of sphere, rosenbrock "
+                        "and rastrigin; binh4 and schaffer_n1 run 2-D and 1-D")
     parser.add_argument("--max-iter", type=int, help="iteration budget per run")
     parser.add_argument("--seed", type=int, help="base seed")
     # argparse reads a negative number in exponent form, such as "-1e-3", as

@@ -1,10 +1,11 @@
 """Experiment sweeps: seeded runs, per-cell aggregates, CSV/JSON output.
 
 A sweep is the full factorial product algorithm x function x population x
-dimension.  Every run's seed derives from a stable hash of the base seed and
-its cell coordinates, so any row of the output can be re-created in
-isolation, and the whole output is a pure function of the experiment spec
-regardless of worker parallelism.
+dimension, except that a fixed-dimension function (binh4, schaffer_n1) runs
+once per algorithm and population, at its own dimension.  Every run's seed
+derives from a stable hash of the base seed and its cell coordinates, so
+any row of the output can be re-created in isolation, and the whole output
+is a pure function of the experiment spec regardless of worker parallelism.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from swarmwalk.objectives import FUNCTION_NAMES, ObjectiveSpec, make_objective
+from swarmwalk.objectives import _FIXED_DIMS, FUNCTION_NAMES, ObjectiveSpec, make_objective
 from swarmwalk.pso import pso_run
 from swarmwalk.results import (AggregateStats, RunConfig, RunResult, _is_finite_real,
                                check_field_types)
@@ -142,8 +143,7 @@ class ExperimentSpec:
         if 8 * population * max(population, dimension) > np.iinfo(np.intp).max:
             raise ValueError(f"a swarm of {population} particles in {dimension} dimensions "
                              f"is too large for numpy to allocate")
-        for cell in product(ALGORITHMS, self.functions, self.population_sizes,
-                            self.dimensions):
+        for cell in self._cells_of(ALGORITHMS):
             _run_setup(self, cell, 0)
 
     @property
@@ -161,12 +161,15 @@ class ExperimentSpec:
             return self.fitness_thresholds[function]
         return DEFAULT_THRESHOLDS[function]
 
+    def _cells_of(self, algorithms) -> dict[Cell, None]:
+        """Each cell of `algorithms` x the spec's other axes once, in product
+        order; binh4's and schaffer_n1's cells hold their own dimension."""
+        return dict.fromkeys((a, f, p, _FIXED_DIMS.get(f, d)) for a, f, p, d in product(
+            algorithms, self.functions, self.population_sizes, self.dimensions))
+
     def cells(self) -> list[Cell]:
-        """Factorial cell list in canonical (sorted) order."""
-        return sorted(
-            product(self.algorithms, self.functions,
-                    self.population_sizes, self.dimensions)
-        )
+        """The sweep's cells (see `_cells_of`) in canonical (sorted) order."""
+        return sorted(self._cells_of(self.algorithms))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -185,10 +188,10 @@ class ExperimentSpec:
 def _read_config(path) -> dict:
     """The JSON object in a config file.
 
-    A file that is not UTF-8 JSON, nests too deeply to decode, or holds
-    something other than an object raises ValueError naming the file.
+    A file that is not UTF-8 JSON (a byte order mark may lead), nests too
+    deeply to decode, or holds a non-object raises ValueError naming it.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except (ValueError, RecursionError) as exc:  # ValueError: JSON or UTF-8
@@ -235,16 +238,10 @@ def _run_setup(spec: ExperimentSpec, cell: Cell,
 
 
 def run_single(spec: ExperimentSpec, cell: Cell, run_index: int) -> RunResult:
-    """Execute one seeded run of one cell.
-
-    The reported `dimension` is the cell's nominal dimension; the fixed-size
-    functions (binh4, schaffer_n1) are evaluated in their own dimensionality
-    regardless.
-    """
-    algorithm, _, _, dimension = cell
+    """Execute one seeded run of one cell."""
     objective, config = _run_setup(spec, cell, run_index)
-    run = rwpso_run if algorithm == "rwpso" else pso_run
-    return replace(run(objective, config), dimension=dimension)
+    run = rwpso_run if cell[0] == "rwpso" else pso_run
+    return run(objective, config)
 
 
 def _aggregate_cell(spec: ExperimentSpec, cell: Cell,
@@ -401,13 +398,13 @@ def _write_text(out_path, text: str) -> None:
 def read_results(path) -> list[AggregateStats]:
     """Load aggregate rows back from a CSV or JSON results file.
 
-    Rows keep the file's order.  A malformed file, one that holds a cell
-    twice included, raises ValueError naming the file, and the row and
-    field or cell at fault.
+    Rows keep the file's order; a leading byte order mark is skipped.  A
+    malformed file, one that holds a cell twice included, raises ValueError
+    naming the file, and the row and field or cell at fault.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
     try:

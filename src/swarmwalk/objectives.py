@@ -233,8 +233,8 @@ _FITNESS = {
     "schaffer_n1": _schaffer_n1_fitness,
 }
 
-# binh4 is intrinsically 2-D and schaffer_n1 1-D; the benchmark protocol may
-# still sweep a nominal dimension over them, which these functions ignore.
+# binh4 is intrinsically 2-D and schaffer_n1 1-D; a sweep runs them at
+# these dimensions whatever dimensions it lists.
 _FIXED_DIMS = {"binh4": 2, "schaffer_n1": 1}
 
 
@@ -244,8 +244,8 @@ def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
     Parameters
     ----------
     name : one of FUNCTION_NAMES.
-    dim : search-space dimension; required for the three scalable functions,
-        ignored by binh4 (always 2-D) and schaffer_n1 (always 1-D).
+    dim : search-space dimension; required for the three scalable functions.
+        binh4 (always 2-D) and schaffer_n1 (1-D) take None or that, no other.
 
     A problem on another domain is an `ObjectiveSpec` built directly, e.g.
     `ObjectiveSpec("sphere", SearchDomain.uniform(3, -1, 1, 0, 1), eval_sphere)`.
@@ -254,6 +254,8 @@ def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
 
     if name in _FIXED_DIMS:
+        if dim not in (None, _FIXED_DIMS[name]):
+            raise ValueError(f"{name} is {_FIXED_DIMS[name]}-D, not {dim}-D")
         dim = _FIXED_DIMS[name]
     elif dim is None:
         raise ValueError(f"{name} needs an explicit dimension")

@@ -388,7 +388,8 @@ SHARED_FLAGS = ("function", "algo", "pop", "dim", "max_iter", "seed", "threshold
 
 class TestSharedFlags:
     @pytest.mark.parametrize("argv, setups", [
-        pytest.param(["run", "--pop", "20", "--max-iter", "5"], 30, id="run-default-sweep"),
+        # 2 algorithms x (3 functions x 3 dimensions + binh4 and schaffer_n1 once each)
+        pytest.param(["run", "--pop", "20", "--max-iter", "5"], 22, id="run-default-sweep"),
         pytest.param(["run", "--function", "sphere", "--pop", "20"], 6, id="run-one-function"),
         pytest.param(["trace"], 2, id="trace"),
     ])
@@ -420,13 +421,19 @@ class TestSharedFlags:
             "function": "sphere", "algo": "rwpso", "pop": 20, "dim": 10, "max_iter": 500,
             "seed": 0, "threshold": None, "out": None}
 
-    def test_trace_prints_the_run_that_run_records(self, capsys):
-        flags = ["--algo", "pso", "--function", "sphere", "--pop", "6", "--dim", "2",
-                 "--seed", "7", "--max-iter", "40", "--threshold", "1e-2"]
-        assert cli_main(["trace", *flags]) == 0
+    # binh4 is 2-D, so trace's default --dim 10 runs the cell that --dim 2 names
+    @pytest.mark.parametrize("function, trace_flags", [
+        pytest.param("sphere", ["--dim", "2", "--threshold", "1e-2"], id="sphere"),
+        pytest.param("binh4", [], id="binh4"),
+    ])
+    def test_trace_prints_the_run_that_run_records(self, capsys, function, trace_flags):
+        flags = ["--algo", "pso", "--function", function, "--pop", "6",
+                 "--seed", "7", "--max-iter", "40"]
+        assert cli_main(["trace", *flags, *trace_flags]) == 0
         lines = capsys.readouterr().out.strip().split("\n")[1:]
         rows = [float(line.split(",")[1]) for line in lines]
-        assert cli_main(["run", *flags, "--runs", "1", "--format", "json"]) == 0
+        run_flags = ["--dim", "2", *trace_flags[2:], "--runs", "1", "--format", "json"]
+        assert cli_main(["run", *flags, *run_flags]) == 0
         (record,) = json.loads(capsys.readouterr().out)["runs"]
         assert rows == [record["initial_best_fitness"], *record["trace"]]
 

@@ -71,8 +71,8 @@ VARIANTS = {
 }
 
 DIGESTS = {
-    ("base", "csv"): "df6d1179200d6e41c76b3c7906ddba35be34f1c4c1122f1b3f12f61707076039",
-    ("base", "json"): "45eb97c23cffb26fbbb3282f655bf46f10093ef2a5261ecd3dec36960d565666",
+    ("base", "csv"): "702bf7775456fe51b7b9725f6f5f1312ceacb08b2baeda348ea171025c80ba8d",
+    ("base", "json"): "25e025b01246e875b487aef1e0f414d626a2db359e3f7b40da4bd8b764aaec3d",
     ("wide", "csv"): "9117f0268841c47032299956b6c575112f5ee8723b6ff3bc2789c5645f4a4ac0",
     ("wide", "json"): "5f959011d2e3a6a3d35c47a23597cdd52efe4fd579e0f299a0928cf0bc9c6b2f",
     ("large", "csv"): "273f183a977660871b8257071e71a2013e98ccbd01f08adf037dc86da54332b8",

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 import multiprocessing
@@ -396,6 +397,22 @@ class TestSpecValidation:
                               runs_per_cell=1, max_iterations=5)
         assert spec.cells() == sorted(spec.cells())
 
+    def test_fixed_dimension_functions_run_once_per_population(self, monkeypatch):
+        # 2 algorithms x 4 populations x (3 functions x 3 dimensions + binh4 + schaffer_n1);
+        # the load check sets up run 0 of exactly these cells
+        setups = []
+        run_setup = harness._run_setup
+
+        def counted(spec, cell, run_index):
+            setups.append(cell)
+            return run_setup(spec, cell, run_index)
+
+        monkeypatch.setattr(harness, "_run_setup", counted)
+        cells = ExperimentSpec().cells()
+        assert len(cells) == 88 and sorted(setups) == cells
+        assert {cell[3] for cell in cells if cell[1] == "binh4"} == {2}
+        assert {cell[3] for cell in cells if cell[1] == "schaffer_n1"} == {1}
+
 
 class TestRunSingle:
     def test_seed_recorded_matches_derivation(self):
@@ -403,15 +420,21 @@ class TestRunSingle:
         result = run_single(spec, ("rwpso", "sphere", 6, 2), run_index=1)
         assert result.seed == derive_seed(123, "rwpso", "sphere", 6, 2, 1)
 
-    def test_fixed_dim_function_keeps_nominal_dimension(self):
-        spec = ExperimentSpec(**{**TINY, "functions": ("binh4",)})
-        result = run_single(spec, ("rwpso", "binh4", 6, 2), run_index=0)
-        assert result.dimension == 2
-        assert len(result.best_position) == 2
-        spec30 = ExperimentSpec(**{**TINY, "functions": ("schaffer_n1",), "dimensions": (30,)})
-        result30 = run_single(spec30, ("rwpso", "schaffer_n1", 6, 30), run_index=0)
-        assert result30.dimension == 30
-        assert len(result30.best_position) == 1
+    def test_every_record_holds_its_objectives_dimension(self):
+        spec = ExperimentSpec(**{**TINY, "functions": FUNCTION_NAMES,
+                                 "algorithms": ("rwpso", "pso"), "dimensions": (2, 10),
+                                 "runs_per_cell": 1, "max_iterations": 3})
+        outcome = run_experiment(spec)
+        assert not outcome.failures
+        dims = {"binh4": {2}, "schaffer_n1": {1}}
+        assert {(run.function, run.dimension) for run in outcome.runs} == {
+            (function, dim) for function in FUNCTION_NAMES
+            for dim in dims.get(function, {2, 10})}
+        for run in outcome.runs:
+            assert run.dimension == len(run.best_position)
+        assert [(row.function, row.dimension) for row in outcome.aggregates] == [
+            (cell[1], cell[3]) for cell in spec.cells()]
+        assert len(outcome.aggregates) == 2 * (3 * 2 + 2)
 
 
 class TestOptimizerConfig:
@@ -425,10 +448,10 @@ class TestOptimizerConfig:
                 .gaussian_sigma for function in sigmas} == sigmas
 
     def test_pso_runs_one_config_on_every_function(self):
-        spec = ExperimentSpec(**{**TINY, "fitness_thresholds": dict.fromkeys(FUNCTION_NAMES)})
-        configs = {dataclasses.replace(harness._run_setup(spec, ("pso", function, 6, 2), 0)[1],
-                                       seed=0)
-                   for function in FUNCTION_NAMES}
+        spec = ExperimentSpec(**{**TINY, "functions": FUNCTION_NAMES, "algorithms": ("pso",),
+                                 "fitness_thresholds": dict.fromkeys(FUNCTION_NAMES)})
+        configs = {dataclasses.replace(harness._run_setup(spec, cell, 0)[1], seed=0)
+                   for cell in spec.cells()}
         assert configs == {RunConfig(swarm_size=6, max_iterations=15)}
 
     @pytest.mark.parametrize("function", sorted(RWPSO_TUNING))
@@ -716,6 +739,8 @@ class TestWriteAndRead:
         out = tmp_path / "r.csv"
         write_results(outcome.aggregates, None, out)
         assert read_results(out) == outcome.aggregates
+        out.write_bytes(codecs.BOM_UTF8 + out.read_bytes())  # as a spreadsheet saves it
+        assert read_results(out) == outcome.aggregates
 
     def test_json_round_trip(self, tmp_path):
         spec = ExperimentSpec(**TINY)
@@ -726,6 +751,8 @@ class TestWriteAndRead:
         document = json.loads(out.read_text(encoding="utf-8"))
         assert set(document) == {"aggregates", "runs"}
         assert document["runs"][0]["seed"] == outcome.runs[0].seed
+        out.write_bytes(codecs.BOM_UTF8 + out.read_bytes())
+        assert read_results(out) == outcome.aggregates
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -808,3 +835,5 @@ def test_load_spec_from_file(tmp_path):
     spec = load_spec(path)
     assert spec.functions == ("sphere",)
     assert spec.base_seed == 123
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert load_spec(path) == spec

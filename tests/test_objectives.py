@@ -22,6 +22,11 @@ from swarmwalk.objectives import (
 )
 
 
+def _objective(name: str, dim: int) -> ObjectiveSpec:
+    """`name` at `dim`, or at its own dimension if it has a fixed one."""
+    return make_objective(name, objectives._FIXED_DIMS.get(name, dim))
+
+
 class TestSphere:
     def test_optimum(self):
         assert eval_sphere(np.zeros(7)) == 0.0
@@ -308,14 +313,14 @@ class TestMakeObjective:
 
     def test_all_functions_resolvable(self):
         for name in FUNCTION_NAMES:
-            obj = make_objective(name, 10)
+            obj = _objective(name, 10)
             mid = (obj.domain.init_lower + obj.domain.init_upper) / 2.0
             assert np.isfinite(obj.evaluate(mid))
 
     @pytest.mark.parametrize("name", FUNCTION_NAMES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_through_evaluate(self, name, bad):
-        obj = make_objective(name, 10)
+        obj = _objective(name, 10)
         point = (obj.domain.init_lower + obj.domain.init_upper) / 2.0
         point[-1] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -323,7 +328,7 @@ class TestMakeObjective:
 
     @pytest.mark.parametrize("name", FUNCTION_NAMES)
     def test_evaluate_batch_matches_per_row_evaluate(self, name):
-        obj = make_objective(name, 10)
+        obj = _objective(name, 10)
         positions = init_positions(obj.domain, 16, np.random.default_rng(5))
         batch = obj.evaluate_batch(positions)
         assert batch.shape == (16,) and batch.dtype == np.float64
@@ -363,9 +368,12 @@ class TestMakeObjective:
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'$"):
             make_objective(name, 4, **{key: value})
 
-    def test_fixed_dimension_functions_ignore_requested_dim(self):
-        assert make_objective("binh4", 30).dim == 2
-        assert make_objective("schaffer_n1", 30).dim == 1
+    def test_fixed_dimension_functions_refuse_another_dim(self):
+        for name, dim in (("binh4", 2), ("schaffer_n1", 1)):
+            assert make_objective(name).dim == make_objective(name, dim).dim == dim
+            for other in (dim - 1, dim + 1, 10, 30):
+                with pytest.raises(ValueError, match=f"{name} is {dim}-D, not {other}-D"):
+                    make_objective(name, other)
 
     def test_scalable_functions_need_dim(self):
         with pytest.raises(ValueError):
@@ -401,7 +409,7 @@ class TestMakeObjective:
     ])
     def test_each_function_has_one_fixed_domain(self, name, box):
         # the search box and start region of README's Benchmarks table
-        domain = make_objective(name, 3).domain
+        domain = _objective(name, 3).domain
         expected = SearchDomain.uniform(domain.dim, *box)
         for key in ("lower", "upper", "init_lower", "init_upper"):
             np.testing.assert_array_equal(getattr(domain, key), getattr(expected, key))
