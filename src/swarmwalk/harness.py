@@ -78,12 +78,13 @@ class ExperimentSpec:
     of `RwpsoConfig`'s default; PSO has no settings, as it runs the textbook
     constants of `swarmwalk.pso`, and the objectives have none, as each is
     one fixed problem.  A value listed twice in `functions`, `algorithms`,
-    `population_sizes` or `dimensions` is refused, and so is a population or
-    dimension whose N x N distance matrix or (N, D) swarm numpy cannot
-    allocate.  Construction builds the objective and config of run 0 of
-    every cell, for both algorithms also when the sweep runs only one, so a
-    bad dimension or a bad `gaussian_sigma` fails here rather than in the
-    middle of a sweep.
+    `population_sizes` or `dimensions` is refused.  Construction checks
+    every cell, for both algorithms also when the sweep runs only one: numpy
+    must be able to allocate the N x N distance matrix and (N, D) swarm of
+    the cell's own population N and dimension D (binh4's D is 2 whatever
+    `dimensions` lists), and the objective and config of its run 0 must
+    build.  So a swarm too large to allocate, a bad dimension or a bad
+    `gaussian_sigma` fails here rather than in the middle of a sweep.
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -137,13 +138,16 @@ class ExperimentSpec:
             raise ValueError("population sizes must be given and >= 2")
         if not self.dimensions or any(d < 1 for d in self.dimensions):
             raise ValueError("dimensions must be given and >= 1")
-        # numpy allocates no array above intp's maximum bytes, so a swarm whose
-        # N x N distances or (N, D) positions (8-byte floats) exceed it cannot run.
-        population, dimension = max(self.population_sizes), max(self.dimensions)
-        if 8 * population * max(population, dimension) > np.iinfo(np.intp).max:
-            raise ValueError(f"a swarm of {population} particles in {dimension} dimensions "
-                             f"is too large for numpy to allocate")
         for cell in self._cells_of(ALGORITHMS):
+            _, _, population, dimension = cell
+            # A run holds N x N distances and (N, D) positions.  numpy refuses
+            # at once, without touching memory, an array above intp's maximum
+            # bytes (ValueError) or one it cannot map (MemoryError).
+            try:
+                np.empty((population, max(population, dimension)))
+            except (ValueError, MemoryError):
+                raise ValueError(f"a swarm of {population} particles in {dimension} "
+                                 f"dimensions is too large for numpy to allocate") from None
             _run_setup(self, cell, 0)
 
     @property
@@ -224,7 +228,7 @@ def _run_setup(spec: ExperimentSpec, cell: Cell,
     algorithm, function, population, dimension = cell
     try:
         objective = make_objective(function, dimension)
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad objective for {function}: {exc}") from exc
     run_settings = dict(swarm_size=population, max_iterations=spec.max_iterations,
                         seed=derive_seed(spec.base_seed, *cell, run_index),

@@ -12,10 +12,13 @@ settable but the dimension of the three scalable ones.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from swarmwalk.results import _is_finite_real
 
 __all__ = [
     "SearchDomain",
@@ -34,59 +37,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchDomain:
-    """Box-bounded search region with a nested initialization sub-range.
+    """A `dim`-dimensional box, the same interval in every coordinate, with a
+    nested initialization sub-range.
 
     The init range may be degenerate (init_lower == init_upper) which pins
     every particle to a single starting point; the outer box may not.
     Every bound is finite.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
-    init_lower: np.ndarray
-    init_upper: np.ndarray
+    dim: int
+    lower: float
+    upper: float
+    init_lower: float
+    init_upper: float
 
     def __post_init__(self):
+        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
+                and self.dim >= 1):
+            raise ValueError(f"domain dim must be an integer >= 1, got {self.dim!r}")
         for name in ("lower", "upper", "init_lower", "init_upper"):
-            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.isfinite(value).all():
+            if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"domain bound {name} must be finite")
-            object.__setattr__(self, name, value)
-        dim = self.lower.shape[0]
-        for name in ("upper", "init_lower", "init_upper"):
-            if getattr(self, name).shape != (dim,):
-                raise ValueError("domain bound vectors must share one length")
-        if not np.all(self.lower < self.upper):
+        if not self.lower < self.upper:
             raise ValueError("lower bound must be strictly below upper bound")
-        nested = (
-            np.all(self.lower <= self.init_lower)
-            and np.all(self.init_lower <= self.init_upper)
-            and np.all(self.init_upper <= self.upper)
-        )
-        if not nested:
+        if not self.lower <= self.init_lower <= self.init_upper <= self.upper:
             raise ValueError("init range must nest inside the domain bounds")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
-
-    @classmethod
-    def uniform(cls, dim: int, lower: float, upper: float,
-                init_lower: float, init_upper: float) -> "SearchDomain":
-        """Build a domain with the same scalar bounds in every coordinate."""
-        return cls(
-            np.full(dim, float(lower)),
-            np.full(dim, float(upper)),
-            np.full(dim, float(init_lower)),
-            np.full(dim, float(init_upper)),
-        )
 
 
 def _as_point(x) -> np.ndarray:
@@ -209,7 +187,11 @@ class ObjectiveSpec:
         return self.fitness(x)
 
     def evaluate_batch(self, positions) -> np.ndarray:
-        """Fitness of each row of an (N, dim) array, one `evaluate` call per row."""
+        """Fitness of each row of an (N, dim) array, one `evaluate` call per
+        row; an array of another shape raises ValueError."""
+        shape = np.shape(positions)
+        if len(shape) != 2 or shape[1] != self.dim:
+            raise ValueError(f"evaluate_batch needs an (N, {self.dim}) array, got shape {shape}")
         return np.array([self.evaluate(p) for p in positions])
 
 
@@ -244,11 +226,16 @@ def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
     Parameters
     ----------
     name : one of FUNCTION_NAMES.
-    dim : search-space dimension; required for the three scalable functions.
-        binh4 (always 2-D) and schaffer_n1 (1-D) take None or that, no other.
+    dim : search-space dimension, an integer; required for the three scalable
+        functions (rosenbrock needs at least 2).  binh4 (always 2-D) and
+        schaffer_n1 (1-D) take None or that, no other.  Any other value
+        raises ValueError.
 
-    A problem on another domain is an `ObjectiveSpec` built directly, e.g.
-    `ObjectiveSpec("sphere", SearchDomain.uniform(3, -1, 1, 0, 1), eval_sphere)`.
+    The domain is four numbers and a dimension, so building an objective
+    allocates nothing whatever its dimension; whether a swarm of that
+    dimension fits in memory is `ExperimentSpec`'s load check.  A problem on
+    another domain is an `ObjectiveSpec` built directly, e.g.
+    `ObjectiveSpec("sphere", SearchDomain(3, -1, 1, 0, 1), eval_sphere)`.
     """
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
@@ -259,7 +246,7 @@ def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
         dim = _FIXED_DIMS[name]
     elif dim is None:
         raise ValueError(f"{name} needs an explicit dimension")
-    elif dim < 1 or (name == "rosenbrock" and dim < 2):
+    domain = SearchDomain(dim, *_DOMAINS[name])
+    if name == "rosenbrock" and dim < 2:
         raise ValueError(f"invalid dimension {dim} for {name}")
-    domain = SearchDomain.uniform(dim, *_DOMAINS[name])
     return ObjectiveSpec(name=name, domain=domain, fitness=_FITNESS[name])

@@ -133,7 +133,7 @@ def test_criterion_5_drift_telescoping():
     n = WALK_HORIZON
     start = np.array([[-40.0, 12.5, 7.0]])
     target = np.array([[18.0, -3.25, 0.0]])
-    domain = SearchDomain.uniform(3, -1000.0, 1000.0, -1.0, 1.0)
+    domain = SearchDomain(3, -1000.0, 1000.0, -1.0, 1.0)
     cfg = RwpsoConfig(
         swarm_size=2, max_iterations=n, gaussian_sigma=1e-12,
     )

@@ -167,8 +167,9 @@ class TestRunCommand:
                      id="removed-pso-options"),
         pytest.param({"objective_options": {}}, [], OBJECTIVE_OPTIONS_REMOVED,
                      id="removed-objective-options"),
-        pytest.param({}, ["--dim", str(10**17)], "bad objective for sphere: Unable to allocate",
-                     id="unmappable-dim-flag"),
+        pytest.param({}, ["--dim", str(10**17)],
+                     f"a swarm of 6 particles in {10**17} dimensions is too large for numpy "
+                     "to allocate", id="unmappable-dim-flag"),
         pytest.param({}, ["--pop", "1"], "population sizes must be given and >= 2",
                      id="one-particle"),
         pytest.param({}, ["--dim", "0"], "dimensions must be given and >= 1", id="zero-dim"),
@@ -363,13 +364,20 @@ class TestTraceCommand:
         assert "threshold for sphere" in capsys.readouterr().err
 
     def test_unmappable_dimension_is_rejected(self, monkeypatch, capsys):
-        # 10**17 coordinates pass the intp check but need 711 PiB: numpy
-        # refuses the domain's bounds at once, without touching memory.
+        # a 2 x 10**17 swarm is below intp's maximum bytes but needs 1.4 EiB:
+        # numpy refuses to map it at once, without touching memory.
         monkeypatch.setattr(cli, "run_single", pytest.fail)
         assert cli_main(["trace", "--pop", "2", "--dim", str(10**17)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: bad objective for sphere: Unable to allocate")
+        assert err.startswith(f"error: a swarm of 2 particles in {10**17} dimensions is too "
+                              "large for numpy to allocate")
         assert err.count("\n") == 1
+
+    def test_fixed_dimension_function_runs_whatever_dim_is_given(self, capsys):
+        # schaffer_n1 runs at D=1, so a dimension no swarm could hold is no bar
+        assert cli_main(["trace", "--function", "schaffer_n1", "--dim", str(10**18),
+                         "--max-iter", "3"]) == 0
+        assert capsys.readouterr().out.startswith("iteration,best_fitness\n0,")
 
     @pytest.mark.parametrize("flags, message", [
         pytest.param(["--pop", "1"], "population sizes must be given and >= 2",

@@ -111,7 +111,8 @@ def _digest(values) -> str:
 def _objective_points(objective, rng) -> np.ndarray:
     """Seeded interior points plus the origin, box corners and edge-clamped points."""
     domain = objective.domain
-    lower, upper, width = domain.lower, domain.upper, domain.width
+    lower, upper = np.full(domain.dim, domain.lower), np.full(domain.dim, domain.upper)
+    width = upper - lower
     alternating = np.where(np.arange(domain.dim) % 2 == 0, lower, upper)
     outside = rng.uniform(lower - width / 2, upper + width / 2, size=(24, domain.dim))
     return np.vstack([

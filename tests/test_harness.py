@@ -344,7 +344,8 @@ class TestSpecValidation:
         pytest.param({"dimensions": (10**18,)},
                      f"a swarm of 6 particles in {10**18} dimensions is too large",
                      id="unallocatable-dimension"),
-        pytest.param({"dimensions": (10**17,)}, "bad objective for sphere: Unable to allocate",
+        pytest.param({"dimensions": (10**17,)},
+                     f"a swarm of 6 particles in {10**17} dimensions is too large",
                      id="unmappable-dimension"),
         pytest.param({"objective_options": {"sphere": {"amplitude": None}}},
                      OBJECTIVE_OPTIONS_REMOVED, id="null-parameter"),
@@ -412,6 +413,20 @@ class TestSpecValidation:
         assert len(cells) == 88 and sorted(setups) == cells
         assert {cell[3] for cell in cells if cell[1] == "binh4"} == {2}
         assert {cell[3] for cell in cells if cell[1] == "schaffer_n1"} == {1}
+
+    @pytest.mark.parametrize("function, dimension", [
+        pytest.param("binh4", 2, id="binh4"),
+        pytest.param("schaffer_n1", 1, id="schaffer_n1"),
+    ])
+    def test_fixed_dimension_spec_is_sized_at_its_own_dimension(self, function, dimension):
+        # the load check sizes each cell's own swarm, and these cells never
+        # run at the listed dimension
+        spec = ExperimentSpec(functions=(function,), population_sizes=(2,),
+                              dimensions=(10**18,), runs_per_cell=1, max_iterations=2)
+        assert spec.cells() == [("pso", function, 2, dimension),
+                                ("rwpso", function, 2, dimension)]
+        outcome = run_experiment(spec)
+        assert not outcome.failures and len(outcome.runs) == 2
 
 
 class TestRunSingle:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -219,7 +220,8 @@ class TestScalarize:
         for name in ("binh4", "schaffer_n1"):
             monkeypatch.setattr(objectives, f"eval_{name}", lambda *x: (-0.0, -0.0))
             obj = make_objective(name)
-            assert math.copysign(1.0, obj.evaluate(obj.domain.upper)) == -1.0
+            upper = np.full(obj.dim, obj.domain.upper)
+            assert math.copysign(1.0, obj.evaluate(upper)) == -1.0
 
     @pytest.mark.parametrize("name, point", [
         pytest.param("binh4", [np.nan, 1.0], id="binh4-x"),
@@ -235,36 +237,34 @@ class TestScalarize:
 
 class TestSearchDomain:
     def test_width_and_clamp(self):
-        dom = SearchDomain.uniform(3, -2.0, 2.0, 0.0, 1.0)
-        np.testing.assert_array_equal(dom.width, [4.0, 4.0, 4.0])
+        dom = SearchDomain(3, -2.0, 2.0, 0.0, 1.0)
         np.testing.assert_array_equal(dom.clamp(np.array([5.0, -9.0, 0.5])),
                                       [2.0, -2.0, 0.5])
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            SearchDomain.uniform(2, 1.0, -1.0, 0.0, 0.5)
+            SearchDomain(2, 1.0, -1.0, 0.0, 0.5)
 
     def test_rejects_init_outside_domain(self):
         with pytest.raises(ValueError):
-            SearchDomain.uniform(2, -1.0, 1.0, 0.5, 2.0)
+            SearchDomain(2, -1.0, 1.0, 0.5, 2.0)
 
     def test_degenerate_init_range_allowed(self):
-        SearchDomain.uniform(2, -1.0, 1.0, 0.25, 0.25)
+        SearchDomain(2, -1.0, 1.0, 0.25, 0.25)
 
     @pytest.mark.parametrize("bounds, name", [
         pytest.param((-1.0, np.inf, 0.0, np.inf), "upper", id="infinite-upper"),
         pytest.param((-np.inf, 1.0, 0.0, 1.0), "lower", id="infinite-lower"),
-        pytest.param((-1.0, 1.0, [np.nan, 0.0], 1.0), "init_lower", id="nan-init-lower"),
+        pytest.param((-1.0, 1.0, np.nan, 1.0), "init_lower", id="nan-init-lower"),
     ])
     def test_rejects_non_finite_bound(self, bounds, name):
-        bounds = [np.broadcast_to(np.asarray(b, dtype=float), (2,)) for b in bounds]
         with pytest.raises(ValueError, match=f"^domain bound {name} must be finite$"):
-            SearchDomain(*bounds)
+            SearchDomain(2, *bounds)
 
 
 class TestInitPositions:
     def test_degenerate_range_pins_particles(self):
-        dom = SearchDomain.uniform(4, -10.0, 10.0, 3.0, 3.0)
+        dom = SearchDomain(4, -10.0, 10.0, 3.0, 3.0)
         pos = init_positions(dom, 5, np.random.default_rng(0))
         np.testing.assert_array_equal(pos, np.full((5, 4), 3.0))
 
@@ -275,13 +275,13 @@ class TestInitPositions:
         assert np.all(pos >= 50.0) and np.all(pos <= 100.0)
 
     def test_same_seed_same_positions(self):
-        dom = SearchDomain.uniform(3, -5.0, 5.0, -1.0, 1.0)
+        dom = SearchDomain(3, -5.0, 5.0, -1.0, 1.0)
         a = init_positions(dom, 8, np.random.default_rng(42))
         b = init_positions(dom, 8, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_needs_two_particles(self):
-        dom = SearchDomain.uniform(2, -1.0, 1.0, 0.0, 1.0)
+        dom = SearchDomain(2, -1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             init_positions(dom, 1, np.random.default_rng(0))
 
@@ -297,7 +297,7 @@ class TestInitPositions:
         lower, upper = low, low + spread
         init_low = lower + spread / 4.0
         init_up = upper - spread / 4.0
-        dom = SearchDomain.uniform(dim, lower, upper, init_low, init_up)
+        dom = SearchDomain(dim, lower, upper, init_low, init_up)
         pos = init_positions(dom, n, np.random.default_rng(seed))
         assert np.all(pos >= dom.init_lower) and np.all(pos <= dom.init_upper)
 
@@ -314,14 +314,14 @@ class TestMakeObjective:
     def test_all_functions_resolvable(self):
         for name in FUNCTION_NAMES:
             obj = _objective(name, 10)
-            mid = (obj.domain.init_lower + obj.domain.init_upper) / 2.0
+            mid = np.full(obj.dim, (obj.domain.init_lower + obj.domain.init_upper) / 2.0)
             assert np.isfinite(obj.evaluate(mid))
 
     @pytest.mark.parametrize("name", FUNCTION_NAMES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_through_evaluate(self, name, bad):
         obj = _objective(name, 10)
-        point = (obj.domain.init_lower + obj.domain.init_upper) / 2.0
+        point = np.full(obj.dim, (obj.domain.init_lower + obj.domain.init_upper) / 2.0)
         point[-1] = bad
         with pytest.raises(ValueError, match="finite"):
             obj.evaluate(point)
@@ -333,6 +333,19 @@ class TestMakeObjective:
         batch = obj.evaluate_batch(positions)
         assert batch.shape == (16,) and batch.dtype == np.float64
         np.testing.assert_array_equal(batch, [obj.evaluate(p) for p in positions])
+
+    @pytest.mark.parametrize("name, dim, shape", [
+        pytest.param("rastrigin", 2, (3, 3), id="wide-rows"),
+        pytest.param("binh4", None, (3, 5), id="binh4-wide-rows"),
+        pytest.param("sphere", 4, (3, 2), id="narrow-rows"),
+        pytest.param("schaffer_n1", None, (3,), id="one-row-of-points"),
+        pytest.param("sphere", 2, (2, 2, 2), id="three-axes"),
+    ])
+    def test_evaluate_batch_refuses_rows_of_another_width(self, name, dim, shape):
+        obj = make_objective(name, dim)
+        with pytest.raises(ValueError, match=re.escape(
+                f"evaluate_batch needs an (N, {obj.dim}) array, got shape {shape}")):
+            obj.evaluate_batch(np.zeros(shape))
 
     @pytest.mark.parametrize("name, evaluator", [
         ("sphere", eval_sphere),
@@ -348,7 +361,7 @@ class TestMakeObjective:
         obj = make_objective(name, 8)
         rng = np.random.default_rng(11)
         points = np.vstack([
-            np.zeros(8), np.ones(8), obj.domain.lower, obj.domain.upper,
+            np.zeros(8), np.ones(8), np.full(8, obj.domain.lower), np.full(8, obj.domain.upper),
             rng.uniform(obj.domain.lower, obj.domain.upper, size=(200, 8)),
         ])
         for x in points:
@@ -378,6 +391,16 @@ class TestMakeObjective:
     def test_scalable_functions_need_dim(self):
         with pytest.raises(ValueError):
             make_objective("sphere")
+
+    @pytest.mark.parametrize("dim", [
+        pytest.param(2.5, id="fractional"),
+        pytest.param(True, id="bool"),
+        pytest.param("3", id="string"),
+    ])
+    def test_non_integer_dimension_refused(self, dim):
+        message = f"domain dim must be an integer >= 1, got {dim!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_objective("sphere", dim)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -410,11 +433,11 @@ class TestMakeObjective:
     def test_each_function_has_one_fixed_domain(self, name, box):
         # the search box and start region of README's Benchmarks table
         domain = _objective(name, 3).domain
-        expected = SearchDomain.uniform(domain.dim, *box)
+        expected = SearchDomain(domain.dim, *box)
         for key in ("lower", "upper", "init_lower", "init_upper"):
             np.testing.assert_array_equal(getattr(domain, key), getattr(expected, key))
 
     def test_custom_domain_through_objective_spec(self):
-        obj = ObjectiveSpec("sphere", SearchDomain.uniform(3, -1.0, 1.0, 0.0, 1.0), eval_sphere)
+        obj = ObjectiveSpec("sphere", SearchDomain(3, -1.0, 1.0, 0.0, 1.0), eval_sphere)
         np.testing.assert_array_equal(obj.domain.upper, np.ones(3))
         assert obj.evaluate(np.full(3, 0.5)) == 0.75

@@ -66,7 +66,7 @@ class TestVelocityUpdate:
 
 
 class TestPositionUpdate:
-    DOMAIN = SearchDomain.uniform(2, -10.0, 10.0, -1.0, 1.0)
+    DOMAIN = SearchDomain(2, -10.0, 10.0, -1.0, 1.0)
 
     def test_zero_velocity_identity(self):
         p = np.array([[1.0, -1.0]])
@@ -104,7 +104,7 @@ class TestInertiaSchedule:
 class TestBallisticMotion:
     def test_position_is_linear_in_time_without_attraction(self):
         # zero draws and w = 1 leave each particle coasting at its velocity
-        domain = SearchDomain.uniform(2, -1e6, 1e6, 0.0, 0.0)
+        domain = SearchDomain(2, -1e6, 1e6, 0.0, 0.0)
         x0 = np.arange(10.0).reshape(5, 2)
         v0 = np.full((5, 2), 1.25)
         x, v = x0, v0
@@ -116,7 +116,7 @@ class TestBallisticMotion:
 
     def test_step_coasts_at_the_scheduled_inertia(self):
         # zero draws leave the step only its inertia term: v_t = w(t - 1) v_(t-1)
-        obj = ObjectiveSpec("sphere", SearchDomain.uniform(2, -1e6, 1e6, 0.0, 0.0), eval_sphere)
+        obj = ObjectiveSpec("sphere", SearchDomain(2, -1e6, 1e6, 0.0, 0.0), eval_sphere)
         cfg = config(max_iterations=7)
         state = init_state(obj, cfg, np.random.default_rng(0))
         state.velocities = np.full((cfg.swarm_size, 2), 1.25)

@@ -163,7 +163,7 @@ class TestGaussianTerm:
 
 
 class TestUpdatePosition:
-    DOMAIN = SearchDomain.uniform(2, -10.0, 10.0, -1.0, 1.0)
+    DOMAIN = SearchDomain(2, -10.0, 10.0, -1.0, 1.0)
 
     def test_identity(self):
         p = np.array([[2.0, -3.0]])
@@ -183,7 +183,7 @@ class TestUpdatePosition:
 
 class TestStep:
     def test_swarm_at_optimum_is_a_fixed_point(self):
-        obj = ObjectiveSpec("sphere", SearchDomain.uniform(2, -10, 10, 0, 0), eval_sphere)
+        obj = ObjectiveSpec("sphere", SearchDomain(2, -10, 10, 0, 0), eval_sphere)
         cfg = config(swarm_size=2, gaussian_sigma=1e-12)
         rng = np.random.default_rng(0)
         state = init_state(obj, cfg, rng)
@@ -193,7 +193,7 @@ class TestStep:
     def test_collapsed_swarm_stays_put(self):
         # every particle on one point: each gap is zero, and the noise scales
         # with the gap, so neither drift nor noise moves anyone
-        obj = ObjectiveSpec("rastrigin", SearchDomain.uniform(3, -5.12, 5.12, 1.5, 1.5),
+        obj = ObjectiveSpec("rastrigin", SearchDomain(3, -5.12, 5.12, 1.5, 1.5),
                             eval_rastrigin)
         cfg = config(swarm_size=6)
         rng = np.random.default_rng(11)
@@ -267,7 +267,7 @@ class TestDriftTelescoping:
     def test_constant_drift_lands_on_frozen_target(self):
         target = np.array([4.0, -3.0, 0.5])
         start = np.array([-2.0, 5.0, 1.5])
-        dom = SearchDomain.uniform(3, -100.0, 100.0, -1.0, 1.0)
+        dom = SearchDomain(3, -100.0, 100.0, -1.0, 1.0)
         cfg = config(gaussian_sigma=1e-12)
         rng = np.random.default_rng(2)
         k = displacement_vector(start[None], target[None])

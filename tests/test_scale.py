@@ -22,7 +22,7 @@ SMALL = 2.0**-7
 
 def scaled_run(run, config_class, scale, seed, max_iterations):
     objective = ObjectiveSpec(
-        "sphere", SearchDomain.uniform(10, -100 * scale, 100 * scale, 50 * scale, 100 * scale),
+        "sphere", SearchDomain(10, -100 * scale, 100 * scale, 50 * scale, 100 * scale),
         eval_sphere)
     config = config_class(swarm_size=20, max_iterations=max_iterations, seed=seed,
                           fitness_threshold=1e-2 * scale**2)
