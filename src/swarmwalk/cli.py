@@ -10,10 +10,8 @@ from pathlib import Path
 
 from swarmwalk.harness import (
     ALGORITHMS,
-    DEFAULT_THRESHOLDS,
     ExperimentSpec,
     _read_config,
-    _write_text,
     format_table,
     read_results,
     run_experiment,
@@ -96,7 +94,7 @@ def _spec_from_args(args: argparse.Namespace, config: dict) -> ExperimentSpec:
         if value is not None:
             config[key] = [value] if key in _CELL_AXES else value
     functions = config.get("functions", FUNCTION_NAMES)
-    thresholds = config.get("fitness_thresholds", DEFAULT_THRESHOLDS)
+    thresholds = config.get("fitness_thresholds", {})
     # a field of the wrong type, or an unknown function, is left for the
     # spec's own check to name
     if (args.threshold is not None and isinstance(functions, list | tuple)
@@ -120,19 +118,30 @@ def _check_out(path) -> None:
         code = errno.EISDIR
     elif not target.parent.is_dir():
         code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
     else:
         return
     reason = OSError(code, os.strerror(code), str(path))
     raise OSError(f"cannot write results to {path}: {reason}")
 
 
+def _write_out(text: str, path) -> None:
+    """Write `text` to the file `path`, or to stdout when `path` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write results to {path}: {exc}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, _read_config(args.config) if args.config else {})
     _check_out(args.out)
     outcome = run_experiment(spec)
-    text = write_results(outcome.aggregates, outcome.runs, args.out, args.format)
-    if args.out is None:
-        sys.stdout.write(text)
+    _write_out(write_results(outcome.aggregates, outcome.runs, args.format), args.out)
     for failure in outcome.failures:
         print(f"error: {failure}", file=sys.stderr)
     return 1 if outcome.failures else 0
@@ -153,11 +162,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     lines = ["iteration,best_fitness"]
     lines += [f"{i},{repr(float(v))}"
               for i, v in enumerate([result.initial_best_fitness, *result.trace])]
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
+    _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -73,6 +73,8 @@ Cell = tuple[str, str, int, int]
 class ExperimentSpec:
     """Everything a sweep needs; fully expressible as a JSON config file.
 
+    `fitness_thresholds` holds only overrides: a function it does not name
+    runs to its `DEFAULT_THRESHOLDS` entry (see `threshold_for`).
     `gaussian_sigma`, when set, is the walker's noise factor on every
     function, in place of its fixed per-function tuning, `RWPSO_TUNING`, and
     of `RwpsoConfig`'s default; PSO has no settings, as it runs the textbook
@@ -94,9 +96,7 @@ class ExperimentSpec:
     runs_per_cell: int = 50
     max_iterations: int = 1000
     base_seed: int = 0
-    fitness_thresholds: dict[str, float | None] = field(
-        default_factory=lambda: dict(DEFAULT_THRESHOLDS)
-    )
+    fitness_thresholds: dict[str, float | None] = field(default_factory=dict)
     workers: int = 1
     gaussian_sigma: float | None = None
 
@@ -161,9 +161,8 @@ class ExperimentSpec:
         return {}
 
     def threshold_for(self, function: str) -> float | None:
-        if function in self.fitness_thresholds:
-            return self.fitness_thresholds[function]
-        return DEFAULT_THRESHOLDS[function]
+        """The spec's threshold for `function`, else its `DEFAULT_THRESHOLDS` entry."""
+        return self.fitness_thresholds.get(function, DEFAULT_THRESHOLDS[function])
 
     def _cells_of(self, algorithms) -> dict[Cell, None]:
         """Each cell of `algorithms` x the spec's other axes once, in product
@@ -363,13 +362,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     return outcome
 
 
-def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
-    """Serialize aggregates (and optionally per-run records) to CSV or JSON.
+def write_results(stats, runs=None, fmt: str = "csv") -> str:
+    """Render aggregates (and optionally per-run records) as CSV or JSON text.
 
-    Returns the rendered text; writes it to `out_path` when given.  CSV holds
-    one aggregate row per cell with full-precision numbers.  JSON mirrors the
-    aggregate records verbatim under "aggregates", plus the per-run records
-    under "runs" when provided.
+    Writes nothing.  CSV holds one aggregate row per cell with full-precision
+    numbers.  JSON mirrors the aggregate records verbatim under
+    "aggregates", plus the per-run records under "runs" when provided.
     """
     if fmt == "csv":
         buffer = io.StringIO()
@@ -378,25 +376,13 @@ def write_results(stats, runs=None, out_path=None, fmt: str = "csv") -> str:
         for entry in stats:
             # csv writes a float as its repr, which round-trips exactly
             writer.writerow([getattr(entry, c) for c in CSV_COLUMNS])
-        text = buffer.getvalue()
-    elif fmt == "json":
+        return buffer.getvalue()
+    if fmt == "json":
         document: dict = {"aggregates": [entry.to_dict() for entry in stats]}
         if runs is not None:
             document["runs"] = [run.to_dict() for run in runs]
-        text = json.dumps(document, indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
-    if out_path is not None:
-        _write_text(out_path, text)
-    return text
-
-
-def _write_text(out_path, text: str) -> None:
-    """Write `text` to `out_path`; a failure names the path."""
-    try:
-        Path(out_path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {out_path}: {exc}") from exc
+        return json.dumps(document, indent=2) + "\n"
+    raise ValueError(f"unknown output format {fmt!r}")
 
 
 def read_results(path) -> list[AggregateStats]:

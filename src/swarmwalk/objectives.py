@@ -12,13 +12,12 @@ settable but the dimension of the three scalable ones.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from swarmwalk.results import _is_finite_real
+from swarmwalk.results import _is_finite_real, _is_integer
 
 __all__ = [
     "SearchDomain",
@@ -52,8 +51,7 @@ class SearchDomain:
     init_upper: float
 
     def __post_init__(self):
-        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
-                and self.dim >= 1):
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(f"domain dim must be an integer >= 1, got {self.dim!r}")
         for name in ("lower", "upper", "init_lower", "init_upper"):
             if not _is_finite_real(getattr(self, name)):
@@ -241,9 +239,11 @@ def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
 
     if name in _FIXED_DIMS:
-        if dim not in (None, _FIXED_DIMS[name]):
+        if dim is None:
+            dim = _FIXED_DIMS[name]
+        # a non-integer, such as True or 2.0, is left for SearchDomain to refuse
+        elif _is_integer(dim) and dim != _FIXED_DIMS[name]:
             raise ValueError(f"{name} is {_FIXED_DIMS[name]}-D, not {dim}-D")
-        dim = _FIXED_DIMS[name]
     elif dim is None:
         raise ValueError(f"{name} needs an explicit dimension")
     domain = SearchDomain(dim, *_DOMAINS[name])

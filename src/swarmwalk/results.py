@@ -13,6 +13,10 @@ __all__ = ["RunConfig", "RunResult", "AggregateStats", "check_field_types",
            "mean_best_fitness", "run_loop"]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -27,7 +31,7 @@ def _is_finite_real(value) -> bool:
 # leaves it, or a type's name; containers by their outer type) -> the check
 # a value must pass and how an error names the type.  A bool is never a number.
 _TYPE_RULES = {
-    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "int": (_is_integer, "an integer"),
     "float": (_is_real, "a number"),
     "float | None": (lambda v: v is None or _is_real(v), "a number or null"),
     "str": (lambda v: isinstance(v, str), "a string"),

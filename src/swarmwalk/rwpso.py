@@ -3,9 +3,14 @@
 Each iteration brings the swarm graph up to date (only the distances of
 particles that moved are recomputed), then every particle draws a uniform
 r and hops: if r falls below the smallest entry of its hop distribution it
-targets the particle holding that smallest probability (usually itself, so
-good particles tend to stay put), otherwise it targets the particle holding
-the largest probability.  Movement toward the target is the expected drift of
+targets the particle holding that smallest probability, otherwise it
+targets the particle holding the largest probability.  The first branch
+almost never fires (on 0.41% of particle-steps on sphere N=20 D=10, 0.04%
+on rastrigin N=80 D=10), so particle j in effect targets the argmax over i
+of rank_i * d_ij, its own entry rank_j * 1 (the self-loop weight) among
+them.  A particle stays put when that own entry wins, which it did on 22%
+and 72% of those particle-steps: its gap to itself is 0, and so is its
+noise.  Movement toward the target is the expected drift of
 a constrained biased walk tuned to cover the displacement in `WALK_HORIZON`
 = 2 steps, so each move covers half the gap, plus a zero-mean Gaussian
 perturbation whose scale is `gaussian_sigma` times the mean absolute gap to
@@ -72,7 +77,10 @@ def select_target(prob_rows, r) -> np.ndarray:
     """One target per source j from hop distribution prob_rows[j] and draw r[j].
 
     The argmin when r[j] falls below the row minimum, otherwise the argmax;
-    ties resolve to the lowest index.
+    ties resolve to the lowest index.  In a run the row minimum is a small
+    probability, so the argmin branch fires on well under 1% of draws, and
+    a source that targets itself (and so does not move) almost always does
+    so through the argmax: its self-loop entry is the largest of its row.
     """
     rows = np.asarray(prob_rows, dtype=float)
     r = np.asarray(r, dtype=float)

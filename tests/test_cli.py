@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import pkgutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -242,6 +243,56 @@ def test_unwritable_out_exits_before_any_run(tmp_path, monkeypatch, capsys, comm
     assert err.startswith(f"error: cannot write results to {out}: [Errno ")
     assert err.count("\n") == 1
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_out_denied_by_access_exits_before_any_run(tmp_path, monkeypatch, capsys,
+                                                   command, existing):
+    # os.access stands in for the mode bits, which a process run as root ignores
+    denied = []
+
+    def access(path, mode):
+        denied.append((Path(path), mode))
+        return False
+
+    monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+    monkeypatch.setattr(cli, "run_single", pytest.fail)
+    monkeypatch.setattr(cli.os, "access", access)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    if existing:
+        (tmp_path / "r.csv").write_text("earlier results\n", encoding="utf-8")
+    argv = ["run", "--config", "config.json"] if command == "run" else ["trace"]
+    assert cli_main([*argv, "--out", "r.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot write results to r.csv: [Errno 13] Permission denied: 'r.csv'\n")
+    assert denied == [(Path("r.csv") if existing else Path("."), os.W_OK)]
+    files = ["config.json", "r.csv"] if existing else ["config.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == files
+    if existing:
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8") == "earlier results\n"
+
+
+def test_out_removed_during_the_sweep_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                        config_path):
+    # the late write that the check before the sweep cannot foresee
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    real_run_experiment = cli.run_experiment
+
+    def run_then_remove_out_dir(spec):
+        outcome = real_run_experiment(spec)
+        out_dir.rmdir()
+        return outcome
+
+    monkeypatch.setattr(cli, "run_experiment", run_then_remove_out_dir)
+    out = out_dir / "r.csv"
+    assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write results to {out}: [Errno ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_failed_sweep_keeps_an_existing_results_file(tmp_path, monkeypatch, capsys,

@@ -216,6 +216,16 @@ class TestSpecValidation:
         assert spec.threshold_for("sphere") == 1e-2
         assert spec.threshold_for("binh4") is None
 
+    def test_thresholds_hold_only_overrides(self):
+        defaults = {"sphere": 1e-2, "rosenbrock": 100.0, "rastrigin": 50.0,
+                    "binh4": None, "schaffer_n1": None}
+        assert ExperimentSpec().fitness_thresholds == {}
+        assert {f: ExperimentSpec().threshold_for(f) for f in FUNCTION_NAMES} == defaults
+        spec = ExperimentSpec(fitness_thresholds={"sphere": None, "binh4": -1.0})
+        assert spec.fitness_thresholds == {"sphere": None, "binh4": -1.0}
+        assert {f: spec.threshold_for(f) for f in FUNCTION_NAMES} == {
+            **defaults, "sphere": None, "binh4": -1.0}
+
     def test_empty_algorithms_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(algorithms=())
@@ -742,7 +752,8 @@ class TestWriteAndRead:
         spec = ExperimentSpec(**TINY)
         outcome = run_experiment(spec)
         out = tmp_path / "r.csv"
-        text = write_results(outcome.aggregates, outcome.runs, out)
+        text = write_results(outcome.aggregates, outcome.runs)
+        out.write_text(text, encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + len(outcome.aggregates)
@@ -752,7 +763,7 @@ class TestWriteAndRead:
         spec = ExperimentSpec(**TINY)
         outcome = run_experiment(spec)
         out = tmp_path / "r.csv"
-        write_results(outcome.aggregates, None, out)
+        out.write_text(write_results(outcome.aggregates), encoding="utf-8")
         assert read_results(out) == outcome.aggregates
         out.write_bytes(codecs.BOM_UTF8 + out.read_bytes())  # as a spreadsheet saves it
         assert read_results(out) == outcome.aggregates
@@ -761,7 +772,8 @@ class TestWriteAndRead:
         spec = ExperimentSpec(**TINY)
         outcome = run_experiment(spec)
         out = tmp_path / "r.json"
-        write_results(outcome.aggregates, outcome.runs, out, fmt="json")
+        out.write_text(write_results(outcome.aggregates, outcome.runs, fmt="json"),
+                       encoding="utf-8")
         assert read_results(out) == outcome.aggregates
         document = json.loads(out.read_text(encoding="utf-8"))
         assert set(document) == {"aggregates", "runs"}
@@ -773,10 +785,6 @@ class TestWriteAndRead:
         with pytest.raises(ValueError):
             write_results([], fmt="xml")
 
-    def test_unwritable_path(self, tmp_path):
-        with pytest.raises(OSError):
-            write_results([], None, tmp_path / "missing" / "r.csv")
-
 
 class TestSideload:
     """`read_results` on files from outside the program, e.g. another optimizer's rows."""
@@ -786,7 +794,7 @@ class TestSideload:
         outcome = run_experiment(spec)
         for name, fmt in (("r.csv", "csv"), ("r.json", "json")):
             out = tmp_path / name
-            write_results(outcome.aggregates * 2, None, out, fmt)
+            out.write_text(write_results(outcome.aggregates * 2, fmt=fmt), encoding="utf-8")
             with pytest.raises(ValueError) as info:
                 read_results(out)
             assert str(info.value) == (f"results file {out}: row 2: "

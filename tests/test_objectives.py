@@ -392,15 +392,18 @@ class TestMakeObjective:
         with pytest.raises(ValueError):
             make_objective("sphere")
 
-    @pytest.mark.parametrize("dim", [
-        pytest.param(2.5, id="fractional"),
-        pytest.param(True, id="bool"),
-        pytest.param("3", id="string"),
+    @pytest.mark.parametrize("name, dim", [
+        pytest.param("sphere", 2.5, id="fractional"),
+        pytest.param("sphere", True, id="bool"),
+        pytest.param("sphere", "3", id="string"),
+        # equal to the fixed dimension (True == 1, 2.0 == 2), yet no integer
+        pytest.param("schaffer_n1", True, id="fixed-dimension-bool"),
+        pytest.param("binh4", 2.0, id="fixed-dimension-float"),
     ])
-    def test_non_integer_dimension_refused(self, dim):
+    def test_non_integer_dimension_refused(self, name, dim):
         message = f"domain dim must be an integer >= 1, got {dim!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            make_objective("sphere", dim)
+            make_objective(name, dim)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -8,11 +8,15 @@ bit for bit.  The walker compares each rank-weighted distance with the
 self-loop weight `graph.SELF_WEIGHT = 1`, an absolute length: a swarm
 narrower than about 1/N freezes on its self-loops, so on the small box it
 stalls before the threshold.  REPORT.md, "Units of length", has the table.
+
+The same freeze bounds the walker inside sphere's own box: it leads PSO to
+1e-2 but stalls near 5e-4, while PSO goes on down to 1e-8 and below.
+REPORT.md, "Sphere convergence", has the level table.
 """
 
 import pytest
 
-from swarmwalk.objectives import ObjectiveSpec, SearchDomain, eval_sphere
+from swarmwalk.objectives import ObjectiveSpec, SearchDomain, eval_sphere, make_objective
 from swarmwalk.pso import pso_run
 from swarmwalk.results import RunConfig
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
@@ -42,3 +46,12 @@ def test_walker_freezes_on_a_small_box(seed):
                    for scale in (1.0, SMALL))
     assert unit.iterations_used < 200 and unit.best_fitness <= 1e-2
     assert small.iterations_used == 500 and small.best_fitness > 1e-2 * SMALL**2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walker_stalls_above_where_pso_goes_on_sphere(seed):
+    sphere = make_objective("sphere", 10)
+    walker = rwpso_run(sphere, RwpsoConfig(swarm_size=20, max_iterations=1000, seed=seed))
+    pso = pso_run(sphere, RunConfig(swarm_size=20, max_iterations=1000, seed=seed))
+    assert walker.iterations_used == pso.iterations_used == 1000
+    assert walker.best_fitness > 1e-4 > pso.best_fitness
