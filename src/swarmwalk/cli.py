@@ -141,9 +141,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, _read_config(args.config) if args.config else {})
     _check_out(args.out)
     outcome = run_experiment(spec)
-    _write_out(write_results(outcome.aggregates, outcome.runs, args.format), args.out)
+    # the failed cells first, so that a failed write cannot hide them
     for failure in outcome.failures:
         print(f"error: {failure}", file=sys.stderr)
+    _write_out(write_results(outcome.aggregates, outcome.runs, args.format), args.out)
     return 1 if outcome.failures else 0
 
 

@@ -1,23 +1,24 @@
 """Velocity-free particle mover driven by rank-biased random walks.
 
 Each iteration brings the swarm graph up to date (only the distances of
-particles that moved are recomputed), then every particle draws a uniform
-r and hops: if r falls below the smallest entry of its hop distribution it
-targets the particle holding that smallest probability, otherwise it
-targets the particle holding the largest probability.  The first branch
-almost never fires (on 0.41% of particle-steps on sphere N=20 D=10, 0.04%
-on rastrigin N=80 D=10), so particle j in effect targets the argmax over i
-of rank_i * d_ij, its own entry rank_j * 1 (the self-loop weight) among
-them.  A particle stays put when that own entry wins, which it did on 22%
-and 72% of those particle-steps: its gap to itself is 0, and so is its
-noise.  Movement toward the target is the expected drift of
-a constrained biased walk tuned to cover the displacement in `WALK_HORIZON`
-= 2 steps, so each move covers half the gap, plus a zero-mean Gaussian
-perturbation whose scale is `gaussian_sigma` times the mean absolute gap to
-the target, one scale per particle, so the noise anneals as the swarm
-contracts.  `gaussian_sigma` is the walker's one setting.  No velocities and
-no personal/global best memory are kept; the run loop records the
-best-so-far for reporting only.
+particles that moved are recomputed), then every particle j draws a uniform
+r and hops: if r falls below the smallest entry of column j of the hop
+matrix (its hop distribution) it targets the particle holding that smallest
+probability, otherwise it targets the particle holding the largest
+probability.  The first branch almost never fires (on 0.41% of
+particle-steps on sphere N=20 D=10, 0.04% on rastrigin N=80 D=10), so
+particle j in effect targets the argmax over i of rank_i * d_ij, its own
+entry rank_j * 1 (the self-loop weight) among them.  A particle stays put
+when that own entry wins, which it did on 22% and 72% of those
+particle-steps: its gap to itself is 0, and so is its noise.  Movement
+toward the target is the expected drift K of a constrained biased walk
+tuned to cover the displacement in `WALK_HORIZON` = 2 steps, so each move
+covers half the gap, plus a zero-mean Gaussian perturbation drawn from K,
+whose scale is `gaussian_sigma` times the mean absolute gap to the target,
+one scale per particle, so the noise anneals as the swarm contracts.
+`gaussian_sigma` is the walker's one setting.  No velocities and no
+personal/global best memory are kept; the run loop records the best-so-far
+for reporting only.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "select_target",
     "compute_delta",
     "displacement_vector",
-    "resolve_sigma",
     "gaussian_term",
     "update_position",
     "init_state",
@@ -73,22 +73,24 @@ class RwpsoConfig(RunConfig):
             raise ValueError(f"gaussian_sigma must be > 0, got {self.gaussian_sigma!r}")
 
 
-def select_target(prob_rows, r) -> np.ndarray:
-    """One target per source j from hop distribution prob_rows[j] and draw r[j].
+def select_target(hops, r) -> np.ndarray:
+    """One target per source j from its hop distribution hops[:, j] and draw r[j].
 
-    The argmin when r[j] falls below the row minimum, otherwise the argmax;
-    ties resolve to the lowest index.  In a run the row minimum is a small
-    probability, so the argmin branch fires on well under 1% of draws, and
-    a source that targets itself (and so does not move) almost always does
-    so through the argmax: its self-loop entry is the largest of its row.
+    `hops` is column-stochastic, as `hop_probabilities` returns it.  The
+    argmin of column j when r[j] falls below the column minimum, otherwise
+    the argmax; ties resolve to the lowest index.  In a run the column
+    minimum is a small probability, so the argmin branch fires on well
+    under 1% of draws, and a source that targets itself (and so does not
+    move) almost always does so through the argmax: its self-loop entry is
+    the largest of its column.
     """
-    rows = np.asarray(prob_rows, dtype=float)
+    hops = np.asarray(hops, dtype=float)
     r = np.asarray(r, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise ValueError("probability rows must be a non-empty (N, M) array")
-    if r.shape != rows.shape[:1]:
-        raise ValueError("need one uniform draw per probability row")
-    return np.where(r < rows.min(axis=1), rows.argmin(axis=1), rows.argmax(axis=1))
+    if hops.ndim != 2 or hops.shape[0] == 0:
+        raise ValueError("hop matrix must be a non-empty (M, N) array")
+    if r.shape != hops.shape[1:]:
+        raise ValueError("need one uniform draw per hop-matrix column")
+    return np.where(r < hops.min(axis=0), hops.argmin(axis=0), hops.argmax(axis=0))
 
 
 def compute_delta(displacement: float, n: int) -> float:
@@ -114,23 +116,17 @@ def displacement_vector(positions, targets) -> np.ndarray:
     return (t - p) / WALK_HORIZON
 
 
-def resolve_sigma(config: RwpsoConfig, displacement) -> np.ndarray:
-    """Gaussian scale of each particle: `gaussian_sigma` * mean(|displacement|).
+def gaussian_term(config: RwpsoConfig, rng: np.random.Generator, k) -> np.ndarray:
+    """One draw of zero-mean Gaussian perturbations shaped like the drift `k`.
 
-    `displacement` is target minus position.  The scale is one isotropic
-    value per particle (row), returned as an (N, 1) column for an (N, D)
-    displacement so that it broadcasts over the coordinates.
+    Each particle (row) has one isotropic scale, `gaussian_sigma` times its
+    mean absolute gap to the target, `WALK_HORIZON * mean(|k|)`.
     """
-    gap = np.asarray(displacement, dtype=float)
-    return config.gaussian_sigma * np.mean(np.abs(gap), axis=-1, keepdims=True)
-
-
-def gaussian_term(config: RwpsoConfig, rng: np.random.Generator, displacement) -> np.ndarray:
-    """One draw of zero-mean Gaussian perturbations shaped like `displacement`
-    (targets - positions)."""
+    k = np.asarray(k, dtype=float)
+    gap = WALK_HORIZON * np.mean(np.abs(k), axis=-1, keepdims=True)
     # the values of rng.normal(0, sigma, size) up to the sign of a zero,
     # without its broadcasting
-    return resolve_sigma(config, displacement) * rng.standard_normal(np.shape(displacement))
+    return config.gaussian_sigma * gap * rng.standard_normal(k.shape)
 
 
 def update_position(positions, k, g, domain: SearchDomain) -> np.ndarray:
@@ -166,12 +162,12 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     uniforms, then the normal matrix) is part of the seeded-determinism
     contract.
     """
-    prob_rows = hop_probabilities(state.distances, state.fitnesses).T
     r = rng.random(config.swarm_size)
-    targets = state.positions[select_target(prob_rows, r)]
+    hops = hop_probabilities(state.distances, state.fitnesses)
+    targets = state.positions[select_target(hops, r)]
     k = displacement_vector(state.positions, targets)
-    g = gaussian_term(config, rng, targets - state.positions)
-    positions = update_position(state.positions, k, g, objective.domain)
+    positions = update_position(state.positions, k, gaussian_term(config, rng, k),
+                                objective.domain)
     fitnesses = objective.evaluate_batch(positions)
     moved = np.any(positions != state.positions, axis=1)
     return RwpsoState(positions, fitnesses,

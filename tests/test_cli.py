@@ -295,6 +295,29 @@ def test_out_removed_during_the_sweep_is_one_error_line(tmp_path, monkeypatch, c
     assert not out_dir.exists()
 
 
+def test_failed_write_still_reports_the_failed_cells(tmp_path, monkeypatch, capsys,
+                                                     config_path):
+    # each failed cell's error line comes before the late write's error
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    real_run_experiment = cli.run_experiment
+    failure = "cell ('rwpso', 'sphere', 6, 2) run 1 (seed 10) failed: boom"
+
+    def fail_a_cell_then_remove_out_dir(spec):
+        outcome = real_run_experiment(spec)
+        outcome.failures.append(failure)
+        out_dir.rmdir()
+        return outcome
+
+    monkeypatch.setattr(cli, "run_experiment", fail_a_cell_then_remove_out_dir)
+    out = out_dir / "r.csv"
+    assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines(keepends=True)
+    assert len(lines) == 2
+    assert lines[0] == f"error: {failure}\n"
+    assert lines[1].startswith(f"error: cannot write results to {out}: [Errno ")
+
+
 def test_failed_sweep_keeps_an_existing_results_file(tmp_path, monkeypatch, capsys,
                                                      config_path):
     def failing_sweep(spec):

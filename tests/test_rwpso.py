@@ -14,7 +14,6 @@ from swarmwalk.rwpso import (
     displacement_vector,
     gaussian_term,
     init_state,
-    resolve_sigma,
     rwpso_run,
     rwpso_step,
     select_target,
@@ -35,24 +34,24 @@ def config(**kwargs) -> RwpsoConfig:
 
 class TestSelectTarget:
     def test_small_draw_picks_minimum_holder(self):
-        np.testing.assert_array_equal(select_target(FIVE_POINT_ROW[None], [0.03]), [0])
+        np.testing.assert_array_equal(select_target(FIVE_POINT_ROW[:, None], [0.03]), [0])
 
     def test_large_draw_picks_maximum_holder(self):
-        np.testing.assert_array_equal(select_target(FIVE_POINT_ROW[None], [0.5]), [4])
+        np.testing.assert_array_equal(select_target(FIVE_POINT_ROW[:, None], [0.5]), [4])
 
     def test_one_target_per_row(self):
-        rows = np.stack([FIVE_POINT_ROW, FIVE_POINT_ROW[::-1]])
+        rows = np.stack([FIVE_POINT_ROW, FIVE_POINT_ROW[::-1]], axis=1)
         np.testing.assert_array_equal(select_target(rows, [0.03, 0.03]), [0, 4])
         np.testing.assert_array_equal(select_target(rows, [0.5, 0.5]), [4, 0])
 
     def test_uniform_row_ties_break_low(self):
-        rows = np.full((1, 5), 0.2)
+        rows = np.full((5, 1), 0.2)
         np.testing.assert_array_equal(select_target(rows, [0.1]), [0])
         np.testing.assert_array_equal(select_target(rows, [0.9]), [0])
 
     def test_empty_row(self):
         with pytest.raises(ValueError):
-            select_target(np.empty((1, 0)), [0.5])
+            select_target(np.empty((0, 1)), [0.5])
 
     def test_needs_one_draw_per_row(self):
         with pytest.raises(ValueError):
@@ -73,8 +72,8 @@ class TestSelectTarget:
         assume(np.all((gaps == 0.0) | (gaps > 1e-9)) and abs(r - ordered[0]) > 1e-9)
         rescaled = row * scale
         rescaled = rescaled / rescaled.sum()
-        np.testing.assert_array_equal(select_target(row[None], [r]),
-                                      select_target(rescaled[None], [r]))
+        np.testing.assert_array_equal(select_target(row[:, None], [r]),
+                                      select_target(rescaled[:, None], [r]))
 
 
 class TestComputeDelta:
@@ -136,9 +135,9 @@ class TestWalkOracle:
 
 class TestGaussianTerm:
     def test_standard_moments(self):
-        # a unit gap scales the noise by gaussian_sigma = 1
+        # the drift of a unit gap scales the noise by gaussian_sigma = 1
         cfg = config(gaussian_sigma=1.0)
-        draws = gaussian_term(cfg, np.random.default_rng(1), np.ones((100_000, 1)))
+        draws = gaussian_term(cfg, np.random.default_rng(1), np.full((100_000, 1), 0.5))
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
         assert draws.std() == pytest.approx(1.0, abs=0.02)
 
@@ -153,9 +152,11 @@ class TestGaussianTerm:
         np.testing.assert_array_equal(block, np.concatenate(rows))
 
     def test_displacement_scaled_is_isotropic_mean_gap(self):
+        # drift [1.5, 0, -1.5] is gap [3, 0, -3]: its mean absolute gap 2
+        # times sigma 0.5 scales the standard normals by exactly 1
         cfg = config(gaussian_sigma=0.5)
-        sigma = resolve_sigma(cfg, np.array([3.0, 0.0, -3.0]))
-        np.testing.assert_allclose(sigma, np.full(1, 1.0))
+        got = gaussian_term(cfg, np.random.default_rng(4), np.array([[1.5, 0.0, -1.5]]))
+        np.testing.assert_array_equal(got, np.random.default_rng(4).standard_normal((1, 3)))
 
     def test_invalid_sigma_rejected_at_config(self):
         with pytest.raises(ValueError):
@@ -224,14 +225,14 @@ class TestStep:
         state = init_state(obj, cfg, np.random.default_rng(3))
         rng = np.random.default_rng(9)
         r = rng.random(7)
-        rows = hop_probabilities(state.distances, state.fitnesses).T
-        chosen = select_target(rows, r)
-        # a single particle is a one-row input and gets the same target
-        singles = [select_target(rows[j:j + 1], r[j:j + 1])[0] for j in range(7)]
+        hops = hop_probabilities(state.distances, state.fitnesses)
+        chosen = select_target(hops, r)
+        # a single particle is a one-column input and gets the same target
+        singles = [select_target(hops[:, j:j + 1], r[j:j + 1])[0] for j in range(7)]
         np.testing.assert_array_equal(singles, chosen)
         targets = state.positions[chosen]
         k = displacement_vector(state.positions, targets)
-        g = gaussian_term(cfg, rng, targets - state.positions)
+        g = gaussian_term(cfg, rng, k)
         expected = update_position(state.positions, k, g, obj.domain)
         new = rwpso_step(state, obj, cfg, np.random.default_rng(9))
         np.testing.assert_array_equal(new.positions, expected)
