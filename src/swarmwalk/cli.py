@@ -50,9 +50,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, **defaults) -> None:
     # a flag of its own, so such a value (binh4's fitness is negative over
     # much of its box) needs the "=" form.
     parser.add_argument("--threshold", type=float,
-                        help="success threshold of every function run; a run stops once "
-                             "its best fitness reaches it; a negative value in exponent "
-                             "form needs '=', as in --threshold=-1e-3")
+                        help="success threshold of --function, or of every function, in place "
+                             "of fitness_thresholds; a run stops once its best fitness reaches "
+                             "it; a negative value in exponent form needs '=': --threshold=-1e-3")
     parser.add_argument("--out", metavar="PATH", help="output file (stdout when omitted)")
     parser.set_defaults(**defaults)
 
@@ -87,21 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args: argparse.Namespace, config: dict) -> ExperimentSpec:
     """The spec of `config` once the given flags are written into it.
 
-    `--threshold` becomes the threshold of every function the spec runs.
+    `--threshold` replaces `fitness_thresholds` with one threshold for
+    `--function`, or for every function.
     """
     for flag, key in _CONFIG_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
             config[key] = [value] if key in _CELL_AXES else value
-    functions = config.get("functions", FUNCTION_NAMES)
-    thresholds = config.get("fitness_thresholds", {})
-    # a field of the wrong type, or an unknown function, is left for the
-    # spec's own check to name
-    if (args.threshold is not None and isinstance(functions, list | tuple)
-            and isinstance(thresholds, dict)):
-        selected = [function for function in functions if function in FUNCTION_NAMES]
-        config["fitness_thresholds"] = {**thresholds,
-                                        **dict.fromkeys(selected, args.threshold)}
+    if args.threshold is not None:
+        config["fitness_thresholds"] = dict.fromkeys(
+            FUNCTION_NAMES if args.function is None else [args.function], args.threshold)
     return ExperimentSpec.from_dict(config)
 
 
@@ -154,8 +149,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args, {"runs_per_cell": 1,
-                                  "fitness_thresholds": {args.function: None}})
+    spec = _spec_from_args(args, {"fitness_thresholds": {args.function: None}})
     _check_out(args.out)
     result = run_single(spec, spec.cells()[0], 0)
     # iteration 0 is the start swarm's best, so a run whose start swarm

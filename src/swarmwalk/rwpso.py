@@ -29,7 +29,7 @@ import numpy as np
 
 from swarmwalk.graph import build_distance_matrix, hop_probabilities, update_distance_matrix
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
-from swarmwalk.results import RunConfig, RunResult, run_loop
+from swarmwalk.results import RunConfig, RunResult, _is_integer, run_loop
 
 __all__ = [
     "WALK_HORIZON",
@@ -102,8 +102,8 @@ def compute_delta(displacement: float, n: int) -> float:
     walk covers d in n steps, and the value leaves [0, 1]
     (`compute_delta(3.0, 2)` is -0.25).
     """
-    if n < 1:
-        raise ValueError("step count must be >= 1")
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"step count must be an integer >= 1, got {n}")
     return (1.0 - displacement / n) / 2.0
 
 

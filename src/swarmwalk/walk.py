@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from swarmwalk.results import _is_integer, _is_real
+
 __all__ = [
     "simple_walk",
     "biased_walk",
@@ -22,13 +24,13 @@ __all__ = [
 
 
 def _check_steps(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"step count must be >= 0, got {n}")
+    if not (_is_integer(n) and n >= 0):
+        raise ValueError(f"step count must be an integer >= 0, got {n}")
     return int(n)
 
 
 def _check_probability(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"step probability must be in [0, 1], got {p}")
     return float(p)
 

@@ -536,6 +536,22 @@ def test_negative_threshold_loads_and_runs_in_equals_form(capsys, config_path, c
         assert len(values) < 40 and values[-1] <= -4.5 < min(values[:-1])
 
 
+def test_threshold_flag_replaces_the_config_thresholds(tmp_path):
+    # the flag's threshold, for every function, takes the place of the
+    # config's, so the config's unknown function is never checked
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "functions": ["sphere", "rastrigin"],
+                                  "fitness_thresholds": {"ackley": 1}}), encoding="utf-8")
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", "--config", str(config), "--threshold", "1e9",
+                     "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [row["function"] for row in rows] == ["rastrigin", "sphere"]
+    assert all(row["success_rate"] == "1.0" and row["mean_iterations"] == "0.0"
+               for row in rows)
+
+
 def test_help_exits_zero():
     assert cli_main(["--help"]) == 0
     assert cli_main(["run", "--help"]) == 0

@@ -88,6 +88,11 @@ class TestComputeDelta:
         with pytest.raises(ValueError):
             compute_delta(1.0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, True, float("nan")])
+    def test_horizon_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=rf"step count must be an integer >= 1, got {n}"):
+            compute_delta(1.0, n)
+
     @given(st.floats(-1e6, 1e6), st.integers(1, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_mirror_identity(self, d, n):

@@ -41,11 +41,31 @@ def test_bias_out_of_range():
         biased_walk(5, 1.5, rng)
     with pytest.raises(ValueError):
         constrained_biased_walk(5, -0.1, 1.0, 1.0, rng)
+    # a bool is no probability, although 0 <= True <= 1
+    with pytest.raises(ValueError):
+        walk_expectation(3, True)
 
 
 def test_negative_step_count():
     with pytest.raises(ValueError):
         simple_walk(-1, np.random.default_rng(0))
+
+
+WALKS = {
+    "simple_walk": lambda n: simple_walk(n, np.random.default_rng(0)),
+    "biased_walk": lambda n: biased_walk(n, 0.5, np.random.default_rng(0)),
+    "constrained_biased_walk":
+        lambda n: constrained_biased_walk(n, 1.0, 1.0, 1.0, np.random.default_rng(0)),
+    "walk_expectation": lambda n: walk_expectation(n, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, True, float("nan")])
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
+def test_step_count_must_be_an_integer(walk, n):
+    # neither floored to a shorter walk nor read as a bool's 0 or 1 steps
+    with pytest.raises(ValueError, match=rf"step count must be an integer >= 0, got {n}"):
+        walk(n)
 
 
 @given(st.integers(0, 300), st.integers(0, 2**32 - 1))
