@@ -308,9 +308,11 @@ def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
     cell when the sweep has fewer cells.
 
     When a worker process dies, its pool loses every cell still pending in
-    it.  Each lost cell then reruns alone in a fresh one-worker pool, so
-    only a cell whose own rerun crashes fails; the others produce the same
-    output as an uninterrupted sweep, since seeds depend only on the cell.
+    it, and every cell it never received because it broke while the batch
+    was being submitted.  Each lost cell then reruns alone in a fresh
+    one-worker pool, so only a cell whose own rerun crashes fails; the
+    others produce the same output as an uninterrupted sweep, since seeds
+    depend only on the cell.
     The pool is imported here, so a serial sweep never loads
     `concurrent.futures` or `multiprocessing`.
     """
@@ -320,14 +322,19 @@ def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
     def run(batch: list[Cell], max_workers: int) -> list:
         """Each task's result, or the `BrokenProcessPool` that lost it."""
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_run_cell_task, (spec, cell)) for cell in batch]
+            futures, unsent = [], []
+            try:
+                for cell in batch:
+                    futures.append(pool.submit(_run_cell_task, (spec, cell)))
+            except BrokenProcessPool as exc:  # the pool broke before it had them all
+                unsent = [exc] * (len(batch) - len(futures))
             raw = []
             for future in futures:
                 try:
                     raw.append(future.result())
                 except BrokenProcessPool as exc:
                     raw.append(exc)
-        return raw
+        return raw + unsent
 
     raw = run(cells, min(workers, len(cells)))
     for i, cell in enumerate(cells):

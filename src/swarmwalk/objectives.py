@@ -193,29 +193,20 @@ class ObjectiveSpec:
         return np.array([self.evaluate(p) for p in positions])
 
 
-# (lower, upper, init_lower, init_upper) of each function's box, the same in
-# every coordinate.
-_DOMAINS = {
-    "sphere": (-100.0, 100.0, 50.0, 100.0),
-    "rosenbrock": (-30.0, 30.0, 15.0, 30.0),
-    "rastrigin": (-5.12, 5.12, 2.56, 5.12),
-    "binh4": (-7.0, 4.0, 0.0, 4.0),
-    "schaffer_n1": (-100.0, 100.0, 50.0, 100.0),
+# Each problem's fitness, its box (lower, upper, init_lower, init_upper), the
+# same in every coordinate, and its fixed dimension: binh4 is intrinsically
+# 2-D and schaffer_n1 1-D, and a sweep runs them there whatever it lists.
+_PROBLEMS = {
+    "sphere": (eval_sphere, (-100.0, 100.0, 50.0, 100.0), None),
+    "rosenbrock": (eval_rosenbrock, (-30.0, 30.0, 15.0, 30.0), None),
+    "rastrigin": (eval_rastrigin, (-5.12, 5.12, 2.56, 5.12), None),
+    "binh4": (_binh4_fitness, (-7.0, 4.0, 0.0, 4.0), 2),
+    "schaffer_n1": (_schaffer_n1_fitness, (-100.0, 100.0, 50.0, 100.0), 1),
 }
 
-FUNCTION_NAMES = tuple(_DOMAINS)
+FUNCTION_NAMES = tuple(_PROBLEMS)
 
-_FITNESS = {
-    "sphere": eval_sphere,
-    "rosenbrock": eval_rosenbrock,
-    "rastrigin": eval_rastrigin,
-    "binh4": _binh4_fitness,
-    "schaffer_n1": _schaffer_n1_fitness,
-}
-
-# binh4 is intrinsically 2-D and schaffer_n1 1-D; a sweep runs them at
-# these dimensions whatever dimensions it lists.
-_FIXED_DIMS = {"binh4": 2, "schaffer_n1": 1}
+_FIXED_DIMS = {name: d for name, (_, _, d) in _PROBLEMS.items() if d is not None}
 
 
 def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
@@ -237,16 +228,16 @@ def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
     """
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
-
-    if name in _FIXED_DIMS:
+    fitness, box, fixed = _PROBLEMS[name]
+    if fixed is not None:
         if dim is None:
-            dim = _FIXED_DIMS[name]
+            dim = fixed
         # a non-integer, such as True or 2.0, is left for SearchDomain to refuse
-        elif _is_integer(dim) and dim != _FIXED_DIMS[name]:
-            raise ValueError(f"{name} is {_FIXED_DIMS[name]}-D, not {dim}-D")
+        elif _is_integer(dim) and dim != fixed:
+            raise ValueError(f"{name} is {fixed}-D, not {dim}-D")
     elif dim is None:
         raise ValueError(f"{name} needs an explicit dimension")
-    domain = SearchDomain(dim, *_DOMAINS[name])
+    domain = SearchDomain(dim, *box)
     if name == "rosenbrock" and dim < 2:
         raise ValueError(f"invalid dimension {dim} for {name}")
-    return ObjectiveSpec(name=name, domain=domain, fitness=_FITNESS[name])
+    return ObjectiveSpec(name=name, domain=domain, fitness=fitness)

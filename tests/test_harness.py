@@ -654,6 +654,29 @@ class TestRunExperiment:
         assert opened == [1]
         assert len(outcome.aggregates) == 1 and not outcome.failures
 
+    def test_pool_broken_at_submission_loses_no_cell(self, monkeypatch):
+        # A pool that breaks before it has received the whole batch loses the
+        # cells it never received; they rerun alone like any other lost cell.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        submits = []
+
+        class BreakingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(None)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("broken at submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreakingPool)
+        outcome = run_experiment(ExperimentSpec(**SIX_CELL_SPEC))
+        serial = run_experiment(ExperimentSpec(**{**SIX_CELL_SPEC, "workers": 1}))
+        assert not outcome.failures
+        assert outcome.aggregates == serial.aggregates
+        assert [run.to_dict() for run in outcome.runs] == [
+            run.to_dict() for run in serial.runs]
+
     def test_cardinality(self):
         spec = ExperimentSpec(functions=("sphere", "rastrigin"),
                               algorithms=("rwpso",),

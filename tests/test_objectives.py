@@ -318,6 +318,13 @@ class TestMakeObjective:
             assert np.isfinite(obj.evaluate(mid))
 
     @pytest.mark.parametrize("name", FUNCTION_NAMES)
+    def test_box_corners_are_evaluable(self, name):
+        # clamped particles land exactly on the box's corners
+        obj = _objective(name, 10)
+        for corner in (obj.domain.lower, obj.domain.upper):
+            assert np.isfinite(obj.evaluate(np.full(obj.dim, corner)))
+
+    @pytest.mark.parametrize("name", FUNCTION_NAMES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_through_evaluate(self, name, bad):
         obj = _objective(name, 10)
