@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from swarmwalk.objectives import _FIXED_DIMS, FUNCTION_NAMES, ObjectiveSpec, make_objective
+from swarmwalk.objectives import (_FIXED_DIMS, DEFAULT_THRESHOLDS, FUNCTION_NAMES, ObjectiveSpec,
+                                  make_objective)
 from swarmwalk.pso import pso_run
 from swarmwalk.results import (AggregateStats, RunConfig, RunResult, _is_finite_real,
                                check_field_types)
@@ -44,17 +45,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("rwpso", "pso")
-
-# Per-function success thresholds on the best-so-far fitness.  The two
-# scalarized two-objective functions run for the fixed iteration budget
-# instead (no threshold).
-DEFAULT_THRESHOLDS: dict[str, float | None] = {
-    "sphere": 1e-2,
-    "rosenbrock": 100.0,
-    "rastrigin": 50.0,
-    "binh4": None,
-    "schaffer_n1": None,
-}
 
 # The walker's fixed per-function `gaussian_sigma`, where it differs from
 # `RwpsoConfig`'s default.  On rastrigin the walker does best when its noise
@@ -114,16 +104,12 @@ class ExperimentSpec:
             for index, value in enumerate(values):
                 if value in values[:index]:
                     raise ValueError(f"{key} lists {value!r} twice")
-        if not self.algorithms:
-            raise ValueError("algorithms must not be empty")
-        for algorithm in self.algorithms:
-            if algorithm not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-        if not self.functions:
-            raise ValueError("functions must not be empty")
-        for function in self.functions:
-            if function not in FUNCTION_NAMES:
-                raise ValueError(f"unknown function {function!r}; choose from {FUNCTION_NAMES}")
+        for key, known in (("algorithms", ALGORITHMS), ("functions", FUNCTION_NAMES)):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
+            for value in getattr(self, key):
+                if value not in known:
+                    raise ValueError(f"unknown {key[:-1]} {value!r}; choose from {known}")
         for function, threshold in self.fitness_thresholds.items():
             if function not in FUNCTION_NAMES:
                 raise ValueError(f"threshold for unknown function {function!r}")
@@ -396,15 +382,13 @@ def read_results(path) -> list[AggregateStats]:
     """Load aggregate rows back from a CSV or JSON results file.
 
     Rows keep the file's order; a leading byte order mark is skipped.  A
-    malformed file, one that holds a cell twice included, raises ValueError
-    naming the file, and the row and field or cell at fault.
+    malformed file, one that is not UTF-8, holds a cell twice or has a CSV
+    row longer than its header included, raises ValueError naming the file,
+    and the row and field or cell at fault.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise OSError(f"cannot read results from {path}: {exc}") from exc
-    try:
         if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
             document = json.loads(text)
             rows = document.get("aggregates") if isinstance(document, dict) else None
@@ -418,6 +402,9 @@ def read_results(path) -> list[AggregateStats]:
         stats: dict[Cell, AggregateStats] = {}
         for number, row in enumerate(rows, 1):
             try:
+                # DictReader files a row's cells past its header under the key None
+                if isinstance(row, dict) and None in row:
+                    raise ValueError(f"has more cells than the {len(rows.fieldnames)} columns")
                 entry = AggregateStats.from_dict(row)
                 if entry.cell_key in stats:
                     raise ValueError(f"cell {entry.cell_key} appears twice")
@@ -425,7 +412,9 @@ def read_results(path) -> list[AggregateStats]:
                 raise ValueError(f"row {number}: {exc}") from None
             stats[entry.cell_key] = entry
         return list(stats.values())
-    except (ValueError, RecursionError, csv.Error) as exc:
+    except OSError as exc:
+        raise OSError(f"cannot read results from {path}: {exc}") from exc
+    except (ValueError, RecursionError, csv.Error) as exc:  # ValueError: UTF-8 too
         raise ValueError(f"results file {path}: {exc}") from exc
 
 

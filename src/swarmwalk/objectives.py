@@ -5,8 +5,10 @@ objective) plus binh4 and schaffer_n1 (two objectives each, collapsed to one
 fitness value by an equal-weight sum).  Each is one fixed problem: its
 constants, its search box, and an asymmetric initialization sub-range where
 particles start, a corner of the box that does not contain the optimum, so
-an optimizer has to travel, not just refine.  Nothing about them is
-settable but the dimension of the three scalable ones.
+an optimizer has to travel, not just refine.  Each also has a default
+success threshold, `DEFAULT_THRESHOLDS`, which a sweep may override.
+Nothing about a problem itself is settable but the dimension of the three
+scalable ones.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "SearchDomain",
     "ObjectiveSpec",
     "FUNCTION_NAMES",
+    "DEFAULT_THRESHOLDS",
     "eval_sphere",
     "eval_rosenbrock",
     "eval_rastrigin",
@@ -193,20 +196,25 @@ class ObjectiveSpec:
         return np.array([self.evaluate(p) for p in positions])
 
 
-# Each problem's fitness, its box (lower, upper, init_lower, init_upper), the
-# same in every coordinate, and its fixed dimension: binh4 is intrinsically
-# 2-D and schaffer_n1 1-D, and a sweep runs them there whatever it lists.
+# Each problem's fitness; its box (lower, upper, init_lower, init_upper), the
+# same in every coordinate; its fixed dimension, since binh4 is intrinsically
+# 2-D and schaffer_n1 1-D, so a sweep runs them there whatever it lists; and
+# its default success threshold on the best-so-far fitness.  The two
+# scalarized two-objective functions have no threshold: they run for the
+# fixed iteration budget instead.
 _PROBLEMS = {
-    "sphere": (eval_sphere, (-100.0, 100.0, 50.0, 100.0), None),
-    "rosenbrock": (eval_rosenbrock, (-30.0, 30.0, 15.0, 30.0), None),
-    "rastrigin": (eval_rastrigin, (-5.12, 5.12, 2.56, 5.12), None),
-    "binh4": (_binh4_fitness, (-7.0, 4.0, 0.0, 4.0), 2),
-    "schaffer_n1": (_schaffer_n1_fitness, (-100.0, 100.0, 50.0, 100.0), 1),
+    "sphere": (eval_sphere, (-100.0, 100.0, 50.0, 100.0), None, 1e-2),
+    "rosenbrock": (eval_rosenbrock, (-30.0, 30.0, 15.0, 30.0), None, 100.0),
+    "rastrigin": (eval_rastrigin, (-5.12, 5.12, 2.56, 5.12), None, 50.0),
+    "binh4": (_binh4_fitness, (-7.0, 4.0, 0.0, 4.0), 2, None),
+    "schaffer_n1": (_schaffer_n1_fitness, (-100.0, 100.0, 50.0, 100.0), 1, None),
 }
 
 FUNCTION_NAMES = tuple(_PROBLEMS)
 
-_FIXED_DIMS = {name: d for name, (_, _, d) in _PROBLEMS.items() if d is not None}
+_FIXED_DIMS = {name: d for name, (_, _, d, _) in _PROBLEMS.items() if d is not None}
+
+DEFAULT_THRESHOLDS = {name: threshold for name, (*_, threshold) in _PROBLEMS.items()}
 
 
 def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
@@ -228,7 +236,7 @@ def make_objective(name: str, dim: int | None = None) -> ObjectiveSpec:
     """
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown objective {name!r}; choose one of {FUNCTION_NAMES}")
-    fitness, box, fixed = _PROBLEMS[name]
+    fitness, box, fixed, _ = _PROBLEMS[name]
     if fixed is not None:
         if dim is None:
             dim = fixed

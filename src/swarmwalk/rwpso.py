@@ -11,14 +11,15 @@ particle j in effect targets the argmax over i of rank_i * d_ij, its own
 entry rank_j * 1 (the self-loop weight) among them.  A particle stays put
 when that own entry wins, which it did on 22% and 72% of those
 particle-steps: its gap to itself is 0, and so is its noise.  Movement
-toward the target is the expected drift K of a constrained biased walk
-tuned to cover the displacement in `WALK_HORIZON` = 2 steps, so each move
-covers half the gap, plus a zero-mean Gaussian perturbation drawn from K,
-whose scale is `gaussian_sigma` times the mean absolute gap to the target,
-one scale per particle, so the noise anneals as the swarm contracts.
-`gaussian_sigma` is the walker's one setting.  No velocities and no
-personal/global best memory are kept; the run loop records the best-so-far
-for reporting only.
+toward the target is the walk's mean, not a sampled walk: the expected drift
+K of a constrained biased walk tuned to cover the displacement in
+`WALK_HORIZON` = 2 steps, which takes the particle to the midpoint toward
+its target (REPORT.md, "Move ablation"), plus a zero-mean Gaussian
+perturbation drawn from K, whose scale is `gaussian_sigma` times the mean
+absolute gap to the target, one scale per particle, so the noise anneals as
+the swarm contracts.  `gaussian_sigma` is the walker's one setting.  No
+velocities and no personal/global best memory are kept; the run loop
+records the best-so-far for reporting only.
 """
 
 from __future__ import annotations
@@ -59,10 +60,9 @@ class RwpsoConfig(RunConfig):
     that covers the gap in `WALK_HORIZON` steps.  That pairing keeps the
     swarm's sampling radius proportional to how far particles still jump,
     so it crosses the search box early and anneals into a fine local search
-    late.  Too small a factor freezes the swarm before it reaches
-    the optimum and too large a one never lets it settle, but the workable
-    window depends on the function and the cell: 0.60-0.75 on sphere N=20
-    D=10, 0.52-0.53 on rastrigin N=80 D=10 (REPORT.md, "Tuning sensitivity").
+    late.  Too small a factor freezes the swarm before it reaches the
+    optimum and too large a one never lets it settle; the workable window
+    depends on the function and the cell (REPORT.md, "Tuning sensitivity").
     """
 
     gaussian_sigma: float = 0.7

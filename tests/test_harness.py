@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmwalk import harness
+from swarmwalk import harness, objectives
 from swarmwalk.cli import cli_main
 from swarmwalk.harness import (
     CSV_COLUMNS,
@@ -109,8 +109,8 @@ def _json_rows(*rows):
     return json.dumps({"aggregates": list(rows)})
 
 
-# (file name, contents, what the error names) of results files that
-# `read_results` must reject with a ValueError.
+# (file name, contents as text or bytes, what the error names) of results
+# files that `read_results` must reject with a ValueError.
 MALFORMED_RESULTS = [
     pytest.param("r.json", _json_rows({k: v for k, v in BASELINE_ROW.items()
                                        if k != "population"}),
@@ -147,6 +147,10 @@ MALFORMED_RESULTS = [
                  r"success_rate must lie in \[0.0, 1.0\], got '1.5'", id="csv-rate-above-one"),
     pytest.param("r.json", _json_rows({**BASELINE_ROW, "success_rate": -0.1}),
                  r"success_rate must lie in \[0.0, 1.0\], got -0.1", id="json-negative-rate"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nrwpso,sphere,2,2,1,1,1,0,1,extra\n",
+                 "row 1: has more cells than the 9 columns", id="csv-extra-cell"),
+    pytest.param("r.csv", b"\xff\xfe", r"^results file .*r\.csv: 'utf-8' codec",
+                 id="csv-not-utf8"),
 ]
 
 
@@ -215,6 +219,13 @@ class TestSpecValidation:
         spec = ExperimentSpec()
         assert spec.threshold_for("sphere") == 1e-2
         assert spec.threshold_for("binh4") is None
+
+    def test_default_thresholds_live_in_the_problem_table(self):
+        assert harness.DEFAULT_THRESHOLDS is objectives.DEFAULT_THRESHOLDS
+        assert list(objectives.DEFAULT_THRESHOLDS.items()) == [
+            ("sphere", 1e-2), ("rosenbrock", 100.0), ("rastrigin", 50.0),
+            ("binh4", None), ("schaffer_n1", None)]
+        assert tuple(objectives.DEFAULT_THRESHOLDS) == FUNCTION_NAMES
 
     def test_thresholds_hold_only_overrides(self):
         defaults = {"sphere": 1e-2, "rosenbrock": 100.0, "rastrigin": 50.0,
@@ -832,7 +843,7 @@ class TestSideload:
     @pytest.mark.parametrize("name, text, named", MALFORMED_RESULTS)
     def test_malformed_file_names_the_fault(self, tmp_path, name, text, named):
         bad = tmp_path / name
-        bad.write_text(text, encoding="utf-8")
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(ValueError, match=named) as info:
             read_results(bad)
         assert str(bad) in str(info.value)
