@@ -64,9 +64,11 @@ PLANE_ROWS = 80
 def build_distance_matrix(positions, rows=None) -> np.ndarray:
     """Distances from the particles `rows` to every particle, shape (len(rows), N).
 
-    With `rows` None this is the symmetric N x N matrix.  Each row's own
-    entry is SELF_WEIGHT, and an exact zero distance between two different
-    particles becomes COINCIDENT_DISTANCE.
+    With `rows` None this is the symmetric N x N matrix.  Otherwise `rows`
+    must be a 1-D array of integer indices in [0, N), possibly empty; a
+    boolean mask or a fractional or out-of-range index raises ValueError.
+    Each row's own entry is SELF_WEIGHT, and an exact zero distance between
+    two different particles becomes COINCIDENT_DISTANCE.
 
     Each distance is the square root of numpy's sum of the D squared gaps,
     bit for bit, whichever of two bodies computes it.  A block of fewer than
@@ -91,8 +93,12 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
         raise ValueError("positions must be an (N, dim) array")
     if pos.shape[0] < 2:
         raise ValueError("need at least 2 particles")
-    rows = np.arange(pos.shape[0]) if rows is None else np.asarray(rows, dtype=int)
-    (n, dim), m = pos.shape, rows.shape[0]
+    n, dim = pos.shape
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or (rows.size > 0 and (rows.dtype.kind not in "iu"
+                                             or rows.min() < 0 or rows.max() >= n)):
+        raise ValueError(f"rows must be a 1-D array of particle indices in [0, {n})")
+    rows, m = rows.astype(int, copy=False), rows.shape[0]
     if m * n < PLANE_MIN_ENTRIES_PER_DIM * dim or dim > PAIRWISE_BLOCK:
         gaps = pos[rows, None, :] - pos[None, :, :]
         np.multiply(gaps, gaps, out=gaps)
@@ -145,13 +151,20 @@ def _sum_squared_gaps(sub, cols, work, out):
 def update_distance_matrix(matrix, positions, moved) -> np.ndarray:
     """Copy of `matrix` with the rows and columns of the `moved` particles recomputed.
 
-    `matrix` holds the distances of the previous positions and `moved` is a
-    boolean mask over the particles; the result equals
-    build_distance_matrix(positions) bit for bit.
+    `matrix` holds the distances of the previous positions, shape (N, N), and
+    `moved` is a boolean mask over the N particles, shape (N,); other shapes
+    raise ValueError.  The result equals build_distance_matrix(positions)
+    bit for bit.
     """
-    rows = np.flatnonzero(moved)
-    block = build_distance_matrix(positions, rows)
+    pos = np.asarray(positions, dtype=float)
     updated = np.array(matrix, dtype=float)
+    if pos.ndim == 2:  # build_distance_matrix refuses other positions
+        n = pos.shape[0]
+        if np.shape(moved) != (n,) or updated.shape != (n, n):
+            raise ValueError(f"for {n} particles `moved` must have shape ({n},) and `matrix` "
+                             f"({n}, {n}), got {np.shape(moved)} and {updated.shape}")
+    rows = np.flatnonzero(moved)
+    block = build_distance_matrix(pos, rows)
     updated[rows] = block
     updated[:, rows] = block.T
     return updated

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from pathlib import Path
@@ -204,13 +205,17 @@ def derive_seed(base_seed: int, algorithm: str, function: str,
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_setup(spec: ExperimentSpec, cell: Cell,
-               run_index: int) -> tuple[ObjectiveSpec, RunConfig]:
-    """The objective and config of one run of `cell`: the sweep's run
-    settings, its seed from `derive_seed`, and for the walker also its
+def _run_setup(spec: ExperimentSpec, cell: Cell, run_index: int
+               ) -> tuple[ObjectiveSpec, RunConfig, Callable[..., RunResult]]:
+    """The objective, config and run function of one run of `cell`, or
+    ValueError for an algorithm outside `ALGORITHMS`.  The config holds the
+    sweep's run settings, the seed from `derive_seed`, and the walker's
     `gaussian_sigma`: the spec's if set, else the function's in
-    `RWPSO_TUNING`, else `RwpsoConfig`'s default."""
+    `RWPSO_TUNING`, else `RwpsoConfig`'s default.  The run function is this
+    module's global at call time, so a wrapper set in its place runs."""
     algorithm, function, population, dimension = cell
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     try:
         objective = make_objective(function, dimension)
     except ValueError as exc:
@@ -219,24 +224,22 @@ def _run_setup(spec: ExperimentSpec, cell: Cell,
                         seed=derive_seed(spec.base_seed, *cell, run_index),
                         fitness_threshold=spec.threshold_for(function))
     if algorithm == "pso":
-        return objective, RunConfig(**run_settings)
+        return objective, RunConfig(**run_settings), pso_run
     sigma = spec.gaussian_sigma
     if sigma is None:
         sigma = RWPSO_TUNING.get(function, RwpsoConfig.gaussian_sigma)
-    return objective, RwpsoConfig(**run_settings, gaussian_sigma=sigma)
+    return objective, RwpsoConfig(**run_settings, gaussian_sigma=sigma), rwpso_run
 
 
 def run_single(spec: ExperimentSpec, cell: Cell, run_index: int) -> RunResult:
     """Execute one seeded run of one cell."""
-    objective, config = _run_setup(spec, cell, run_index)
-    run = rwpso_run if cell[0] == "rwpso" else pso_run
+    objective, config, run = _run_setup(spec, cell, run_index)
     return run(objective, config)
 
 
 def _aggregate_cell(spec: ExperimentSpec, cell: Cell,
                     results: list[RunResult]) -> AggregateStats:
-    algorithm, function, population, dimension = cell
-    threshold = spec.threshold_for(function)
+    threshold = spec.threshold_for(cell[1])
     per_run_best = np.array([r.mean_best_80 for r in results])
     if threshold is None:
         success_rate = 0.0
@@ -245,10 +248,7 @@ def _aggregate_cell(spec: ExperimentSpec, cell: Cell,
         # best-so-far fitness.
         success_rate = float(np.mean([r.best_fitness <= threshold for r in results]))
     return AggregateStats(
-        algorithm=algorithm,
-        function=function,
-        population=population,
-        dimension=dimension,
+        *cell,  # the cell's coordinates are the first four fields
         runs=len(results),
         mean_iterations=float(np.mean([r.iterations_used for r in results])),
         mean_best_fitness=float(per_run_best.mean()),
@@ -280,18 +280,17 @@ class ExperimentOutcome:
     failures: list[str] = field(default_factory=list)
 
 
-def _run_cell_task(args: tuple[ExperimentSpec, Cell]):
-    spec, cell = args
+def _run_cell_task(spec: ExperimentSpec, cell: Cell):
+    """`run_cell`'s (aggregate, runs), or the text of the failure that ended the cell."""
     try:
-        stats, results = run_cell(spec, cell)
-        return cell, stats, results, None
+        return run_cell(spec, cell)
     except Exception as exc:
-        return cell, None, [], str(exc)
+        return str(exc)
 
 
 def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
-    """Each cell's task result from a pool of `workers` processes, or one per
-    cell when the sweep has fewer cells.
+    """Each cell's `_run_cell_task` result from a pool of `workers`
+    processes, or one per cell when the sweep has fewer cells.
 
     When a worker process dies, its pool loses every cell still pending in
     it, and every cell it never received because it broke while the batch
@@ -306,12 +305,12 @@ def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
     from concurrent.futures.process import BrokenProcessPool
 
     def run(batch: list[Cell], max_workers: int) -> list:
-        """Each task's result, or the `BrokenProcessPool` that lost it."""
+        """Each cell's task result, or the `BrokenProcessPool` that lost it."""
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures, unsent = [], []
             try:
                 for cell in batch:
-                    futures.append(pool.submit(_run_cell_task, (spec, cell)))
+                    futures.append(pool.submit(_run_cell_task, spec, cell))
             except BrokenProcessPool as exc:  # the pool broke before it had them all
                 unsent = [exc] * (len(batch) - len(futures))
             raw = []
@@ -327,8 +326,7 @@ def _run_in_pool(spec: ExperimentSpec, cells: list[Cell], workers: int) -> list:
         if isinstance(raw[i], BrokenProcessPool):
             (raw[i],) = run([cell], 1)
             if isinstance(raw[i], BrokenProcessPool):
-                raw[i] = (cell, None, [], f"cell {cell} lost: worker process "
-                          f"crashed (BrokenProcessPool: {raw[i]})")
+                raw[i] = f"cell {cell} lost: worker process crashed (BrokenProcessPool: {raw[i]})"
     return raw
 
 
@@ -343,15 +341,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     if spec.workers > 1:
         raw = _run_in_pool(spec, cells, spec.workers)
     else:
-        raw = [_run_cell_task((spec, cell)) for cell in cells]
+        raw = [_run_cell_task(spec, cell) for cell in cells]
 
     outcome = ExperimentOutcome(aggregates=[], runs=[])
-    for _, stats, results, error in raw:  # in canonical cell order on both paths
-        if error is not None:
-            outcome.failures.append(error)
-            continue
-        outcome.aggregates.append(stats)
-        outcome.runs.extend(results)
+    for result in raw:  # in canonical cell order on both paths
+        if isinstance(result, str):
+            outcome.failures.append(result)
+        else:
+            outcome.aggregates.append(result[0])
+            outcome.runs.extend(result[1])
     return outcome
 
 

@@ -5,12 +5,11 @@ particles that moved are recomputed), then every particle j draws a uniform
 r and hops: if r falls below the smallest entry of column j of the hop
 matrix (its hop distribution) it targets the particle holding that smallest
 probability, otherwise it targets the particle holding the largest
-probability.  The first branch almost never fires (on 0.41% of
-particle-steps on sphere N=20 D=10, 0.04% on rastrigin N=80 D=10), so
-particle j in effect targets the argmax over i of rank_i * d_ij, its own
-entry rank_j * 1 (the self-loop weight) among them.  A particle stays put
-when that own entry wins, which it did on 22% and 72% of those
-particle-steps: its gap to itself is 0, and so is its noise.  Movement
+probability.  The first branch almost never fires, so particle j in
+effect targets the argmax over i of rank_i * d_ij, its own entry
+rank_j * 1 (the self-loop weight) among them.  A particle stays put when
+that own entry wins: its gap to itself is 0, and so is its noise
+(REPORT.md, "How often the coin fires", counts both).  Movement
 toward the target is the walk's mean, not a sampled walk: the expected drift
 K of a constrained biased walk tuned to cover the displacement in
 `WALK_HORIZON` = 2 steps, which takes the particle to the midpoint toward

@@ -79,6 +79,22 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             build_distance_matrix(np.zeros(5))
 
+    @pytest.mark.parametrize("rows", [
+        pytest.param([True, False, True, False], id="bool-mask"),
+        pytest.param([1.5], id="fractional"),
+        pytest.param([-1], id="negative"),
+        pytest.param([7], id="past-the-end"),
+        pytest.param([[0, 1]], id="2-d"),
+    ])
+    def test_rows_must_be_particle_indices(self, rows):
+        with pytest.raises(ValueError, match=r"1-D array of particle indices in \[0, 4\)"):
+            build_distance_matrix(FIVE_POINTS[:4], rows)
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=int)], ids=["list", "array"])
+    def test_no_rows_give_an_empty_block(self, rows):
+        # a walker step in which no particle moved asks for no rows
+        assert build_distance_matrix(FIVE_POINTS, rows).shape == (0, 5)
+
     @given(st.integers(2, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_rows_are_the_matching_rows_of_the_full_matrix(self, n, dim, seed):
@@ -195,6 +211,17 @@ class TestUpdateDistanceMatrix:
         updated = assert_update_matches_rebuild(before, after)
         coincident = "onto" in moves or moves.count("corner") > 1
         assert np.any(updated == COINCIDENT_DISTANCE) == coincident
+
+    @pytest.mark.parametrize("matrix_size, moved", [
+        pytest.param(4, [True], id="short-mask"),
+        pytest.param(4, [False] * 5, id="long-mask"),
+        pytest.param(3, [True] * 4, id="small-matrix"),
+        pytest.param(5, [True] * 4, id="large-matrix"),
+    ])
+    def test_shapes_must_match_the_swarm(self, matrix_size, moved):
+        matrix = build_distance_matrix(FIVE_POINTS[:matrix_size])
+        with pytest.raises(ValueError, match=r"for 4 particles `moved` must have shape \(4,\)"):
+            update_distance_matrix(matrix, FIVE_POINTS[:4], moved)
 
     @given(st.lists(st.sampled_from(MOVES), min_size=2, max_size=40),
            st.integers(1, 40), st.integers(0, 2**32 - 1))

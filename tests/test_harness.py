@@ -456,6 +456,29 @@ class TestRunSingle:
         result = run_single(spec, ("rwpso", "sphere", 6, 2), run_index=1)
         assert result.seed == derive_seed(123, "rwpso", "sphere", 6, 2, 1)
 
+    def test_unknown_algorithm_is_refused(self):
+        spec = ExperimentSpec(**TINY)
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown algorithm 'annealing'; choose from ('rwpso', 'pso')")):
+            run_single(spec, ("annealing", "sphere", 6, 2), 0)
+
+    @pytest.mark.parametrize("algorithm", ["rwpso", "pso"])
+    def test_runs_the_run_function_the_module_holds_at_call_time(self, monkeypatch,
+                                                                algorithm):
+        # a wrapper set on the module after import, as a profiler sets one, runs
+        name = f"{algorithm}_run"
+        real_run, configs = getattr(harness, name), []
+
+        def recorded(objective, config):
+            configs.append(config)
+            return real_run(objective, config)
+
+        monkeypatch.setattr(harness, name, recorded)
+        spec = ExperimentSpec(**{**TINY, "algorithms": (algorithm,)})
+        result = run_single(spec, (algorithm, "sphere", 6, 2), 0)
+        assert result.algorithm == algorithm
+        assert [config.seed for config in configs] == [result.seed]
+
     def test_every_record_holds_its_objectives_dimension(self):
         spec = ExperimentSpec(**{**TINY, "functions": FUNCTION_NAMES,
                                  "algorithms": ("rwpso", "pso"), "dimensions": (2, 10),
