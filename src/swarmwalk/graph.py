@@ -12,6 +12,13 @@ the rows and columns of moved particles recomputed.  That is bit-identical to
 a full rebuild: IEEE subtraction is antisymmetric (x_i - x_j == -(x_j - x_i)
 exactly), so the squares, their per-pair sums over the coordinates and the
 square roots do not depend on which side of the pair computes them.
+
+Every block of distances, of any size and dimension, comes from one kernel
+that sums the squared gaps coordinate plane by coordinate plane in numpy's
+own pairwise order, so each distance equals np.sum's bit for bit.  Besides
+the result it holds at most 8 + PLANE_GROUP planes of one strip of
+PLANE_ROWS rows, and one more such plane per level at which numpy would
+split a row of more than PAIRWISE_BLOCK coordinates in halves.
 """
 
 from __future__ import annotations
@@ -32,17 +39,8 @@ SELF_WEIGHT = 1.0
 # drops out of the hop distribution.
 COINCIDENT_DISTANCE = 1e-9
 
-# build_distance_matrix sums an (M, N) block plane by plane once
-# M * N >= PLANE_MIN_ENTRIES_PER_DIM * D.  Below that, the fixed cost of the
-# plane body's ufunc calls, which grows with D, outweighs the broadcast
-# body's per-distance reduction cost.  Measured on a 2-vCPU Xeon VM, numpy
-# 2.4.6 (plane time over broadcast time, medians of 21 alternated timings):
-# at M * N = 48 D it is 0.95-1.11, at 64 D 0.87-0.98 for D = 10 and 20 but
-# 0.91-1.05 for D = 30, and from 72 D on at most 0.95 at every N from 40 to
-# 160 tried; at N=160, D=10-30 it is 0.45-0.75.
-PLANE_MIN_ENTRIES_PER_DIM = 80
 # numpy sums a float64 row of at most this many values with the fixed
-# eight-accumulator tree the plane body replays, and longer rows by halves.
+# eight-accumulator tree the kernel replays, and longer rows by halves.
 PAIRWISE_BLOCK = 128
 # Coordinate planes squared per ufunc call past the first eight (a divisor
 # of 8).  At N=40-80 four cost far less per call than one; at N=160 one to
@@ -71,22 +69,23 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     two different particles becomes COINCIDENT_DISTANCE.
 
     Each distance is the square root of numpy's sum of the D squared gaps,
-    bit for bit, whichever of two bodies computes it.  A block of fewer than
-    PLANE_MIN_ENTRIES_PER_DIM * D distances, or one with D > PAIRWISE_BLOCK,
-    builds the (M, N, D) gaps and sums them with np.sum.  A larger block
-    builds no such temporary.  It takes the rows in strips of at most
-    PLANE_ROWS, and squares the gaps of a few coordinate planes at a time
-    into one workspace of at most 8 + PLANE_GROUP (PLANE_ROWS, N) planes,
-    which every strip reuses.  It sums each strip straight into its rows of
-    the result, in the order in which numpy sums a float64 row of at most
-    PAIRWISE_BLOCK values; strips only split the rows, so that order holds
-    for every distance.  Below D = 8 it is one running sum.  From D = 8 on,
-    plane k is added into accumulator k % 8 up to the last multiple of
-    eight, the accumulators combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    and the remaining planes are added one by one.  So the result depends on
-    numpy's internal summation order.
-    The N=160 distance digests in tests/test_golden.py run this body and
-    fail loudly under a numpy that sums differently.
+    bit for bit, and no (M, N, D) temporary is built.  The rows are taken in
+    strips of at most PLANE_ROWS.  The gaps of a few coordinate planes at a
+    time are squared into one workspace of at most 8 + PLANE_GROUP
+    (PLANE_ROWS, N) planes, which every strip reuses, and summed straight
+    into the strip's rows of the result in the order in which numpy sums a
+    float64 row; strips only split the rows, so that order holds for every
+    distance.  A row of at most PAIRWISE_BLOCK values: below D = 8 it is one
+    running sum.  From D = 8 on, plane k is added into accumulator k % 8 up
+    to the last multiple of eight, the accumulators combine as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remaining planes are added
+    one by one.  A longer row is the sum of its first D // 2 - (D // 2) % 8
+    planes and the rest, each summed in the same way, the rest into one more
+    (PLANE_ROWS, N) buffer per split level.  So whatever M and D are, the
+    kernel needs only that workspace and those buffers besides the result.
+    The result depends on numpy's internal summation order; the distance
+    digests in tests/test_golden.py fail loudly under a numpy that sums
+    differently.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2:
@@ -99,19 +98,14 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
                                              or rows.min() < 0 or rows.max() >= n)):
         raise ValueError(f"rows must be a 1-D array of particle indices in [0, {n})")
     rows, m = rows.astype(int, copy=False), rows.shape[0]
-    if m * n < PLANE_MIN_ENTRIES_PER_DIM * dim or dim > PAIRWISE_BLOCK:
-        gaps = pos[rows, None, :] - pos[None, :, :]
-        np.multiply(gaps, gaps, out=gaps)
-        squared = np.sum(gaps, axis=-1)
-    else:
-        cols = pos.T.copy()
-        lanes = min(dim, 8)
-        work = np.empty((lanes + min(dim - lanes, PLANE_GROUP), min(m, PLANE_ROWS), n))
-        squared = np.empty((m, n))
-        for top in range(0, m, PLANE_ROWS):
-            strip = squared[top:top + PLANE_ROWS]
-            _sum_squared_gaps(cols[:, rows[top:top + PLANE_ROWS]], cols,
-                              work[:, :strip.shape[0]], strip)
+    cols = pos.T.copy()
+    lanes = min(dim, 8)
+    work = np.empty((lanes + min(dim - lanes, PLANE_GROUP), min(m, PLANE_ROWS), n))
+    squared = np.empty((m, n))
+    for top in range(0, m, PLANE_ROWS):
+        strip = squared[top:top + PLANE_ROWS]
+        _sum_squared_gaps(cols[:, rows[top:top + PLANE_ROWS]], cols,
+                          work[:, :strip.shape[0]], strip)
     block = np.sqrt(squared, out=squared)
     block[block == 0.0] = COINCIDENT_DISTANCE
     block[np.arange(m), rows] = SELF_WEIGHT
@@ -120,14 +114,22 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
 
 def _sum_squared_gaps(sub, cols, work, out):
     """Sum the squared gaps between the columns of `sub` (D, h) and of `cols`
-    (D, N) into `out` (h, N), in numpy's order for a row of D <= PAIRWISE_BLOCK
-    values; `work` holds lanes + min(D - lanes, PLANE_GROUP) (h, N) planes."""
+    (D, N) into `out` (h, N), in numpy's order for a row of D values; `work`
+    holds lanes + min(D - lanes, PLANE_GROUP) (h, N) planes, lanes = min(D, 8),
+    and the halves of a split row reuse it."""
+    dim = cols.shape[0]
+    if dim > PAIRWISE_BLOCK:
+        half = dim // 2 - (dim // 2) % 8
+        _sum_squared_gaps(sub[:half], cols[:half], work, out)
+        rest = np.empty_like(out)
+        _sum_squared_gaps(sub[half:], cols[half:], work, rest)
+        out += rest
+        return
 
     def squared_gaps(lo, hi, planes):
         np.subtract(sub[lo:hi, :, None], cols[lo:hi, None, :], out=planes)
         return np.multiply(planes, planes, out=planes)
 
-    dim = cols.shape[0]
     lanes = min(dim, 8)
     acc = squared_gaps(0, lanes, work[:lanes])
     if dim < 8:

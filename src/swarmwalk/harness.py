@@ -77,7 +77,11 @@ class ExperimentSpec:
     the cell's own population N and dimension D (binh4's D is 2 whatever
     `dimensions` lists), and the objective and config of its run 0 must
     build.  So a swarm too large to allocate, a bad dimension or a bad
-    `gaussian_sigma` fails here rather than in the middle of a sweep.
+    `gaussian_sigma` fails here rather than in the middle of a sweep.  At
+    every D the rest of a run's memory grows with N, not with N * N * D: the
+    distance kernel holds at most (8 + PLANE_GROUP) (PLANE_ROWS, N) planes,
+    plus one per level at which it splits the D coordinates in halves (see
+    `graph.build_distance_matrix`).
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES
@@ -380,9 +384,10 @@ def read_results(path) -> list[AggregateStats]:
     """Load aggregate rows back from a CSV or JSON results file.
 
     Rows keep the file's order; a leading byte order mark is skipped.  A
-    malformed file, one that is not UTF-8, holds a cell twice or has a CSV
-    row longer than its header included, raises ValueError naming the file,
-    and the row and field or cell at fault.
+    malformed file, one that is not UTF-8, holds a cell twice, has a CSV
+    header that repeats a column or names an unknown one, or has a CSV row
+    longer than its header included, raises ValueError naming the file, and
+    the row and field, column or cell at fault.
     """
     path = Path(path)
     try:
@@ -394,9 +399,15 @@ def read_results(path) -> list[AggregateStats]:
                 raise ValueError('no "aggregates" list')
         else:
             rows = csv.DictReader(io.StringIO(text))
-            missing = set(CSV_COLUMNS) - set(rows.fieldnames or ())
+            header = rows.fieldnames or []
+            missing = set(CSV_COLUMNS) - set(header)
             if missing:
                 raise ValueError(f"lacks columns: {sorted(missing)}")
+            for index, column in enumerate(header):
+                if column in header[:index]:
+                    raise ValueError(f"column {column!r} appears twice")
+                if column not in CSV_COLUMNS:
+                    raise ValueError(f"unknown column {column!r}")
         stats: dict[Cell, AggregateStats] = {}
         for number, row in enumerate(rows, 1):
             try:

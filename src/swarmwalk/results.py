@@ -208,13 +208,17 @@ class AggregateStats:
         """One row of a results file: a JSON object or a CSV record.
 
         Each field holds a value of its declared type or the text of one (a
-        CSV cell); a missing or unparsable field raises ValueError naming it,
-        and so does an impossible value: a count below 1, a float that is not
-        finite, a negative mean iteration count or standard deviation, or a
-        success rate outside [0, 1].
+        CSV cell); a missing, unknown or unparsable field raises ValueError
+        naming it, and so does an impossible value: a count below 1, a float
+        that is not finite, a negative mean iteration count or standard
+        deviation, or a success rate outside [0, 1].
         """
         if not isinstance(data, dict):
             raise ValueError(f"a row must be an object, got {data!r}")
+        names = [f.name for f in fields(cls)]
+        for key in data:
+            if key not in names:
+                raise ValueError(f"unknown field {key!r}")
         values = {}
         for f in fields(cls):
             check, kind = _TYPE_RULES[f.type]

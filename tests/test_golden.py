@@ -61,8 +61,8 @@ VARIANTS = {
         "max_iterations": 60,
     },
     # N=160 puts the walker's distance builds, full and most row updates,
-    # on the plane-by-plane kernel; rastrigin's `RWPSO_TUNING` sigma leaves
-    # some particles unmoved, so row blocks of many sizes occur.
+    # in two row strips; rastrigin's `RWPSO_TUNING` sigma leaves some
+    # particles unmoved, so row blocks of many sizes occur.
     "large": {
         "functions": ["sphere", "rastrigin"],
         "population_sizes": [160],
@@ -183,9 +183,9 @@ def test_distance_matrix_digest(dim):
 
 
 # N=160 swarms put both the full build and a 126-row block (about 0.79 N,
-# the walker's mean moved share on sphere N=160 D=30) above the plane
-# kernel's cut-over.  D=3 uses its single running sum, 8 only its eight
-# accumulators, 10 and 17 add tail planes and 30 all three parts.
+# the walker's mean moved share on sphere N=160 D=30) in two row strips.
+# D=3 uses the kernel's single running sum, 8 only its eight accumulators,
+# 10 and 17 add tail planes and 30 all three parts.
 LARGE_DISTANCE_DIMS = (3, 8, 10, 17, 30)
 LARGE_BLOCK_ROWS = np.sort(np.random.default_rng(3006).permutation(160)[:126])
 

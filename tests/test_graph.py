@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from swarmwalk.graph import (
     COINCIDENT_DISTANCE,
     PLANE_GROUP,
-    PLANE_MIN_ENTRIES_PER_DIM,
     PLANE_ROWS,
     build_distance_matrix,
     compute_ranks,
@@ -123,25 +122,24 @@ def block_rows(rng, n, m):
 
 
 # D = 8 is the first dimension numpy sums with its eight accumulators, 9, 15
-# and 17 add tail planes, 128 is the longest row it sums in one tree, and
-# 129 and 256 are split by it (so they take the broadcast body).
-ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 64, 127, 128, 129, 256)
+# and 17 add tail planes, 128 is the longest row it sums in one tree, 129 and
+# 256 are split by it once, and 1000, 8192 and 8200 over several levels.
+ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 64, 127, 128, 129, 256, 1000, 8192, 8200)
+# N = 2 * PLANE_ROWS + 7 holds a block of three strips.  Past D = 256 only the
+# smallest N runs, as the oracle's (M, N, D) gaps grow with N^2 * D.
+ORACLE_CASES = [pytest.param(dim, n, id=f"{dim}-{n}") for dim in ORACLE_DIMS
+                for n in (24, 80, 160, 2 * PLANE_ROWS + 7) if dim <= 256 or n == 24]
 
 
 class TestMatchesNumpySum:
-    # N = 2 * PLANE_ROWS + 7 holds a block of three strips
-    @pytest.mark.parametrize("n", (24, 80, 160, 2 * PLANE_ROWS + 7))
-    @pytest.mark.parametrize("dim", ORACLE_DIMS)
+    @pytest.mark.parametrize("dim, n", ORACLE_CASES)
     def test_bit_for_bit(self, dim, n):
         rng = np.random.default_rng(1000 * n + dim)
         swarm = rng.uniform(-5.12, 5.12, size=(n, dim))
         swarm[n - 1] = swarm[1]  # a coincident pair
-        # the fewest rows a block needs to take the plane body (when D <= 128)
-        cut = -(-PLANE_MIN_ENTRIES_PER_DIM * dim // n)
         # blocks that end just short of, on and just past a strip's last row
         strips = {PLANE_ROWS - 1, PLANE_ROWS, PLANE_ROWS + 1, 2 * PLANE_ROWS + 1}
-        sizes = sorted(({1, round(0.79 * n), cut - 1, cut, n} & set(range(1, n + 1)))
-                       | (strips & set(range(cut, n + 1))))
+        sizes = sorted({1, round(0.79 * n), n} | (strips & set(range(1, n + 1))))
         # a spread swarm, one scaled to ~1e-8 and one collapsed around a point
         for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8):
             for rows in [None] + [block_rows(rng, n, m) for m in sizes]:
@@ -150,11 +148,15 @@ class TestMatchesNumpySum:
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("n, m", [pytest.param(160, 126, id="126"),
-                                      pytest.param(160, 160, id="160"),
-                                      pytest.param(640, 500, id="n640-m500")])
-    def test_large_block_builds_no_gap_temporary(self, n, m):
-        pos = np.random.default_rng(m).uniform(-5.12, 5.12, size=(n, 30))
+    @pytest.mark.parametrize("n, m, dim, levels", [
+        pytest.param(160, 126, 30, 0, id="126"),
+        pytest.param(160, 160, 30, 0, id="160"),
+        pytest.param(640, 500, 30, 0, id="n640-m500"),
+        pytest.param(160, 160, 300, 2, id="n160-d300"),  # 300 -> 144 + 156 -> 72 + 72 + 72 + 84
+        pytest.param(160, 40, 100, 0, id="n160-m40-d100"),  # a few rows of a large swarm
+    ])
+    def test_large_block_builds_no_gap_temporary(self, n, m, dim, levels):
+        pos = np.random.default_rng(m).uniform(-5.12, 5.12, size=(n, dim))
         rows = np.arange(m)
         tracemalloc.start()
         try:
@@ -162,9 +164,14 @@ class TestMatchesNumpySum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one strip's workspace, and the result and its masks; the (M, N, D)
-        # gaps alone would take 30 (M, N) planes
-        assert peak < ((8 + PLANE_GROUP) * PLANE_ROWS * n + 4 * m * n) * 8
+        # one strip's workspace and one buffer per split level, the positions
+        # by coordinate (whole and for one strip), the result and its masks,
+        # and one ufunc buffer of numpy's; the (M, N, D) gaps alone would take
+        # D (M, N) planes
+        strip = min(m, PLANE_ROWS)
+        values = ((8 + PLANE_GROUP + levels) * strip * n + (n + strip) * dim + 4 * m * n
+                  + np.getbufsize())
+        assert peak < values * 8
 
 
 # How each particle of a swarm in [-5.12, 5.12]^dim changes between two
@@ -211,6 +218,11 @@ class TestUpdateDistanceMatrix:
         updated = assert_update_matches_rebuild(before, after)
         coincident = "onto" in moves or moves.count("corner") > 1
         assert np.any(updated == COINCIDENT_DISTANCE) == coincident
+
+    def test_split_rows_match_a_full_rebuild(self):
+        # numpy sums a row of D = 200 squared gaps as two halves
+        before, after = moved_swarm(np.random.default_rng(200), MOVES * 6, 200)
+        assert_update_matches_rebuild(before, after)
 
     @pytest.mark.parametrize("matrix_size, moved", [
         pytest.param(4, [True], id="short-mask"),

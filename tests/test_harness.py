@@ -149,6 +149,13 @@ MALFORMED_RESULTS = [
                  r"success_rate must lie in \[0.0, 1.0\], got -0.1", id="json-negative-rate"),
     pytest.param("r.csv", ",".join(CSV_COLUMNS) + "\nrwpso,sphere,2,2,1,1,1,0,1,extra\n",
                  "row 1: has more cells than the 9 columns", id="csv-extra-cell"),
+    pytest.param("r.csv",
+                 ",".join(CSV_COLUMNS) + ",success_rate\nrwpso,sphere,2,2,1,1,1,0,0.0,0.5\n",
+                 "column 'success_rate' appears twice", id="csv-repeated-column"),
+    pytest.param("r.csv", ",".join(CSV_COLUMNS) + ",note\nrwpso,sphere,2,2,1,1,1,0,1,x\n",
+                 "unknown column 'note'", id="csv-unknown-column"),
+    pytest.param("r.json", _json_rows({**BASELINE_ROW, "note": "x"}),
+                 "row 1: unknown field 'note'", id="json-unknown-key"),
     pytest.param("r.csv", b"\xff\xfe", r"^results file .*r\.csv: 'utf-8' codec",
                  id="csv-not-utf8"),
 ]
