@@ -384,10 +384,10 @@ def read_results(path) -> list[AggregateStats]:
     """Load aggregate rows back from a CSV or JSON results file.
 
     Rows keep the file's order; a leading byte order mark is skipped.  A
-    malformed file, one that is not UTF-8, holds a cell twice, has a CSV
-    header that repeats a column or names an unknown one, or has a CSV row
-    longer than its header included, raises ValueError naming the file, and
-    the row and field, column or cell at fault.
+    malformed file, one that is not UTF-8, holds a cell twice, has a row
+    with a missing, unknown or unparsable field, a CSV header that repeats a
+    column or a CSV row longer than its header included, raises ValueError
+    naming the file, and the row and field, column or cell at fault.
     """
     path = Path(path)
     try:
@@ -403,11 +403,10 @@ def read_results(path) -> list[AggregateStats]:
             missing = set(CSV_COLUMNS) - set(header)
             if missing:
                 raise ValueError(f"lacks columns: {sorted(missing)}")
+            # DictReader would keep only the last cell of a repeated column
             for index, column in enumerate(header):
                 if column in header[:index]:
                     raise ValueError(f"column {column!r} appears twice")
-                if column not in CSV_COLUMNS:
-                    raise ValueError(f"unknown column {column!r}")
         stats: dict[Cell, AggregateStats] = {}
         for number, row in enumerate(rows, 1):
             try:

@@ -153,7 +153,7 @@ MALFORMED_RESULTS = [
                  ",".join(CSV_COLUMNS) + ",success_rate\nrwpso,sphere,2,2,1,1,1,0,0.0,0.5\n",
                  "column 'success_rate' appears twice", id="csv-repeated-column"),
     pytest.param("r.csv", ",".join(CSV_COLUMNS) + ",note\nrwpso,sphere,2,2,1,1,1,0,1,x\n",
-                 "unknown column 'note'", id="csv-unknown-column"),
+                 "row 1: unknown field 'note'", id="csv-unknown-column"),
     pytest.param("r.json", _json_rows({**BASELINE_ROW, "note": "x"}),
                  "row 1: unknown field 'note'", id="json-unknown-key"),
     pytest.param("r.csv", b"\xff\xfe", r"^results file .*r\.csv: 'utf-8' codec",
