@@ -14,11 +14,11 @@ exactly), so the squares, their per-pair sums over the coordinates and the
 square roots do not depend on which side of the pair computes them.
 
 Every block of distances, of any size and dimension, comes from one kernel
-that sums the squared gaps coordinate plane by coordinate plane in numpy's
-own pairwise order, so each distance equals np.sum's bit for bit.  Besides
-the result it holds at most 8 + PLANE_GROUP planes of one strip of
-PLANE_ROWS rows, and one more such plane per level at which numpy would
-split a row of more than PAIRWISE_BLOCK coordinates in halves.
+that adds the squared gaps onto zero one coordinate at a time, in coordinate
+order, so each distance needs only elementwise subtraction, multiplication,
+addition and a square root, and depends on no numpy summation order.
+Besides the result it holds PLANE_GROUP planes of one strip of PLANE_ROWS
+rows, at any dimension.
 """
 
 from __future__ import annotations
@@ -39,23 +39,27 @@ SELF_WEIGHT = 1.0
 # drops out of the hop distribution.
 COINCIDENT_DISTANCE = 1e-9
 
-# numpy sums a float64 row of at most this many values with the fixed
-# eight-accumulator tree the kernel replays, and longer rows by halves.
-PAIRWISE_BLOCK = 128
-# Coordinate planes squared per ufunc call past the first eight (a divisor
-# of 8).  At N=40-80 four cost far less per call than one; at N=160 one to
-# four ran equally fast and eight, with its larger workspace, slower.
-PLANE_GROUP = 4
+# Coordinate planes squared per ufunc call.  The planes are still added one
+# by one in coordinate order, so neither this nor PLANE_ROWS changes a bit;
+# it only trades ufunc calls for workspace.  Measured on a 2-vCPU Xeon VM,
+# numpy 2.4.6, by replaying every distance build of two walker runs per
+# workload (medians of 21 interleaved passes, and of each pass's ratio to
+# the pairwise-order kernel this one replaced): sphere N=160 D=30 took
+# 370.2 -> 358.8 ms (ratio 0.997) and rastrigin N=80 D=10 at sigma 0.52
+# 43.0 -> 43.4 ms (ratio 1.005).  Groups of 4 timed the same, and groups
+# of 16 ran 6% slower at N=160.
+PLANE_GROUP = 8
 # Rows summed per strip, so the plane workspace holds at most
-# (8 + PLANE_GROUP) * PLANE_ROWS * N values however many rows moved, and every
+# PLANE_GROUP * PLANE_ROWS * N values however many rows moved, and every
 # block of a swarm of up to 80 particles is one strip.  Measured on a 2-vCPU
 # Xeon VM, numpy 2.4.6, by replaying every distance build of four rwpso runs
-# (medians of 5-9 interleaved replays, as a share of the kernel without
-# strips): at N=160, D=30, 80 rows took 0.93-1.00, 64 rows 0.92, 100 rows
-# 0.90-0.93 and 128 rows 1.02; at N=80, D=10, 80 rows took 1.01 and 64 rows,
-# which split each full build in two, 1.23.  perfbench peak_rss_mb on
-# sphere-n160-d30 read 43.5-44.9 MB in one strip, 41.0-42.2 MB with 32- and
-# 64-row strips, 42.0 MB with 80 and 42.5-42.7 MB with 96.
+# under the pairwise-order kernel (medians of 5-9 interleaved replays, as a
+# share of that kernel without strips): at N=160, D=30, 80 rows took
+# 0.93-1.00, 64 rows 0.92, 100 rows 0.90-0.93 and 128 rows 1.02; at N=80,
+# D=10, 80 rows took 1.01 and 64 rows, which split each full build in two,
+# 1.23.  perfbench peak_rss_mb on sphere-n160-d30 read 43.5-44.9 MB in one
+# strip, 41.0-42.2 MB with 32- and 64-row strips, 42.0 MB with 80 and
+# 42.5-42.7 MB with 96.
 PLANE_ROWS = 80
 
 
@@ -65,31 +69,23 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     With `rows` None this is the symmetric N x N matrix.  Otherwise `rows`
     must be a 1-D array of integer indices in [0, N), possibly empty; a
     boolean mask or a fractional or out-of-range index raises ValueError.
-    Each row's own entry is SELF_WEIGHT, and an exact zero distance between
-    two different particles becomes COINCIDENT_DISTANCE.
+    So do positions with no coordinate or a non-finite one.  Each row's own
+    entry is SELF_WEIGHT, and an exact zero distance between two different
+    particles becomes COINCIDENT_DISTANCE.
 
-    Each distance is the square root of numpy's sum of the D squared gaps,
-    bit for bit, and no (M, N, D) temporary is built.  The rows are taken in
-    strips of at most PLANE_ROWS.  The gaps of a few coordinate planes at a
-    time are squared into one workspace of at most 8 + PLANE_GROUP
-    (PLANE_ROWS, N) planes, which every strip reuses, and summed straight
-    into the strip's rows of the result in the order in which numpy sums a
-    float64 row; strips only split the rows, so that order holds for every
-    distance.  A row of at most PAIRWISE_BLOCK values: below D = 8 it is one
-    running sum.  From D = 8 on, plane k is added into accumulator k % 8 up
-    to the last multiple of eight, the accumulators combine as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remaining planes are added
-    one by one.  A longer row is the sum of its first D // 2 - (D // 2) % 8
-    planes and the rest, each summed in the same way, the rest into one more
-    (PLANE_ROWS, N) buffer per split level.  So whatever M and D are, the
-    kernel needs only that workspace and those buffers besides the result.
-    The result depends on numpy's internal summation order; the distance
-    digests in tests/test_golden.py fail loudly under a numpy that sums
-    differently.
+    Each distance is the square root of the D squared gaps added onto 0.0
+    one at a time in coordinate order, and no (M, N, D) temporary is built.
+    The rows are taken in strips of at most PLANE_ROWS.  The gaps of
+    PLANE_GROUP coordinate planes at a time are squared into one workspace
+    of PLANE_GROUP (PLANE_ROWS, N) planes, which every strip reuses, and
+    added plane by plane into the strip's rows of the result.  Neither the
+    strips nor the groups change the order of any distance's sum, so
+    whatever M and D are, the kernel needs only that workspace besides the
+    result, and the result depends on no numpy summation order.
     """
     pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2:
-        raise ValueError("positions must be an (N, dim) array")
+    if pos.ndim != 2 or pos.shape[1] == 0:
+        raise ValueError("positions must be an (N, dim) array with dim >= 1")
     if pos.shape[0] < 2:
         raise ValueError("need at least 2 particles")
     n, dim = pos.shape
@@ -99,9 +95,10 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
         raise ValueError(f"rows must be a 1-D array of particle indices in [0, {n})")
     rows, m = rows.astype(int, copy=False), rows.shape[0]
     cols = pos.T.copy()
-    lanes = min(dim, 8)
-    work = np.empty((lanes + min(dim - lanes, PLANE_GROUP), min(m, PLANE_ROWS), n))
-    squared = np.empty((m, n))
+    if not np.isfinite(cols).all():
+        raise ValueError("positions must be finite")
+    work = np.empty((min(dim, PLANE_GROUP), min(m, PLANE_ROWS), n))
+    squared = np.zeros((m, n))
     for top in range(0, m, PLANE_ROWS):
         strip = squared[top:top + PLANE_ROWS]
         _sum_squared_gaps(cols[:, rows[top:top + PLANE_ROWS]], cols,
@@ -113,40 +110,16 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
 
 
 def _sum_squared_gaps(sub, cols, work, out):
-    """Sum the squared gaps between the columns of `sub` (D, h) and of `cols`
-    (D, N) into `out` (h, N), in numpy's order for a row of D values; `work`
-    holds lanes + min(D - lanes, PLANE_GROUP) (h, N) planes, lanes = min(D, 8),
-    and the halves of a split row reuse it."""
+    """Add the squared gaps between the columns of `sub` (D, h) and of `cols`
+    (D, N) onto `out` (h, N), one coordinate at a time in coordinate order;
+    `work` holds min(D, PLANE_GROUP) (h, N) planes."""
     dim = cols.shape[0]
-    if dim > PAIRWISE_BLOCK:
-        half = dim // 2 - (dim // 2) % 8
-        _sum_squared_gaps(sub[:half], cols[:half], work, out)
-        rest = np.empty_like(out)
-        _sum_squared_gaps(sub[half:], cols[half:], work, rest)
-        out += rest
-        return
-
-    def squared_gaps(lo, hi, planes):
-        np.subtract(sub[lo:hi, :, None], cols[lo:hi, None, :], out=planes)
-        return np.multiply(planes, planes, out=planes)
-
-    lanes = min(dim, 8)
-    acc = squared_gaps(0, lanes, work[:lanes])
-    if dim < 8:
-        out[...] = acc[0]
-        for plane in acc[1:]:
-            out += plane
-        return
-    head = dim - dim % 8
-    for lo in range(8, head, PLANE_GROUP):
-        lane = lo % 8
-        acc[lane:lane + PLANE_GROUP] += squared_gaps(lo, lo + PLANE_GROUP, work[8:])
-    acc[0:8:2] += acc[1:8:2]
-    acc[0:8:4] += acc[2:8:4]
-    np.add(acc[0], acc[4], out=out)
-    for lo in range(head, dim, PLANE_GROUP):
+    for lo in range(0, dim, PLANE_GROUP):
         hi = min(lo + PLANE_GROUP, dim)
-        for plane in squared_gaps(lo, hi, work[8:8 + hi - lo]):
+        planes = work[:hi - lo]
+        np.subtract(sub[lo:hi, :, None], cols[lo:hi, None, :], out=planes)
+        np.multiply(planes, planes, out=planes)
+        for plane in planes:
             out += plane
 
 

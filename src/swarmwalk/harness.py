@@ -79,9 +79,8 @@ class ExperimentSpec:
     build.  So a swarm too large to allocate, a bad dimension or a bad
     `gaussian_sigma` fails here rather than in the middle of a sweep.  At
     every D the rest of a run's memory grows with N, not with N * N * D: the
-    distance kernel holds at most (8 + PLANE_GROUP) (PLANE_ROWS, N) planes,
-    plus one per level at which it splits the D coordinates in halves (see
-    `graph.build_distance_matrix`).
+    distance kernel holds PLANE_GROUP (PLANE_ROWS, N) planes besides its
+    result (see `graph.build_distance_matrix`).
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES

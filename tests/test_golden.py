@@ -50,10 +50,11 @@ def _recorded_with() -> str:
 
 VARIANTS = {
     "base": {},
-    # D >= 8 reaches numpy's 8-way pairwise summation over the distance axis,
-    # and rastrigin's `RWPSO_TUNING` sigma leaves over half the walker's
-    # particle-steps unmoved, so this pins the distance matrix carried across
-    # iterations.
+    # D = 10 and 30 run the distance kernel over more than one group of
+    # PLANE_GROUP coordinate planes and the objectives' sums through numpy's
+    # 8-way pairwise summation, and rastrigin's `RWPSO_TUNING` sigma
+    # leaves over half the walker's particle-steps unmoved, so this pins the
+    # distance matrix carried across iterations.
     "wide": {
         "functions": ["sphere", "rosenbrock", "rastrigin"],
         "population_sizes": [24],
@@ -159,8 +160,8 @@ OBJECTIVE_DIGESTS = {
 
 DISTANCE_DIGESTS = {
     2: "2db44d809430fcdf8e0d47093f30fc029aa4af9d03109ef6259eb8e0285694a7",
-    10: "bd8c7fba3b7cdeb035e7d5bea3a4c163e07d6124b676cf958405cdaedf657e6d",
-    30: "435888245a5b25e3525e68b32886c4063c913fdeed94a860d20a03238178ea10",
+    10: "c8c251a20d11934ffde1ee697a8d45551f0433098b49cc4a82fbb49c4beec992",
+    30: "32c098a86aca1e8d1620da753eaca3a0b270b2d428c8d1207f9087badb5ff434",
 }
 
 
@@ -184,8 +185,9 @@ def test_distance_matrix_digest(dim):
 
 # N=160 swarms put both the full build and a 126-row block (about 0.79 N,
 # the walker's mean moved share on sphere N=160 D=30) in two row strips.
-# D=3 uses the kernel's single running sum, 8 only its eight accumulators,
-# 10 and 17 add tail planes and 30 all three parts.
+# D=3 and 8 fit in one group of PLANE_GROUP coordinate planes, 10 and 17
+# end in a partial group and 30 spans four groups.  np.sum adds fewer than
+# 8 values in order too, so at D=3 the digests equal np.sum's.
 LARGE_DISTANCE_DIMS = (3, 8, 10, 17, 30)
 LARGE_BLOCK_ROWS = np.sort(np.random.default_rng(3006).permutation(160)[:126])
 
@@ -198,15 +200,15 @@ def _large_distance_swarm(dim: int) -> np.ndarray:
 
 LARGE_DISTANCE_DIGESTS = {
     ("full", 3): "6a3dab7108a1715c7607b43836a1c2422ff0707dd6d8175915e95af0def79555",
-    ("full", 8): "ea5f71193ed0b4dfaf29bb26dc1abec0f3fa3345bb9e2dab1009c03d8938c091",
-    ("full", 10): "b6ce5bfe79e14ce7a2d9f6de609bea1fdc68825baf2317223022db50c24a1351",
-    ("full", 17): "ce30080f79034cb2da91adf784095e600ecb2c019ca10e1b304d8c7572ae7a24",
-    ("full", 30): "5e00ff10cabbb045f3415b756800200eeebea798bf624d85fc2bbf494f6b8781",
+    ("full", 8): "5e138bb4fab77e275806da39c51c15115f7fab1a33b3677a6b7a0d745eee6520",
+    ("full", 10): "d1d0f92747b121392add23bddcc42b8f79df0bcceb383e6c562846a110fe34bf",
+    ("full", 17): "8debc49e570c58ca6d48da9fb5be70a34224640926a35349e53290992b0de8b2",
+    ("full", 30): "ae4faa31381248fcf75d1b6d7447bfb818eba9b6ff0b45f4704de41cee728a5f",
     ("rows", 3): "e2d7f9c280182f5ed2e4f2976e43022d001e161592d0829600d2647d10fdbf21",
-    ("rows", 8): "6835ea4b0ed5cc9f6d34c2f9e57614b66ac8054e42c57e67ebf375d16bdd66ed",
-    ("rows", 10): "6e151ca4aed2e194265bc0e4750630cc7922d01a5fd3b644b44d0f5611426765",
-    ("rows", 17): "51a36374ff7617f8f736b8a889ac8f723cf556616f730be3a7eeb64c40da1e4f",
-    ("rows", 30): "5fcb189555a27e4a85f15ac45c9065cd99d4a4719d6149feae4767265f75c08a",
+    ("rows", 8): "8f00e6653c654b5cc97e6c3df66cdea3eb3322c9450980824ae1bebe39d093bc",
+    ("rows", 10): "a8835c4b43afd9584e47d41eef11071b0e09e1d2b9b6b9c10b41309dbee437d8",
+    ("rows", 17): "59b0086fe8aa23186b0d21bc131478a3e1d4d60dd2f310787d2c53f04aa0b130",
+    ("rows", 30): "76ee063c2cfbdd39f03eb3974cd5a24b104d130a47b60570f0b966a9e6ac15f8",
 }
 
 
@@ -219,11 +221,13 @@ def test_large_distance_matrix_digest(part, dim):
 
 
 # Rerun in the child: one digest that every function and both algorithms
-# reach, and the two scalarized functions' evaluate digests.
+# reach, the two scalarized functions' evaluate digests, and a full N=160
+# D=30 distance build, which spans both row strips and four plane groups.
 CHILD_TESTS = [
     "test_run_output_digest[base-csv]",
     "test_objective_evaluate_digest[binh4-2]",
     "test_objective_evaluate_digest[schaffer_n1-1]",
+    "test_large_distance_matrix_digest[full-30]",
 ]
 
 # The child first checks that numpy did switch the features off.

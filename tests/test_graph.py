@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmwalk import graph
 from swarmwalk.graph import (
     COINCIDENT_DISTANCE,
     PLANE_GROUP,
@@ -78,6 +79,18 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             build_distance_matrix(np.zeros(5))
 
+    @pytest.mark.parametrize("positions, message", [
+        pytest.param(np.zeros((3, 0)), "dim >= 1", id="zero-width"),
+        pytest.param([[np.inf, 0.0], [np.inf, 0.0]], "finite", id="inf"),
+        pytest.param([[np.nan, 0.0], [1.0, 0.0]], "finite", id="nan"),
+    ])
+    def test_positions_must_be_finite_coordinates(self, positions, message):
+        with pytest.raises(ValueError, match=message):
+            build_distance_matrix(positions)
+        with pytest.raises(ValueError, match=message):
+            update_distance_matrix(np.ones((len(positions),) * 2), positions,
+                                   np.ones(len(positions), dtype=bool))
+
     @pytest.mark.parametrize("rows", [
         pytest.param([True, False, True, False], id="bool-mask"),
         pytest.param([1.5], id="fractional"),
@@ -106,10 +119,15 @@ class TestDistanceMatrix:
         assert block.tobytes() == build_distance_matrix(pos)[rows].tobytes()
 
 
-def numpy_sum_distances(pos, rows):
-    """The distances as np.sum gives them, with the coincident and self fix-ups."""
-    d = pos[rows, None, :] - pos[None, :, :]
-    block = np.sqrt(np.sum(d * d, axis=-1))
+def in_order_distances(pos, rows):
+    """The distances with each pair's squared gaps added onto zero one
+    coordinate at a time, in coordinate order, with the coincident and self
+    fix-ups."""
+    squared = np.zeros((rows.size, pos.shape[0]))
+    for coord in pos.T:
+        gap = coord[rows, None] - coord[None, :]
+        squared += gap * gap
+    block = np.sqrt(squared)
     block[block == 0.0] = COINCIDENT_DISTANCE
     block[np.arange(rows.size), rows] = 1.0
     return block
@@ -121,12 +139,13 @@ def block_rows(rng, n, m):
     return np.sort(np.concatenate([[1, n - 1][:m], rest])).astype(int)
 
 
-# D = 8 is the first dimension numpy sums with its eight accumulators, 9, 15
-# and 17 add tail planes, 128 is the longest row it sums in one tree, 129 and
-# 256 are split by it once, and 1000, 8192 and 8200 over several levels.
+# With PLANE_GROUP = 8, D = 1, 2, 3 and 7 fill part of one group of planes
+# and 8 all of it; 9, 15, 17, 30, 127 and 129 end in a partial group, and 16,
+# 64, 128, 256, 1000, 8192 and 8200 on a group boundary, the last three after
+# 125 to 1025 groups.
 ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 64, 127, 128, 129, 256, 1000, 8192, 8200)
 # N = 2 * PLANE_ROWS + 7 holds a block of three strips.  Past D = 256 only the
-# smallest N runs, as the oracle's (M, N, D) gaps grow with N^2 * D.
+# smallest N runs, as the oracle's time grows with N^2 * D.
 ORACLE_CASES = [pytest.param(dim, n, id=f"{dim}-{n}") for dim in ORACLE_DIMS
                 for n in (24, 80, 160, 2 * PLANE_ROWS + 7) if dim <= 256 or n == 24]
 
@@ -144,18 +163,31 @@ class TestMatchesNumpySum:
         for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8):
             for rows in [None] + [block_rows(rng, n, m) for m in sizes]:
                 got = build_distance_matrix(pos, rows)
-                want = numpy_sum_distances(pos, np.arange(n) if rows is None else rows)
+                want = in_order_distances(pos, np.arange(n) if rows is None else rows)
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("n, m, dim, levels", [
-        pytest.param(160, 126, 30, 0, id="126"),
-        pytest.param(160, 160, 30, 0, id="160"),
-        pytest.param(640, 500, 30, 0, id="n640-m500"),
-        pytest.param(160, 160, 300, 2, id="n160-d300"),  # 300 -> 144 + 156 -> 72 + 72 + 72 + 84
-        pytest.param(160, 40, 100, 0, id="n160-m40-d100"),  # a few rows of a large swarm
+    @pytest.mark.parametrize("group", [1, 3, 8])
+    @pytest.mark.parametrize("strip", [7, 80])
+    def test_group_and_strip_sizes_change_no_bit(self, monkeypatch, group, strip):
+        monkeypatch.setattr(graph, "PLANE_GROUP", group)
+        monkeypatch.setattr(graph, "PLANE_ROWS", strip)
+        rng = np.random.default_rng(10 * group + strip)
+        for dim in (1, 2, 3, 7, 8, 9, 10, 17, 30, 64):
+            pos = rng.uniform(-5.12, 5.12, size=(90, dim))
+            pos[89] = pos[1]  # a coincident pair
+            for rows in (np.arange(90), block_rows(rng, 90, 13), block_rows(rng, 90, 1)):
+                got = build_distance_matrix(pos, rows)
+                assert got.tobytes() == in_order_distances(pos, rows).tobytes()
+
+    @pytest.mark.parametrize("n, m, dim, wide", [
+        pytest.param(160, 126, 30, False, id="126"),
+        pytest.param(160, 160, 30, False, id="160"),
+        pytest.param(640, 500, 30, False, id="n640-m500"),
+        pytest.param(160, 160, 300, True, id="n160-d300"),
+        pytest.param(160, 40, 100, False, id="n160-m40-d100"),  # a few rows of a large swarm
     ])
-    def test_large_block_builds_no_gap_temporary(self, n, m, dim, levels):
+    def test_large_block_builds_no_gap_temporary(self, n, m, dim, wide):
         pos = np.random.default_rng(m).uniform(-5.12, 5.12, size=(n, dim))
         rows = np.arange(m)
         tracemalloc.start()
@@ -165,12 +197,11 @@ class TestMatchesNumpySum:
         finally:
             tracemalloc.stop()
         # one strip's workspace, and the result and its masks; the (M, N, D)
-        # gaps alone would take D (M, N) planes.  A split row also holds one
-        # (PLANE_ROWS, N) buffer per level, and at that D the positions by
+        # gaps alone would take D (M, N) planes.  At D = 300 the positions by
         # coordinate, whole and for one strip, outgrow the bound's slack.
-        values = (8 + PLANE_GROUP) * PLANE_ROWS * n + 4 * m * n
-        if levels:
-            values += levels * PLANE_ROWS * n + (n + PLANE_ROWS) * dim
+        values = PLANE_GROUP * PLANE_ROWS * n + 4 * m * n
+        if wide:
+            values += (n + PLANE_ROWS) * dim
         assert peak < values * 8
 
 
@@ -212,7 +243,7 @@ class TestUpdateDistanceMatrix:
         ["stay", "stay", "onto", "move", "onto", "stay"],
         ["move", "corner", "stay", "corner", "corner", "move"],
     ], ids=["none-moved", "some-moved", "all-moved", "coincident", "collapsed-corner"])
-    @pytest.mark.parametrize("dim", [2, 10, 30, 200])  # numpy sums 200 values as two halves
+    @pytest.mark.parametrize("dim", [2, 10, 30, 200])
     def test_named_cases_match_a_full_rebuild(self, moves, dim):
         before, after = moved_swarm(np.random.default_rng(dim), moves, dim)
         updated = assert_update_matches_rebuild(before, after)
