@@ -17,8 +17,7 @@ Every block of distances, of any size and dimension, comes from one kernel
 that adds the squared gaps onto zero one coordinate at a time, in coordinate
 order, so each distance needs only elementwise subtraction, multiplication,
 addition and a square root, and depends on no numpy summation order.
-Besides the result it holds PLANE_GROUP planes of one strip of PLANE_ROWS
-rows, at any dimension.
+Besides the (M, N) result it holds one (M, N) gap plane, at any dimension.
 """
 
 from __future__ import annotations
@@ -39,29 +38,6 @@ SELF_WEIGHT = 1.0
 # drops out of the hop distribution.
 COINCIDENT_DISTANCE = 1e-9
 
-# Coordinate planes squared per ufunc call.  The planes are still added one
-# by one in coordinate order, so neither this nor PLANE_ROWS changes a bit;
-# it only trades ufunc calls for workspace.  Measured on a 2-vCPU Xeon VM,
-# numpy 2.4.6, by replaying every distance build of two walker runs per
-# workload (medians of 21 interleaved passes, and of each pass's ratio to
-# the pairwise-order kernel this one replaced): sphere N=160 D=30 took
-# 370.2 -> 358.8 ms (ratio 0.997) and rastrigin N=80 D=10 at sigma 0.52
-# 43.0 -> 43.4 ms (ratio 1.005).  Groups of 4 timed the same, and groups
-# of 16 ran 6% slower at N=160.
-PLANE_GROUP = 8
-# Rows summed per strip, so the plane workspace holds at most
-# PLANE_GROUP * PLANE_ROWS * N values however many rows moved, and every
-# block of a swarm of up to 80 particles is one strip.  Measured on a 2-vCPU
-# Xeon VM, numpy 2.4.6, by replaying every distance build of four rwpso runs
-# under the pairwise-order kernel (medians of 5-9 interleaved replays, as a
-# share of that kernel without strips): at N=160, D=30, 80 rows took
-# 0.93-1.00, 64 rows 0.92, 100 rows 0.90-0.93 and 128 rows 1.02; at N=80,
-# D=10, 80 rows took 1.01 and 64 rows, which split each full build in two,
-# 1.23.  perfbench peak_rss_mb on sphere-n160-d30 read 43.5-44.9 MB in one
-# strip, 41.0-42.2 MB with 32- and 64-row strips, 42.0 MB with 80 and
-# 42.5-42.7 MB with 96.
-PLANE_ROWS = 80
-
 
 def build_distance_matrix(positions, rows=None) -> np.ndarray:
     """Distances from the particles `rows` to every particle, shape (len(rows), N).
@@ -74,21 +50,18 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     particles becomes COINCIDENT_DISTANCE.
 
     Each distance is the square root of the D squared gaps added onto 0.0
-    one at a time in coordinate order, and no (M, N, D) temporary is built.
-    The rows are taken in strips of at most PLANE_ROWS.  The gaps of
-    PLANE_GROUP coordinate planes at a time are squared into one workspace
-    of PLANE_GROUP (PLANE_ROWS, N) planes, which every strip reuses, and
-    added plane by plane into the strip's rows of the result.  Neither the
-    strips nor the groups change the order of any distance's sum, so
-    whatever M and D are, the kernel needs only that workspace besides the
-    result, and the result depends on no numpy summation order.
+    one at a time in coordinate order, and no (M, N, D) temporary is built:
+    each coordinate's gaps are subtracted into one (M, N) plane, squared in
+    place and added onto the result.  So whatever D is, the kernel needs
+    only that plane besides the result, and the result depends on no numpy
+    summation order.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] == 0:
         raise ValueError("positions must be an (N, dim) array with dim >= 1")
     if pos.shape[0] < 2:
         raise ValueError("need at least 2 particles")
-    n, dim = pos.shape
+    n = pos.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows)
     if rows.ndim != 1 or (rows.size > 0 and (rows.dtype.kind not in "iu"
                                              or rows.min() < 0 or rows.max() >= n)):
@@ -97,30 +70,16 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     cols = pos.T.copy()
     if not np.isfinite(cols).all():
         raise ValueError("positions must be finite")
-    work = np.empty((min(dim, PLANE_GROUP), min(m, PLANE_ROWS), n))
+    gap = np.empty((m, n))
     squared = np.zeros((m, n))
-    for top in range(0, m, PLANE_ROWS):
-        strip = squared[top:top + PLANE_ROWS]
-        _sum_squared_gaps(cols[:, rows[top:top + PLANE_ROWS]], cols,
-                          work[:, :strip.shape[0]], strip)
+    for here, there in zip(cols[:, rows], cols):
+        np.subtract(here[:, None], there, out=gap)
+        np.multiply(gap, gap, out=gap)
+        squared += gap
     block = np.sqrt(squared, out=squared)
     block[block == 0.0] = COINCIDENT_DISTANCE
     block[np.arange(m), rows] = SELF_WEIGHT
     return block
-
-
-def _sum_squared_gaps(sub, cols, work, out):
-    """Add the squared gaps between the columns of `sub` (D, h) and of `cols`
-    (D, N) onto `out` (h, N), one coordinate at a time in coordinate order;
-    `work` holds min(D, PLANE_GROUP) (h, N) planes."""
-    dim = cols.shape[0]
-    for lo in range(0, dim, PLANE_GROUP):
-        hi = min(lo + PLANE_GROUP, dim)
-        planes = work[:hi - lo]
-        np.subtract(sub[lo:hi, :, None], cols[lo:hi, None, :], out=planes)
-        np.multiply(planes, planes, out=planes)
-        for plane in planes:
-            out += plane
 
 
 def update_distance_matrix(matrix, positions, moved) -> np.ndarray:
@@ -165,8 +124,15 @@ def compute_ranks(fitnesses) -> np.ndarray:
 def hop_probabilities(distances, fitnesses) -> np.ndarray:
     """Column-stochastic hop matrix: entry (i, j) is rank_i * d_ij / sum_k rank_k * d_kj.
 
-    Column j is the hop distribution out of source particle j.
+    Column j is the hop distribution out of source particle j.  For N
+    fitnesses `distances` must have shape (N, N); another shape raises
+    ValueError.
     """
-    weighted = compute_ranks(fitnesses)[:, None] * distances
+    ranks = compute_ranks(fitnesses)
+    n = ranks.shape[0]
+    if np.shape(distances) != (n, n):
+        raise ValueError(f"for {n} fitnesses `distances` must have shape ({n}, {n}), "
+                         f"got {np.shape(distances)}")
+    weighted = ranks[:, None] * distances
     return weighted / weighted.sum(axis=0, keepdims=True)
 

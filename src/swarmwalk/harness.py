@@ -79,8 +79,8 @@ class ExperimentSpec:
     build.  So a swarm too large to allocate, a bad dimension or a bad
     `gaussian_sigma` fails here rather than in the middle of a sweep.  At
     every D the rest of a run's memory grows with N, not with N * N * D: the
-    distance kernel holds PLANE_GROUP (PLANE_ROWS, N) planes besides its
-    result (see `graph.build_distance_matrix`).
+    distance kernel holds one (M, N) gap plane beside its (M, N) result
+    (see `graph.build_distance_matrix`).
     """
 
     functions: tuple[str, ...] = FUNCTION_NAMES

@@ -129,8 +129,16 @@ def gaussian_term(config: RwpsoConfig, rng: np.random.Generator, k) -> np.ndarra
 
 
 def update_position(positions, k, g, domain: SearchDomain) -> np.ndarray:
-    """New positions = old + movement term + Gaussian term, clamped to the box."""
-    return domain.clamp(np.asarray(positions, dtype=float) + k + g)
+    """New positions = old + movement term + Gaussian term, clamped to the box.
+
+    The movement term `k` and the Gaussian term `g` must have the positions'
+    shape; another shape raises ValueError rather than broadcasting.
+    """
+    p = np.asarray(positions, dtype=float)
+    if np.shape(k) != p.shape or np.shape(g) != p.shape:
+        raise ValueError(f"movement and noise terms must have the positions' shape {p.shape}, "
+                         f"got {np.shape(k)} and {np.shape(g)}")
+    return domain.clamp(p + k + g)
 
 
 @dataclass

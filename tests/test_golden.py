@@ -50,20 +50,20 @@ def _recorded_with() -> str:
 
 VARIANTS = {
     "base": {},
-    # D = 10 and 30 run the distance kernel over more than one group of
-    # PLANE_GROUP coordinate planes and the objectives' sums through numpy's
-    # 8-way pairwise summation, and rastrigin's `RWPSO_TUNING` sigma
-    # leaves over half the walker's particle-steps unmoved, so this pins the
-    # distance matrix carried across iterations.
+    # D = 10 and 30 add ten and thirty coordinate planes onto each distance
+    # and run the objectives' sums through numpy's 8-way pairwise
+    # summation, and rastrigin's `RWPSO_TUNING` sigma leaves over half the
+    # walker's particle-steps unmoved, so this pins the distance matrix
+    # carried across iterations.
     "wide": {
         "functions": ["sphere", "rosenbrock", "rastrigin"],
         "population_sizes": [24],
         "dimensions": [10, 30],
         "max_iterations": 60,
     },
-    # N=160 puts the walker's distance builds, full and most row updates,
-    # in two row strips; rastrigin's `RWPSO_TUNING` sigma leaves some
-    # particles unmoved, so row blocks of many sizes occur.
+    # N=160 gives the walker full distance builds and row updates of more
+    # than 80 rows; rastrigin's `RWPSO_TUNING` sigma leaves some particles
+    # unmoved, so row blocks of many sizes occur.
     "large": {
         "functions": ["sphere", "rastrigin"],
         "population_sizes": [160],
@@ -183,11 +183,11 @@ def test_distance_matrix_digest(dim):
     assert _digest(matrix) == DISTANCE_DIGESTS[dim], _recorded_with()
 
 
-# N=160 swarms put both the full build and a 126-row block (about 0.79 N,
-# the walker's mean moved share on sphere N=160 D=30) in two row strips.
-# D=3 and 8 fit in one group of PLANE_GROUP coordinate planes, 10 and 17
-# end in a partial group and 30 spans four groups.  np.sum adds fewer than
-# 8 values in order too, so at D=3 the digests equal np.sum's.
+# N=160 swarms pin both the full build and a 126-row block (about 0.79 N,
+# the walker's mean moved share on sphere N=160 D=30), each summed in one
+# (M, N) gap plane, one coordinate plane at a time.  At D=8, 10, 17 and 30
+# that order differs from numpy's 8-way pairwise sum; np.sum adds fewer
+# than 8 values in order too, so at D=3 the digests equal np.sum's.
 LARGE_DISTANCE_DIMS = (3, 8, 10, 17, 30)
 LARGE_BLOCK_ROWS = np.sort(np.random.default_rng(3006).permutation(160)[:126])
 
@@ -222,7 +222,7 @@ def test_large_distance_matrix_digest(part, dim):
 
 # Rerun in the child: one digest that every function and both algorithms
 # reach, the two scalarized functions' evaluate digests, and a full N=160
-# D=30 distance build, which spans both row strips and four plane groups.
+# D=30 distance build, which adds thirty coordinate planes onto 160 rows.
 CHILD_TESTS = [
     "test_run_output_digest[base-csv]",
     "test_objective_evaluate_digest[binh4-2]",

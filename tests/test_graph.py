@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmwalk import graph
 from swarmwalk.graph import (
     COINCIDENT_DISTANCE,
-    PLANE_GROUP,
-    PLANE_ROWS,
     build_distance_matrix,
     compute_ranks,
     hop_probabilities,
@@ -139,15 +137,14 @@ def block_rows(rng, n, m):
     return np.sort(np.concatenate([[1, n - 1][:m], rest])).astype(int)
 
 
-# With PLANE_GROUP = 8, D = 1, 2, 3 and 7 fill part of one group of planes
-# and 8 all of it; 9, 15, 17, 30, 127 and 129 end in a partial group, and 16,
-# 64, 128, 256, 1000, 8192 and 8200 on a group boundary, the last three after
-# 125 to 1025 groups.
+# From one coordinate plane to 8200.  Most dims sit on or beside a multiple
+# of 8 or 128, where numpy's pairwise sum would group the squares another
+# way, so a kernel that summed them with np.sum would differ there.
 ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 64, 127, 128, 129, 256, 1000, 8192, 8200)
-# N = 2 * PLANE_ROWS + 7 holds a block of three strips.  Past D = 256 only the
-# smallest N runs, as the oracle's time grows with N^2 * D.
+# N = 167 is a swarm larger than any of the default sweep.  Past D = 256
+# only the smallest N runs, as the oracle's time grows with N^2 * D.
 ORACLE_CASES = [pytest.param(dim, n, id=f"{dim}-{n}") for dim in ORACLE_DIMS
-                for n in (24, 80, 160, 2 * PLANE_ROWS + 7) if dim <= 256 or n == 24]
+                for n in (24, 80, 160, 167) if dim <= 256 or n == 24]
 
 
 class TestMatchesNumpySum:
@@ -156,9 +153,10 @@ class TestMatchesNumpySum:
         rng = np.random.default_rng(1000 * n + dim)
         swarm = rng.uniform(-5.12, 5.12, size=(n, dim))
         swarm[n - 1] = swarm[1]  # a coincident pair
-        # blocks that end just short of, on and just past a strip's last row
-        strips = {PLANE_ROWS - 1, PLANE_ROWS, PLANE_ROWS + 1, 2 * PLANE_ROWS + 1}
-        sizes = sorted({1, round(0.79 * n), n} | (strips & set(range(1, n + 1))))
+        # blocks of one row, of most rows, of every row, and of heights
+        # around the benchmark's swarms of 80 and 160 particles where they fit
+        heights = {79, 80, 81, 161}
+        sizes = sorted({1, round(0.79 * n), n} | (heights & set(range(1, n + 1))))
         # a spread swarm, one scaled to ~1e-8 and one collapsed around a point
         for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8):
             for rows in [None] + [block_rows(rng, n, m) for m in sizes]:
@@ -167,27 +165,15 @@ class TestMatchesNumpySum:
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("group", [1, 3, 8])
-    @pytest.mark.parametrize("strip", [7, 80])
-    def test_group_and_strip_sizes_change_no_bit(self, monkeypatch, group, strip):
-        monkeypatch.setattr(graph, "PLANE_GROUP", group)
-        monkeypatch.setattr(graph, "PLANE_ROWS", strip)
-        rng = np.random.default_rng(10 * group + strip)
-        for dim in (1, 2, 3, 7, 8, 9, 10, 17, 30, 64):
-            pos = rng.uniform(-5.12, 5.12, size=(90, dim))
-            pos[89] = pos[1]  # a coincident pair
-            for rows in (np.arange(90), block_rows(rng, 90, 13), block_rows(rng, 90, 1)):
-                got = build_distance_matrix(pos, rows)
-                assert got.tobytes() == in_order_distances(pos, rows).tobytes()
-
-    @pytest.mark.parametrize("n, m, dim, wide", [
-        pytest.param(160, 126, 30, False, id="126"),
-        pytest.param(160, 160, 30, False, id="160"),
-        pytest.param(640, 500, 30, False, id="n640-m500"),
-        pytest.param(160, 160, 300, True, id="n160-d300"),
-        pytest.param(160, 40, 100, False, id="n160-m40-d100"),  # a few rows of a large swarm
+    @pytest.mark.parametrize("n, m, dim", [
+        pytest.param(160, 126, 30, id="126"),
+        pytest.param(160, 160, 30, id="160"),
+        pytest.param(640, 500, 30, id="n640-m500"),
+        pytest.param(160, 160, 300, id="n160-d300"),
+        pytest.param(160, 40, 100, id="n160-m40-d100"),  # a few rows of a large swarm
+        pytest.param(1000, 1000, 30, id="n1000"),  # more rows than any swarm of the sweep
     ])
-    def test_large_block_builds_no_gap_temporary(self, n, m, dim, wide):
+    def test_large_block_builds_no_gap_temporary(self, n, m, dim):
         pos = np.random.default_rng(m).uniform(-5.12, 5.12, size=(n, dim))
         rows = np.arange(m)
         tracemalloc.start()
@@ -196,12 +182,11 @@ class TestMatchesNumpySum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one strip's workspace, and the result and its masks; the (M, N, D)
-        # gaps alone would take D (M, N) planes.  At D = 300 the positions by
-        # coordinate, whole and for one strip, outgrow the bound's slack.
-        values = PLANE_GROUP * PLANE_ROWS * n + 4 * m * n
-        if wide:
-            values += (n + PLANE_ROWS) * dim
+        # the result, one gap plane, a third (M, N) plane for the masks, the
+        # positions by coordinate, whole and for the rows, and the iterator
+        # buffers numpy gives the subtraction's two broadcast operands; the
+        # (M, N, D) gaps alone would take D (M, N) planes.
+        values = 3 * m * n + (n + m) * dim + 2 * np.getbufsize()
         assert peak < values * 8
 
 
@@ -293,6 +278,11 @@ class TestTransitionProbabilities:
         a = np.array([[1.0, d], [d, 1.0]])
         column = hop_probabilities(a, [0.0, 1.0])[:, 0]  # ranks [2, 1]
         np.testing.assert_allclose(column, [2.0 / (2.0 + d), d / (2.0 + d)])
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 4)], ids=["1-d", "one-row", "3x4"])
+    def test_distances_must_be_n_by_n(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape (3, 3), got {shape}")):
+            hop_probabilities(np.ones(shape), [1.0, 2.0, 3.0])
 
     @given(st.integers(2, 60), st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

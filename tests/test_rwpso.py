@@ -186,6 +186,15 @@ class TestUpdatePosition:
                               np.zeros((2, 2)), self.DOMAIN)
         np.testing.assert_array_equal(got, [[10.0, 10.0], [-10.0, 0.0]])
 
+    @pytest.mark.parametrize("k, g", [
+        pytest.param(np.full(2, 0.5), np.zeros((3, 2)), id="movement-row"),
+        pytest.param(np.zeros((3, 2)), np.zeros((3, 1)), id="noise-column"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 2)), id="one-particle-terms"),
+    ])
+    def test_terms_must_match_the_positions(self, k, g):
+        with pytest.raises(ValueError, match=r"positions' shape \(3, 2\)"):
+            update_position(np.zeros((3, 2)), k, g, self.DOMAIN)
+
 
 class TestStep:
     def test_swarm_at_optimum_is_a_fixed_point(self):
