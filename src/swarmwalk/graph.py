@@ -15,9 +15,14 @@ square roots do not depend on which side of the pair computes them.
 
 Every block of distances, of any size and dimension, comes from one kernel
 that adds the squared gaps onto zero one coordinate at a time, in coordinate
-order, so each distance needs only elementwise subtraction, multiplication,
-addition and a square root, and depends on no numpy summation order.
-Besides the (M, N) result it holds one (M, N) gap plane, at any dimension.
+order, so each distance depends on no numpy summation order.  Each
+coordinate's (M, N) gap plane is the matrix product [here, -1] @ [1; there].
+Its two products, here * 1 and -1 * there, are exact, so a BLAS kernel
+with or without fused multiply-add, adding them in either order, rounds
+once to here - there; only a zero gap's sign may differ, and the gap is
+squared.  So each distance depends on no BLAS kernel either.  Besides the
+(M, N) result the kernel holds one (M, N) gap plane and the positions laid
+out by coordinate, at any dimension.
 """
 
 from __future__ import annotations
@@ -51,10 +56,14 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
 
     Each distance is the square root of the D squared gaps added onto 0.0
     one at a time in coordinate order, and no (M, N, D) temporary is built:
-    each coordinate's gaps are subtracted into one (M, N) plane, squared in
-    place and added onto the result.  So whatever D is, the kernel needs
-    only that plane besides the result, and the result depends on no numpy
-    summation order.
+    each coordinate's gaps are written into one (M, N) plane, squared in
+    place and added onto the result.  The gaps are the two-term product
+    here * 1 + (-1) * there, whose terms are exact, so the plane holds the
+    rounded here - there, up to a zero gap's sign, on any BLAS kernel; the
+    product is faster than numpy's broadcast subtraction, which loops over
+    the plane row by row.  So whatever D is, the kernel needs only that
+    plane besides the result, and the result depends on no numpy summation
+    order and no BLAS kernel.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] == 0:
@@ -66,14 +75,21 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     if rows.ndim != 1 or (rows.size > 0 and (rows.dtype.kind not in "iu"
                                              or rows.min() < 0 or rows.max() >= n)):
         raise ValueError(f"rows must be a 1-D array of particle indices in [0, {n})")
-    rows, m = rows.astype(int, copy=False), rows.shape[0]
-    cols = pos.T.copy()
-    if not np.isfinite(cols).all():
+    if not np.isfinite(pos).all():
         raise ValueError("positions must be finite")
+    rows = rows.astype(int, copy=False)
+    m, d = rows.shape[0], pos.shape[1]
+    # `left` holds the rows' coordinates over a row of -1, `right` a row of
+    # 1 over every particle's coordinates, so coordinate c's gap plane is
+    # the (M, 2) @ (2, N) product of their rows (c, d) and (0, c + 1).
+    right = np.ones((d + 1, n))
+    right[1:] = pos.T
+    left = np.full((d + 1, m), -1.0)
+    left[:d] = pos[rows].T
     gap = np.empty((m, n))
     squared = np.zeros((m, n))
-    for here, there in zip(cols[:, rows], cols):
-        np.subtract(here[:, None], there, out=gap)
+    for c in range(d):
+        np.matmul(left[c::d - c].T, right[:c + 2:c + 1], out=gap)
         np.multiply(gap, gap, out=gap)
         squared += gap
     block = np.sqrt(squared, out=squared)

@@ -221,13 +221,15 @@ def test_large_distance_matrix_digest(part, dim):
 
 
 # Rerun in the child: one digest that every function and both algorithms
-# reach, the two scalarized functions' evaluate digests, and a full N=160
-# D=30 distance build, which adds thirty coordinate planes onto 160 rows.
+# reach, the two scalarized functions' evaluate digests, a full N=160 D=30
+# distance build, which adds thirty coordinate planes onto 160 rows, and
+# the 126-row block, whose gap products take a strided view of the rows.
 CHILD_TESTS = [
     "test_run_output_digest[base-csv]",
     "test_objective_evaluate_digest[binh4-2]",
     "test_objective_evaluate_digest[schaffer_n1-1]",
     "test_large_distance_matrix_digest[full-30]",
+    "test_large_distance_matrix_digest[rows-30]",
 ]
 
 # The child first checks that numpy did switch the features off.

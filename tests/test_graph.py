@@ -145,6 +145,9 @@ ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 64, 127, 128, 129, 256, 1000, 8
 # only the smallest N runs, as the oracle's time grows with N^2 * D.
 ORACLE_CASES = [pytest.param(dim, n, id=f"{dim}-{n}") for dim in ORACLE_DIMS
                 for n in (24, 80, 160, 167) if dim <= 256 or n == 24]
+# A block of 506 rows of 640 at D = 30 is a gap product large enough that a
+# threaded BLAS may split it between threads.
+ORACLE_CASES.append(pytest.param(30, 640, id="30-640"))
 
 
 class TestMatchesNumpySum:
@@ -157,11 +160,16 @@ class TestMatchesNumpySum:
         # around the benchmark's swarms of 80 and 160 particles where they fit
         heights = {79, 80, 81, 161}
         sizes = sorted({1, round(0.79 * n), n} | (heights & set(range(1, n + 1))))
-        # a spread swarm, one scaled to ~1e-8 and one collapsed around a point
-        for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8):
+        # a spread swarm, one scaled to ~1e-8, one collapsed around a point,
+        # one with half its coordinates +0.0 or -0.0, and two scaled so far
+        # that most squared gaps overflow to inf or are subnormal or zero
+        signed_zeros = np.where(np.abs(swarm) < 2.56, np.copysign(0.0, swarm), swarm)
+        for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8, signed_zeros,
+                    swarm * 1e154, swarm * 1e-160):
             for rows in [None] + [block_rows(rng, n, m) for m in sizes]:
-                got = build_distance_matrix(pos, rows)
-                want = in_order_distances(pos, np.arange(n) if rows is None else rows)
+                with np.errstate(over="ignore"):
+                    got = build_distance_matrix(pos, rows)
+                    want = in_order_distances(pos, np.arange(n) if rows is None else rows)
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -182,11 +190,10 @@ class TestMatchesNumpySum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the result, one gap plane, a third (M, N) plane for the masks, the
-        # positions by coordinate, whole and for the rows, and the iterator
-        # buffers numpy gives the subtraction's two broadcast operands; the
-        # (M, N, D) gaps alone would take D (M, N) planes.
-        values = 3 * m * n + (n + m) * dim + 2 * np.getbufsize()
+        # the result, one gap plane, a third (M, N) plane for the masks, and
+        # the positions by coordinate, whole and for the rows; the (M, N, D)
+        # gaps alone would take D (M, N) planes.
+        values = 3 * m * n + (n + m) * dim
         assert peak < values * 8
 
 
