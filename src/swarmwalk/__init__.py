@@ -36,11 +36,10 @@ from swarmwalk.objectives import (
     eval_rosenbrock,
     eval_schaffer_n1,
     eval_sphere,
-    init_positions,
     make_objective,
 )
 from swarmwalk.pso import PsoState, pso_run, pso_step, pso_update_position, pso_update_velocity
-from swarmwalk.results import AggregateStats, RunResult, mean_best_fitness
+from swarmwalk.results import AggregateStats, RunResult, init_positions, mean_best_fitness
 from swarmwalk.rwpso import (
     RwpsoConfig,
     RwpsoState,

@@ -13,16 +13,9 @@ a full rebuild: IEEE subtraction is antisymmetric (x_i - x_j == -(x_j - x_i)
 exactly), so the squares, their per-pair sums over the coordinates and the
 square roots do not depend on which side of the pair computes them.
 
-Every block of distances, of any size and dimension, comes from one kernel
-that adds the squared gaps onto zero one coordinate at a time, in coordinate
-order, so each distance depends on no numpy summation order.  Each
-coordinate's (M, N) gap plane is the matrix product [here, -1] @ [1; there].
-Its two products, here * 1 and -1 * there, are exact, so a BLAS kernel
-with or without fused multiply-add, adding them in either order, rounds
-once to here - there; only a zero gap's sign may differ, and the gap is
-squared.  So each distance depends on no BLAS kernel either.  Besides the
-(M, N) result the kernel holds one (M, N) gap plane and the positions laid
-out by coordinate, at any dimension.
+Every block of distances, of any size and dimension, comes from one
+kernel, `build_distance_matrix`, whose bytes depend on no numpy summation
+order and no BLAS kernel; its docstring gives the argument.
 """
 
 from __future__ import annotations
@@ -50,16 +43,17 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     With `rows` None this is the symmetric N x N matrix.  Otherwise `rows`
     must be a 1-D array of integer indices in [0, N), possibly empty; a
     boolean mask or a fractional or out-of-range index raises ValueError.
-    So do positions with no coordinate or a non-finite one.  Each row's own
-    entry is SELF_WEIGHT, and an exact zero distance between two different
-    particles becomes COINCIDENT_DISTANCE.
+    So do positions with no coordinate, a non-finite one, or an overflowing
+    squared distance.  Each row's own entry is SELF_WEIGHT, and an exact
+    zero distance between two different particles becomes COINCIDENT_DISTANCE.
 
     Each distance is the square root of the D squared gaps added onto 0.0
     one at a time in coordinate order, and no (M, N, D) temporary is built:
     each coordinate's gaps are written into one (M, N) plane, squared in
     place and added onto the result.  The gaps are the two-term product
     here * 1 + (-1) * there, whose terms are exact, so the plane holds the
-    rounded here - there, up to a zero gap's sign, on any BLAS kernel; the
+    rounded here - there, up to a zero gap's sign, on any BLAS kernel (with
+    or without fused multiply-add, adding the terms in either order); the
     product is faster than numpy's broadcast subtraction, which loops over
     the plane row by row.  So whatever D is, the kernel needs only that
     plane besides the result, and the result depends on no numpy summation
@@ -75,8 +69,6 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     if rows.ndim != 1 or (rows.size > 0 and (rows.dtype.kind not in "iu"
                                              or rows.min() < 0 or rows.max() >= n)):
         raise ValueError(f"rows must be a 1-D array of particle indices in [0, {n})")
-    if not np.isfinite(pos).all():
-        raise ValueError("positions must be finite")
     rows = rows.astype(int, copy=False)
     m, d = rows.shape[0], pos.shape[1]
     # `left` holds the rows' coordinates over a row of -1, `right` a row of
@@ -88,10 +80,17 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
     left[:d] = pos[rows].T
     gap = np.empty((m, n))
     squared = np.zeros((m, n))
-    for c in range(d):
-        np.matmul(left[c::d - c].T, right[:c + 2:c + 1], out=gap)
-        np.multiply(gap, gap, out=gap)
-        squared += gap
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(d):
+            np.matmul(left[c::d - c].T, right[:c + 2:c + 1], out=gap)
+            np.multiply(gap, gap, out=gap)
+            squared += gap
+    # a non-finite coordinate or an overflow leaves a non-finite sum
+    if m == 0 or not np.isfinite(squared.max()):
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
+        if m:
+            raise ValueError(f"squared distances overflow: coordinates reach {abs(pos).max():.3g}")
     block = np.sqrt(squared, out=squared)
     block[block == 0.0] = COINCIDENT_DISTANCE
     block[np.arange(m), rows] = SELF_WEIGHT

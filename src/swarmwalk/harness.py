@@ -360,22 +360,28 @@ def write_results(stats, runs=None, fmt: str = "csv") -> str:
     """Render aggregates (and optionally per-run records) as CSV or JSON text.
 
     Writes nothing.  CSV holds one aggregate row per cell with full-precision
-    numbers.  JSON mirrors the aggregate records verbatim under
-    "aggregates", plus the per-run records under "runs" when provided.
+    numbers.  JSON is `json.dumps(document, indent=2)` and a newline: the
+    aggregates under "aggregates", and the run records, if given, under "runs".
     """
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for entry in stats:
-            # csv writes a float as its repr, which round-trips exactly
-            writer.writerow([getattr(entry, c) for c in CSV_COLUMNS])
+        # csv writes a float as its repr, which round-trips exactly
+        writer.writerows([getattr(entry, c) for c in CSV_COLUMNS] for entry in stats)
         return buffer.getvalue()
     if fmt == "json":
-        document: dict = {"aggregates": [entry.to_dict() for entry in stats]}
-        if runs is not None:
-            document["runs"] = [run.to_dict() for run in runs]
-        return json.dumps(document, indent=2) + "\n"
+        # run records one at a time, as an indenting encoder lists all chunks first
+        encode = json.JSONEncoder(indent=2).encode
+        text = encode({"aggregates": [entry.to_dict() for entry in stats]})
+        if runs is None:
+            return text + "\n"
+        pieces, separator = [text[:-2], ',\n  "runs": ['], "\n    "  # text less its "\n}"
+        for run in runs:  # each record two levels deep
+            pieces += separator, encode(run.to_dict()).replace("\n", "\n    ")
+            separator = ",\n    "
+        pieces.append("]\n}\n" if len(pieces) == 2 else "\n  ]\n}\n")
+        return "".join(pieces)
     raise ValueError(f"unknown output format {fmt!r}")
 
 

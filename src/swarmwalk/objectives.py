@@ -1,4 +1,4 @@
-"""Benchmark objective functions, their search domains, and swarm initialization.
+"""Benchmark objective functions and their search domains.
 
 Five benchmarks are provided: sphere, rosenbrock and rastrigin (single
 objective) plus binh4 and schaffer_n1 (two objectives each, collapsed to one
@@ -32,7 +32,6 @@ __all__ = [
     "eval_binh4",
     "eval_schaffer_n1",
     "OBJECTIVE_WEIGHT",
-    "init_positions",
     "make_objective",
 ]
 
@@ -156,14 +155,6 @@ def _binh4_fitness(x) -> float:
 def _schaffer_n1_fitness(x) -> float:
     f1, f2 = eval_schaffer_n1(float(x[0]))
     return f1 * OBJECTIVE_WEIGHT + f2 * OBJECTIVE_WEIGHT
-
-
-def init_positions(domain: SearchDomain, n_particles: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (N, dim) array of starting positions, uniform over the init range."""
-    if n_particles < 2:
-        raise ValueError("a swarm needs at least 2 particles")
-    return rng.uniform(domain.init_lower, domain.init_upper,
-                       size=(n_particles, domain.dim))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
+from swarmwalk.objectives import ObjectiveSpec, SearchDomain
 from swarmwalk.results import RunConfig, RunResult, run_loop
 
 __all__ = [
@@ -95,21 +95,17 @@ class PsoState:
     fitnesses: np.ndarray
     personal_best_positions: np.ndarray
     personal_best_fitnesses: np.ndarray
-    iteration: int
+    iteration: int = 0
 
 
-def init_state(objective: ObjectiveSpec, config: RunConfig,
-               rng: np.random.Generator) -> PsoState:
-    """Asymmetric-init positions, zero velocities, personal bests seeded from the start."""
-    positions = init_positions(objective.domain, config.swarm_size, rng)
-    fitnesses = objective.evaluate_batch(positions)
+def init_state(positions: np.ndarray, fitnesses: np.ndarray) -> PsoState:
+    """The start swarm with zero velocities and personal bests seeded from it."""
     return PsoState(
         positions=positions,
         velocities=np.zeros_like(positions),
         fitnesses=fitnesses,
         personal_best_positions=positions.copy(),
         personal_best_fitnesses=fitnesses.copy(),
-        iteration=0,
     )
 
 

@@ -1,4 +1,4 @@
-"""Run-level and cell-level result records shared by the optimizers and harness."""
+"""The optimizers' shared run loop, start swarm included, and the run and cell records."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 __all__ = ["RunConfig", "RunResult", "AggregateStats", "check_field_types",
-           "mean_best_fitness", "run_loop"]
+           "init_positions", "mean_best_fitness", "run_loop"]
 
 
 def _is_integer(value) -> bool:
@@ -128,20 +128,31 @@ def _swarm_best(state) -> tuple[float, np.ndarray]:
     return float(state.fitnesses[best]), state.positions[best].copy()
 
 
-def run_loop(algorithm: str, objective, config: RunConfig, init_state, step) -> RunResult:
-    """One seeded run of either optimizer: `init_state`, then `step` until the
-    iteration budget or the fitness threshold is met.
+def init_positions(domain, n_particles: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw an (N, dim) array of starting positions, uniform over the domain's init range."""
+    if n_particles < 2:
+        raise ValueError("a swarm needs at least 2 particles")
+    return rng.uniform(domain.init_lower, domain.init_upper, size=(n_particles, domain.dim))
 
-    States need carry only the swarm's `positions` and their `fitnesses`;
-    anything else in them is the step's own.  The loop keeps the run's
-    bookkeeping itself: the best-so-far fitness and position, taken from each
-    state and replaced only on a strict improvement (ties go to the lowest
-    index), and the iteration count, which is the length of its trace.  The
-    result's `dimension` is the objective's, and its `mean_best_80` is the
-    mean of the best 80% of the final swarm.
+
+def run_loop(algorithm: str, objective, config: RunConfig, init_state, step) -> RunResult:
+    """One seeded run of either optimizer until the iteration budget or the
+    fitness threshold is met.
+
+    The start swarm is the run Generator's first draw, scored by one
+    `evaluate_batch` call; `init_state(positions, fitnesses)` adds only the
+    optimizer's own memory, and `step` advances the state.  States need carry
+    only the swarm's `positions` and their `fitnesses`; anything else in them
+    is the step's own.  The loop keeps the run's bookkeeping itself: the
+    best-so-far fitness and position, taken from each state and replaced only
+    on a strict improvement (ties go to the lowest index), and the iteration
+    count, which is the length of its trace.  The result's `dimension` is the
+    objective's, and its `mean_best_80` is the mean of the best 80% of the
+    final swarm.
     """
     rng = np.random.default_rng(config.seed)
-    state = init_state(objective, config, rng)
+    positions = init_positions(objective.domain, config.swarm_size, rng)
+    state = init_state(positions, objective.evaluate_batch(positions))
     best_fitness, best_position = _swarm_best(state)
     initial_best_fitness = best_fitness
     threshold = config.fitness_threshold

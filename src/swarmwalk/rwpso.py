@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmwalk.graph import build_distance_matrix, hop_probabilities, update_distance_matrix
-from swarmwalk.objectives import ObjectiveSpec, SearchDomain, init_positions
+from swarmwalk.objectives import ObjectiveSpec, SearchDomain
 from swarmwalk.results import RunConfig, RunResult, _is_integer, run_loop
 
 __all__ = [
@@ -153,11 +153,8 @@ class RwpsoState:
     distances: np.ndarray
 
 
-def init_state(objective: ObjectiveSpec, config: RwpsoConfig,
-               rng: np.random.Generator) -> RwpsoState:
-    positions = init_positions(objective.domain, config.swarm_size, rng)
-    return RwpsoState(positions, objective.evaluate_batch(positions),
-                      build_distance_matrix(positions))
+def init_state(positions: np.ndarray, fitnesses: np.ndarray) -> RwpsoState:
+    return RwpsoState(positions, fitnesses, build_distance_matrix(positions))
 
 
 def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,

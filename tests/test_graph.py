@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestDistanceMatrix:
             update_distance_matrix(np.ones((len(positions),) * 2), positions,
                                    np.ones(len(positions), dtype=bool))
 
+    @pytest.mark.parametrize("positions", [
+        pytest.param([[0.0, 0.0], [2e154, 0.0], [0.0, 1.0]], id="squared-gap"),
+        pytest.param([[0.0, 0.0], [1e154, 1e154], [0.0, 1.0]], id="sum-of-squares"),
+    ])
+    @pytest.mark.parametrize("rows", [None, [0]], ids=["full", "one-row"])
+    def test_overflowing_distances_are_refused(self, positions, rows):
+        # an inf distance would turn the hop matrix's columns into nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                build_distance_matrix(positions, rows)
+
     @pytest.mark.parametrize("rows", [
         pytest.param([True, False, True, False], id="bool-mask"),
         pytest.param([1.5], id="fractional"),
@@ -162,14 +175,13 @@ class TestMatchesNumpySum:
         sizes = sorted({1, round(0.79 * n), n} | (heights & set(range(1, n + 1))))
         # a spread swarm, one scaled to ~1e-8, one collapsed around a point,
         # one with half its coordinates +0.0 or -0.0, and two scaled so far
-        # that most squared gaps overflow to inf or are subnormal or zero
+        # that the squared gaps reach ~1e302 or are subnormal or zero
         signed_zeros = np.where(np.abs(swarm) < 2.56, np.copysign(0.0, swarm), swarm)
         for pos in (swarm, swarm * 1e-8, 3.0 + swarm * 1e-8, signed_zeros,
-                    swarm * 1e154, swarm * 1e-160):
+                    swarm * 1e150, swarm * 1e-160):
             for rows in [None] + [block_rows(rng, n, m) for m in sizes]:
-                with np.errstate(over="ignore"):
-                    got = build_distance_matrix(pos, rows)
-                    want = in_order_distances(pos, np.arange(n) if rows is None else rows)
+                got = build_distance_matrix(pos, rows)
+                want = in_order_distances(pos, np.arange(n) if rows is None else rows)
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 

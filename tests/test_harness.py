@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,7 +32,8 @@ from swarmwalk.harness import (
 )
 from swarmwalk.objectives import FUNCTION_NAMES, ObjectiveSpec, make_objective
 from swarmwalk.pso import pso_run
-from swarmwalk.results import AggregateStats, RunConfig, mean_best_fitness, run_loop
+from swarmwalk.results import (AggregateStats, RunConfig, RunResult, init_positions,
+                               mean_best_fitness, run_loop)
 from swarmwalk.rwpso import RwpsoConfig, rwpso_run
 
 TINY = dict(
@@ -581,6 +583,15 @@ class TestRunLoop:
         result = run(make_objective("binh4"), config_class(swarm_size=4, max_iterations=3))
         assert result.dimension == 2 and result.best_position.shape == (2,)
 
+    def test_both_optimizers_start_from_one_swarm(self):
+        # the start swarm is the run Generator's first draw, scored once
+        objective = make_objective("rastrigin", 3)
+        config = RwpsoConfig(swarm_size=8, max_iterations=5, seed=9)
+        start = init_positions(objective.domain, 8, np.random.default_rng(9))
+        best = objective.evaluate_batch(start).min()
+        assert pso_run(objective, config).initial_best_fitness == best
+        assert rwpso_run(objective, config).initial_best_fitness == best
+
     def test_keeps_the_first_of_tied_bests(self):
         # Particles 1 and 2 share the best at the start, and step 1 only ties
         # it.  Step 2 improves on it at particles 0 and 2, and step 3 ties it.
@@ -811,6 +822,25 @@ class TestRunExperiment:
         assert "worker process crashed" in capsys.readouterr().err
 
 
+def synthetic_results(rows, runs, iterations):
+    """`rows` aggregate rows and `runs` run records (None for none) of seeded values."""
+    rng = np.random.default_rng(rows + iterations)
+    stats = [AggregateStats("rwpso", "sphere", 20, dim, 50, 40.5, *rng.random(3))
+             for dim in range(1, rows + 1)]
+    records = None if runs is None else [
+        RunResult("rwpso", "sphere", 20, 10, seed, iterations, 9.5, 0.25, rng.random(10),
+                  rng.random(iterations), 0.5)
+        for seed in range(runs)]
+    return stats, records
+
+
+def json_dumps_text(stats, runs):
+    document = {"aggregates": [entry.to_dict() for entry in stats]}
+    if runs is not None:
+        document["runs"] = [run.to_dict() for run in runs]
+    return json.dumps(document, indent=2) + "\n"
+
+
 class TestWriteAndRead:
     def test_csv_header_and_row_count(self, tmp_path):
         spec = ExperimentSpec(**TINY)
@@ -844,6 +874,24 @@ class TestWriteAndRead:
         assert document["runs"][0]["seed"] == outcome.runs[0].seed
         out.write_bytes(codecs.BOM_UTF8 + out.read_bytes())
         assert read_results(out) == outcome.aggregates
+
+    @pytest.mark.parametrize("rows, runs", [(2, None), (2, 0), (2, 3), (0, 3)],
+                             ids=["no-runs", "empty-runs", "runs", "no-aggregates"])
+    def test_json_is_the_text_of_json_dumps(self, rows, runs):
+        stats, records = synthetic_results(rows, runs, iterations=4)
+        assert write_results(stats, records, fmt="json") == json_dumps_text(stats, records)
+
+    def test_json_peak_stays_near_its_size(self):
+        # the whole document's chunk list would take over five times the text
+        stats, runs = synthetic_results(8, 400, iterations=300)
+        tracemalloc.start()
+        try:
+            text = write_results(stats, runs, fmt="json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == json_dumps_text(stats, runs)
+        assert peak <= 3 * len(text)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

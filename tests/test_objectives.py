@@ -18,9 +18,9 @@ from swarmwalk.objectives import (
     eval_rosenbrock,
     eval_schaffer_n1,
     eval_sphere,
-    init_positions,
     make_objective,
 )
+from swarmwalk.results import init_positions
 
 
 def _objective(name: str, dim: int) -> ObjectiveSpec:

@@ -11,13 +11,19 @@ from swarmwalk.pso import (
     pso_update_position,
     pso_update_velocity,
 )
-from swarmwalk.results import RunConfig
+from swarmwalk.results import RunConfig, init_positions
 
 
 def config(**kwargs) -> RunConfig:
     defaults = dict(swarm_size=5, max_iterations=10, seed=0)
     defaults.update(kwargs)
     return RunConfig(**defaults)
+
+
+def start_state(obj, cfg, rng):
+    """The state `run_loop` starts from: a start swarm drawn from `rng` and scored."""
+    positions = init_positions(obj.domain, cfg.swarm_size, rng)
+    return init_state(positions, obj.evaluate_batch(positions))
 
 
 class _FixedRng:
@@ -118,7 +124,7 @@ class TestBallisticMotion:
         # zero draws leave the step only its inertia term: v_t = w(t - 1) v_(t-1)
         obj = ObjectiveSpec("sphere", SearchDomain(2, -1e6, 1e6, 0.0, 0.0), eval_sphere)
         cfg = config(max_iterations=7)
-        state = init_state(obj, cfg, np.random.default_rng(0))
+        state = start_state(obj, cfg, np.random.default_rng(0))
         state.velocities = np.full((cfg.swarm_size, 2), 1.25)
         for t in range(7):
             x, v = state.positions, state.velocities
@@ -132,7 +138,7 @@ class TestBestTracking:
         obj = make_objective("rastrigin", 3)
         cfg = config(swarm_size=8, max_iterations=30, seed=4)
         rng = np.random.default_rng(4)
-        state = init_state(obj, cfg, rng)
+        state = start_state(obj, cfg, rng)
         for _ in range(30):
             state = pso_step(state, obj, cfg, rng)
             assert np.all(state.personal_best_fitnesses <= state.fitnesses + 1e-15)

@@ -7,6 +7,7 @@ from swarmwalk.graph import COINCIDENT_DISTANCE, build_distance_matrix, hop_prob
 from swarmwalk.harness import RWPSO_TUNING
 from swarmwalk.objectives import (ObjectiveSpec, SearchDomain, eval_rastrigin, eval_sphere,
                                   make_objective)
+from swarmwalk.results import init_positions
 from swarmwalk.rwpso import (
     WALK_HORIZON,
     RwpsoConfig,
@@ -30,6 +31,12 @@ def config(**kwargs) -> RwpsoConfig:
     defaults = dict(swarm_size=4, max_iterations=10, seed=0)
     defaults.update(kwargs)
     return RwpsoConfig(**defaults)
+
+
+def start_state(obj, cfg, rng):
+    """The state `run_loop` starts from: a start swarm drawn from `rng` and scored."""
+    positions = init_positions(obj.domain, cfg.swarm_size, rng)
+    return init_state(positions, obj.evaluate_batch(positions))
 
 
 class TestSelectTarget:
@@ -201,7 +208,7 @@ class TestStep:
         obj = ObjectiveSpec("sphere", SearchDomain(2, -10, 10, 0, 0), eval_sphere)
         cfg = config(swarm_size=2, gaussian_sigma=1e-12)
         rng = np.random.default_rng(0)
-        state = init_state(obj, cfg, rng)
+        state = start_state(obj, cfg, rng)
         new = rwpso_step(state, obj, cfg, rng)
         np.testing.assert_allclose(new.positions, state.positions, atol=1e-6)
 
@@ -212,7 +219,7 @@ class TestStep:
                             eval_rastrigin)
         cfg = config(swarm_size=6)
         rng = np.random.default_rng(11)
-        state = init_state(obj, cfg, rng)
+        state = start_state(obj, cfg, rng)
         off_diagonal = ~np.eye(6, dtype=bool)
         for _ in range(5):
             new = rwpso_step(state, obj, cfg, rng)
@@ -224,9 +231,9 @@ class TestStep:
     def test_same_seed_same_successor(self):
         obj = make_objective("rastrigin", 3)
         cfg = config(swarm_size=6, seed=5)
-        s1 = rwpso_step(init_state(obj, cfg, np.random.default_rng(5)),
+        s1 = rwpso_step(start_state(obj, cfg, np.random.default_rng(5)),
                         obj, cfg, np.random.default_rng(77))
-        s2 = rwpso_step(init_state(obj, cfg, np.random.default_rng(5)),
+        s2 = rwpso_step(start_state(obj, cfg, np.random.default_rng(5)),
                         obj, cfg, np.random.default_rng(77))
         np.testing.assert_array_equal(s1.positions, s2.positions)
         np.testing.assert_array_equal(s1.fitnesses, s2.fitnesses)
@@ -236,7 +243,7 @@ class TestStep:
         # uniforms before the normal block
         obj = make_objective("sphere", 4)
         cfg = config(swarm_size=7)
-        state = init_state(obj, cfg, np.random.default_rng(3))
+        state = start_state(obj, cfg, np.random.default_rng(3))
         rng = np.random.default_rng(9)
         r = rng.random(7)
         hops = hop_probabilities(state.distances, state.fitnesses)
@@ -256,7 +263,7 @@ class TestStep:
         obj = make_objective("rastrigin", 10)
         cfg = config(swarm_size=24, gaussian_sigma=RWPSO_TUNING["rastrigin"])
         rng = np.random.default_rng(4)
-        state = init_state(obj, cfg, rng)
+        state = start_state(obj, cfg, rng)
         unmoved = 0
         for _ in range(20):
             new = rwpso_step(state, obj, cfg, rng)
@@ -271,7 +278,7 @@ class TestStep:
         obj = make_objective("sphere", dim)
         cfg = config(swarm_size=n, seed=seed)
         rng = np.random.default_rng(seed)
-        state = init_state(obj, cfg, rng)
+        state = start_state(obj, cfg, rng)
         for _ in range(3):
             state = rwpso_step(state, obj, cfg, rng)
             assert np.all(state.positions >= obj.domain.lower)
