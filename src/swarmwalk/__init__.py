@@ -7,12 +7,7 @@ random-walk optimizer built on top of it, a classic inertia-weight PSO
 baseline, and an experiment harness with a CLI.
 """
 
-from swarmwalk.graph import (
-    build_distance_matrix,
-    compute_ranks,
-    hop_probabilities,
-    update_distance_matrix,
-)
+from swarmwalk.graph import build_distance_matrix, compute_ranks, hop_probabilities
 from swarmwalk.harness import (
     ALGORITHMS,
     DEFAULT_THRESHOLDS,
@@ -99,7 +94,6 @@ __all__ = [
     "rwpso_step",
     "select_target",
     "simple_walk",
-    "update_distance_matrix",
     "update_position",
     "walk_expectation",
     "write_results",

@@ -7,15 +7,9 @@ ranks (N for the best particle down to 1 for the worst) bias a random walker
 on this graph; the probability of hopping from source j to node i is
 rank_i * weight_ij, normalized over all i.
 
-The distance matrix can be carried from one iteration to the next with only
-the rows and columns of moved particles recomputed.  That is bit-identical to
-a full rebuild: IEEE subtraction is antisymmetric (x_i - x_j == -(x_j - x_i)
-exactly), so the squares, their per-pair sums over the coordinates and the
-square roots do not depend on which side of the pair computes them.
-
-Every block of distances, of any size and dimension, comes from one
-kernel, `build_distance_matrix`, whose bytes depend on no numpy summation
-order and no BLAS kernel; its docstring gives the argument.
+The distance matrix comes from one kernel, `build_distance_matrix`, whose
+bytes depend on no numpy summation order and no BLAS kernel; its docstring
+gives the argument.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ __all__ = [
     "SELF_WEIGHT",
     "COINCIDENT_DISTANCE",
     "build_distance_matrix",
-    "update_distance_matrix",
     "compute_ranks",
     "hop_probabilities",
 ]
@@ -37,19 +30,17 @@ SELF_WEIGHT = 1.0
 COINCIDENT_DISTANCE = 1e-9
 
 
-def build_distance_matrix(positions, rows=None) -> np.ndarray:
-    """Distances from the particles `rows` to every particle, shape (len(rows), N).
+def build_distance_matrix(positions) -> np.ndarray:
+    """Symmetric N x N matrix of the distances between the particles.
 
-    With `rows` None this is the symmetric N x N matrix.  Otherwise `rows`
-    must be a 1-D array of integer indices in [0, N), possibly empty; a
-    boolean mask or a fractional or out-of-range index raises ValueError.
-    So do positions with no coordinate, a non-finite one, or an overflowing
-    squared distance.  Each row's own entry is SELF_WEIGHT, and an exact
-    zero distance between two different particles becomes COINCIDENT_DISTANCE.
+    Positions with no coordinate, a non-finite one, or an overflowing
+    squared distance raise ValueError.  The diagonal is SELF_WEIGHT, and an
+    exact zero distance between two different particles becomes
+    COINCIDENT_DISTANCE.
 
     Each distance is the square root of the D squared gaps added onto 0.0
-    one at a time in coordinate order, and no (M, N, D) temporary is built:
-    each coordinate's gaps are written into one (M, N) plane, squared in
+    one at a time in coordinate order, and no (N, N, D) temporary is built:
+    each coordinate's gaps are written into one (N, N) plane, squared in
     place and added onto the result.  The gaps are the two-term product
     here * 1 + (-1) * there, whose terms are exact, so the plane holds the
     rounded here - there, up to a zero gap's sign, on any BLAS kernel (with
@@ -64,59 +55,29 @@ def build_distance_matrix(positions, rows=None) -> np.ndarray:
         raise ValueError("positions must be an (N, dim) array with dim >= 1")
     if pos.shape[0] < 2:
         raise ValueError("need at least 2 particles")
-    n = pos.shape[0]
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    if rows.ndim != 1 or (rows.size > 0 and (rows.dtype.kind not in "iu"
-                                             or rows.min() < 0 or rows.max() >= n)):
-        raise ValueError(f"rows must be a 1-D array of particle indices in [0, {n})")
-    rows = rows.astype(int, copy=False)
-    m, d = rows.shape[0], pos.shape[1]
-    # `left` holds the rows' coordinates over a row of -1, `right` a row of
-    # 1 over every particle's coordinates, so coordinate c's gap plane is
-    # the (M, 2) @ (2, N) product of their rows (c, d) and (0, c + 1).
-    right = np.ones((d + 1, n))
-    right[1:] = pos.T
-    left = np.full((d + 1, m), -1.0)
-    left[:d] = pos[rows].T
-    gap = np.empty((m, n))
-    squared = np.zeros((m, n))
+    n, d = pos.shape
+    # rows 1, coordinates, -1: coordinate c's gap plane is the (N, 2) @ (2, N)
+    # product of rows (c + 1, d + 1) and (0, c + 1)
+    terms = np.empty((d + 2, n))
+    terms[0] = 1.0
+    terms[1:d + 1] = pos.T
+    terms[d + 1] = -1.0
+    gap = np.empty((n, n))
+    squared = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for c in range(d):
-            np.matmul(left[c::d - c].T, right[:c + 2:c + 1], out=gap)
+            np.matmul(terms[c + 1::d - c].T, terms[:c + 2:c + 1], out=gap)
             np.multiply(gap, gap, out=gap)
             squared += gap
     # a non-finite coordinate or an overflow leaves a non-finite sum
-    if m == 0 or not np.isfinite(squared.max()):
+    if not np.isfinite(squared.max()):
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
-        if m:
-            raise ValueError(f"squared distances overflow: coordinates reach {abs(pos).max():.3g}")
-    block = np.sqrt(squared, out=squared)
-    block[block == 0.0] = COINCIDENT_DISTANCE
-    block[np.arange(m), rows] = SELF_WEIGHT
-    return block
-
-
-def update_distance_matrix(matrix, positions, moved) -> np.ndarray:
-    """Copy of `matrix` with the rows and columns of the `moved` particles recomputed.
-
-    `matrix` holds the distances of the previous positions, shape (N, N), and
-    `moved` is a boolean mask over the N particles, shape (N,); other shapes
-    raise ValueError.  The result equals build_distance_matrix(positions)
-    bit for bit.
-    """
-    pos = np.asarray(positions, dtype=float)
-    updated = np.array(matrix, dtype=float)
-    if pos.ndim == 2:  # build_distance_matrix refuses other positions
-        n = pos.shape[0]
-        if np.shape(moved) != (n,) or updated.shape != (n, n):
-            raise ValueError(f"for {n} particles `moved` must have shape ({n},) and `matrix` "
-                             f"({n}, {n}), got {np.shape(moved)} and {updated.shape}")
-    rows = np.flatnonzero(moved)
-    block = build_distance_matrix(pos, rows)
-    updated[rows] = block
-    updated[:, rows] = block.T
-    return updated
+        raise ValueError(f"squared distances overflow: coordinates reach {abs(pos).max():.3g}")
+    matrix = np.sqrt(squared, out=squared)
+    matrix[matrix == 0.0] = COINCIDENT_DISTANCE
+    np.fill_diagonal(matrix, SELF_WEIGHT)
+    return matrix
 
 
 def compute_ranks(fitnesses) -> np.ndarray:

@@ -79,7 +79,7 @@ class ExperimentSpec:
     build.  So a swarm too large to allocate, a bad dimension or a bad
     `gaussian_sigma` fails here rather than in the middle of a sweep.  At
     every D the rest of a run's memory grows with N, not with N * N * D: the
-    distance kernel holds one (M, N) gap plane beside its (M, N) result
+    distance kernel holds one (N, N) gap plane beside its (N, N) result
     (see `graph.build_distance_matrix`).
     """
 

@@ -24,7 +24,9 @@ def _is_real(value) -> bool:
 def _is_finite_real(value) -> bool:
     """A real number that is not nan or infinite and fits a float; an int
     too large for a float is refused here, before `float()` would overflow."""
-    return _is_real(value) and abs(value) <= sys.float_info.max
+    if _is_integer(value):
+        return abs(value) <= sys.float_info.max
+    return _is_real(value) and math.isfinite(value)
 
 
 # Declared annotation (its text, as `from __future__ import annotations`

@@ -1,17 +1,16 @@
 """Velocity-free particle mover driven by rank-biased random walks.
 
-Each iteration brings the swarm graph up to date (only the distances of
-particles that moved are recomputed), then every particle j draws a uniform
-r and hops: if r falls below the smallest entry of column j of the hop
-matrix (its hop distribution) it targets the particle holding that smallest
-probability, otherwise it targets the particle holding the largest
-probability.  The first branch almost never fires, so particle j in
-effect targets the argmax over i of rank_i * d_ij, its own entry
-rank_j * 1 (the self-loop weight) among them.  A particle stays put when
-that own entry wins: its gap to itself is 0, and so is its noise
-(REPORT.md, "How often the coin fires", counts both).  Movement
-toward the target is the walk's mean, not a sampled walk: the expected drift
-K of a constrained biased walk tuned to cover the displacement in
+Each iteration builds the swarm graph from the current positions, then
+every particle j draws a uniform r and hops: if r falls below the smallest
+entry of column j of the hop matrix (its hop distribution) it targets the
+particle holding that smallest probability, otherwise it targets the
+particle holding the largest probability.  The first branch almost never
+fires, so particle j in effect targets the argmax over i of rank_i * d_ij,
+its own entry rank_j * 1 (the self-loop weight) among them.  A particle
+stays put when that own entry wins: its gap to itself is 0, and so is its
+noise (REPORT.md, "How often the coin fires", counts both).  Movement
+toward the target is the walk's mean, not a sampled walk: the expected
+drift K of a constrained biased walk tuned to cover the displacement in
 `WALK_HORIZON` = 2 steps, which takes the particle to the midpoint toward
 its target (REPORT.md, "Move ablation"), plus a zero-mean Gaussian
 perturbation drawn from K, whose scale is `gaussian_sigma` times the mean
@@ -27,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmwalk.graph import build_distance_matrix, hop_probabilities, update_distance_matrix
+from swarmwalk import graph
 from swarmwalk.objectives import ObjectiveSpec, SearchDomain
-from swarmwalk.results import RunConfig, RunResult, _is_integer, run_loop
+from swarmwalk.results import RunConfig, RunResult, _is_finite_real, _is_integer, run_loop
 
 __all__ = [
     "WALK_HORIZON",
@@ -99,10 +98,13 @@ def compute_delta(displacement: float, n: int) -> float:
     the complementary walk has expected drift d/n per step and lands on the
     target in expectation after n steps.  Outside that range no unit-step
     walk covers d in n steps, and the value leaves [0, 1]
-    (`compute_delta(3.0, 2)` is -0.25).
+    (`compute_delta(3.0, 2)` is -0.25).  A displacement that is no finite
+    real number (a str, a bool, nan or inf) raises ValueError.
     """
     if not (_is_integer(n) and n >= 1):
         raise ValueError(f"step count must be an integer >= 1, got {n}")
+    if not _is_finite_real(displacement):
+        raise ValueError(f"displacement must be a finite number, got {displacement!r}")
     return (1.0 - displacement / n) / 2.0
 
 
@@ -145,21 +147,21 @@ def update_position(positions, k, g, domain: SearchDomain) -> np.ndarray:
 class RwpsoState:
     """Mutable-by-replacement snapshot of one run; steps return fresh states.
 
-    `distances` is build_distance_matrix(positions), carried across steps.
+    The walker keeps no memory beyond the swarm and its fitnesses: each step
+    builds its graph from them.
     """
 
     positions: np.ndarray
     fitnesses: np.ndarray
-    distances: np.ndarray
 
 
 def init_state(positions: np.ndarray, fitnesses: np.ndarray) -> RwpsoState:
-    return RwpsoState(positions, fitnesses, build_distance_matrix(positions))
+    return RwpsoState(positions, fitnesses)
 
 
 def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
                rng: np.random.Generator) -> RwpsoState:
-    """Advance the whole swarm one iteration against a frozen graph snapshot.
+    """Advance the whole swarm one iteration against the graph of its current positions.
 
     Per particle this draws one uniform for target selection and
     `objective.dim` normals for the perturbation; the batch draw order (all
@@ -167,15 +169,13 @@ def rwpso_step(state: RwpsoState, objective: ObjectiveSpec, config: RwpsoConfig,
     contract.
     """
     r = rng.random(config.swarm_size)
-    hops = hop_probabilities(state.distances, state.fitnesses)
+    # through the module, so a wrapper on graph.build_distance_matrix sees every build
+    hops = graph.hop_probabilities(graph.build_distance_matrix(state.positions), state.fitnesses)
     targets = state.positions[select_target(hops, r)]
     k = displacement_vector(state.positions, targets)
     positions = update_position(state.positions, k, gaussian_term(config, rng, k),
                                 objective.domain)
-    fitnesses = objective.evaluate_batch(positions)
-    moved = np.any(positions != state.positions, axis=1)
-    return RwpsoState(positions, fitnesses,
-                      update_distance_matrix(state.distances, positions, moved))
+    return RwpsoState(positions, objective.evaluate_batch(positions))
 
 
 def rwpso_run(objective: ObjectiveSpec, config: RwpsoConfig) -> RunResult:

@@ -3,17 +3,18 @@
 These are standalone statistical primitives, each returning the final
 position after n steps.  A step lands `+step_plus` with probability p and
 `-step_minus` otherwise; the sign convention is fixed so that +1 is always
-the p-probability outcome.  The simple walk is the fair unit-step special
-case.  `walk_expectation` is the closed-form mean used as an oracle by the
-statistical tests, and the rank-biased particle mover uses these walks as
-the reference model for its per-step drift.
+the p-probability outcome.  Step lengths must be finite real numbers; a
+str, a bool, nan or inf raises ValueError.  The simple walk is the fair
+unit-step special case.  `walk_expectation` is the closed-form mean used
+as an oracle by the statistical tests, and the rank-biased particle mover
+uses these walks as the reference model for its per-step drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from swarmwalk.results import _is_integer, _is_real
+from swarmwalk.results import _is_finite_real, _is_integer, _is_real
 
 __all__ = [
     "simple_walk",
@@ -35,6 +36,12 @@ def _check_probability(p: float) -> float:
     return float(p)
 
 
+def _check_length(name: str, value: float) -> float:
+    if not _is_finite_real(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def biased_walk(n: int, p: float, rng: np.random.Generator) -> int:
     """Unit-step walk: +1 with probability p, else -1; returns the final position S_n."""
     return int(constrained_biased_walk(n, p, 1.0, 1.0, rng))
@@ -51,7 +58,8 @@ def constrained_biased_walk(n: int, p: float, step_plus: float, step_minus: floa
     returns the final position."""
     n = _check_steps(n)
     p = _check_probability(p)
-    steps = np.where(rng.random(n) < p, float(step_plus), -float(step_minus))
+    plus, minus = _check_length("step_plus", step_plus), _check_length("step_minus", step_minus)
+    steps = np.where(rng.random(n) < p, plus, -minus)
     return float(steps.sum())
 
 
@@ -60,5 +68,6 @@ def walk_expectation(n: int, p: float, step_plus: float = 1.0,
     """Closed-form mean final position: n (p step_plus - (1 - p) step_minus)."""
     n = _check_steps(n)
     p = _check_probability(p)
-    return n * (p * float(step_plus) - (1.0 - p) * float(step_minus))
+    plus, minus = _check_length("step_plus", step_plus), _check_length("step_minus", step_minus)
+    return n * (p * plus - (1.0 - p) * minus)
 

@@ -15,7 +15,7 @@ one step of the walk per coordinate instead of taking its mean.
 import numpy as np
 import pytest
 
-from swarmwalk.graph import hop_probabilities, update_distance_matrix
+from swarmwalk.graph import build_distance_matrix, hop_probabilities
 from swarmwalk.objectives import make_objective
 from swarmwalk.results import run_loop
 from swarmwalk.rwpso import (
@@ -36,7 +36,8 @@ SEEDS = range(5)
 
 
 def paper_targets(state, r):
-    return select_target(hop_probabilities(state.distances, state.fitnesses), r)
+    hops = hop_probabilities(build_distance_matrix(state.positions), state.fitnesses)
+    return select_target(hops, r)
 
 
 def gbest_targets(state, r):
@@ -87,10 +88,7 @@ def ablation_step(choose_targets, move):
         targets = state.positions[choose_targets(state, r)]
         k = displacement_vector(state.positions, targets)
         positions = update_position(state.positions, *move(config, rng, k), objective.domain)
-        fitnesses = objective.evaluate_batch(positions)
-        moved = np.any(positions != state.positions, axis=1)
-        return RwpsoState(positions, fitnesses,
-                          update_distance_matrix(state.distances, positions, moved))
+        return RwpsoState(positions, objective.evaluate_batch(positions))
     return step
 
 

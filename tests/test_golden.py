@@ -53,17 +53,16 @@ VARIANTS = {
     # D = 10 and 30 add ten and thirty coordinate planes onto each distance
     # and run the objectives' sums through numpy's 8-way pairwise
     # summation, and rastrigin's `RWPSO_TUNING` sigma leaves over half the
-    # walker's particle-steps unmoved, so this pins the distance matrix
-    # carried across iterations.
+    # walker's particle-steps unmoved, so this pins the graphs of swarms
+    # in which many particles stay put.
     "wide": {
         "functions": ["sphere", "rosenbrock", "rastrigin"],
         "population_sizes": [24],
         "dimensions": [10, 30],
         "max_iterations": 60,
     },
-    # N=160 gives the walker full distance builds and row updates of more
-    # than 80 rows; rastrigin's `RWPSO_TUNING` sigma leaves some particles
-    # unmoved, so row blocks of many sizes occur.
+    # N=160 gives the walker distance builds of 160 x 160, gap products
+    # large enough for a threaded BLAS to split.
     "large": {
         "functions": ["sphere", "rastrigin"],
         "population_sizes": [160],
@@ -183,15 +182,10 @@ def test_distance_matrix_digest(dim):
     assert _digest(matrix) == DISTANCE_DIGESTS[dim], _recorded_with()
 
 
-# N=160 swarms pin both the full build and a 126-row block (about 0.79 N,
-# the walker's mean moved share on sphere N=160 D=30), each summed in one
-# (M, N) gap plane, one coordinate plane at a time.  At D=8, 10, 17 and 30
-# that order differs from numpy's 8-way pairwise sum; np.sum adds fewer
-# than 8 values in order too, so at D=3 the digests equal np.sum's.
-LARGE_DISTANCE_DIMS = (3, 8, 10, 17, 30)
-LARGE_BLOCK_ROWS = np.sort(np.random.default_rng(3006).permutation(160)[:126])
-
-
+# N=160 swarms pin the full build, summed in one (N, N) gap plane, one
+# coordinate plane at a time.  At D=8, 10, 17 and 30 that order differs
+# from numpy's 8-way pairwise sum; np.sum adds fewer than 8 values in
+# order too, so at D=3 the digests equal np.sum's.
 def _large_distance_swarm(dim: int) -> np.ndarray:
     positions = np.random.default_rng(2000 + dim).uniform(-5.0, 5.0, size=(160, dim))
     positions[101] = positions[17]  # one coincident pair
@@ -204,32 +198,24 @@ LARGE_DISTANCE_DIGESTS = {
     ("full", 10): "d1d0f92747b121392add23bddcc42b8f79df0bcceb383e6c562846a110fe34bf",
     ("full", 17): "8debc49e570c58ca6d48da9fb5be70a34224640926a35349e53290992b0de8b2",
     ("full", 30): "ae4faa31381248fcf75d1b6d7447bfb818eba9b6ff0b45f4704de41cee728a5f",
-    ("rows", 3): "e2d7f9c280182f5ed2e4f2976e43022d001e161592d0829600d2647d10fdbf21",
-    ("rows", 8): "8f00e6653c654b5cc97e6c3df66cdea3eb3322c9450980824ae1bebe39d093bc",
-    ("rows", 10): "a8835c4b43afd9584e47d41eef11071b0e09e1d2b9b6b9c10b41309dbee437d8",
-    ("rows", 17): "59b0086fe8aa23186b0d21bc131478a3e1d4d60dd2f310787d2c53f04aa0b130",
-    ("rows", 30): "76ee063c2cfbdd39f03eb3974cd5a24b104d130a47b60570f0b966a9e6ac15f8",
 }
 
 
 @pytest.mark.parametrize("part, dim", sorted(LARGE_DISTANCE_DIGESTS))
 def test_large_distance_matrix_digest(part, dim):
-    rows = None if part == "full" else LARGE_BLOCK_ROWS
-    matrix = build_distance_matrix(_large_distance_swarm(dim), rows)
+    matrix = build_distance_matrix(_large_distance_swarm(dim))
     assert np.count_nonzero(matrix == COINCIDENT_DISTANCE) == 2
     assert _digest(matrix) == LARGE_DISTANCE_DIGESTS[(part, dim)], _recorded_with()
 
 
 # Rerun in the child: one digest that every function and both algorithms
-# reach, the two scalarized functions' evaluate digests, a full N=160 D=30
-# distance build, which adds thirty coordinate planes onto 160 rows, and
-# the 126-row block, whose gap products take a strided view of the rows.
+# reach, the two scalarized functions' evaluate digests, and a full N=160
+# D=30 distance build, which adds thirty coordinate planes onto 160 rows.
 CHILD_TESTS = [
     "test_run_output_digest[base-csv]",
     "test_objective_evaluate_digest[binh4-2]",
     "test_objective_evaluate_digest[schaffer_n1-1]",
     "test_large_distance_matrix_digest[full-30]",
-    "test_large_distance_matrix_digest[rows-30]",
 ]
 
 # The child first checks that numpy did switch the features off.

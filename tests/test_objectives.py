@@ -204,6 +204,20 @@ class TestScalarize:
         assert make_objective("schaffer_n1").evaluate([1.0]) == 1.0  # (1, 1)
         assert make_objective("binh4").evaluate([1.0, 1.0]) == -1.25  # (0, -2.5)
 
+    # Closed-form minima of the equal-weight sums.  binh4's is
+    # 0.5 x^2 - 0.25 x - y - 0.5, least at x = 0.25 on the box's top edge
+    # y = 4; schaffer_n1's is x^2 - 2x + 2, least at x = 1.
+    @pytest.mark.parametrize("name, optimum, value, grid", [
+        pytest.param("binh4", [0.25, 4.0], -4.53125, 221, id="binh4"),
+        pytest.param("schaffer_n1", [1.0], 1.0, 20001, id="schaffer_n1"),
+    ])
+    def test_closed_form_optimum(self, name, optimum, value, grid):
+        obj = make_objective(name)
+        assert obj.evaluate(optimum) == value
+        axis = np.linspace(obj.domain.lower, obj.domain.upper, grid)
+        points = np.stack(np.meshgrid(*[axis] * obj.dim), axis=-1).reshape(-1, obj.dim)
+        assert obj.evaluate_batch(points).min() >= value
+
     def test_plain_weighted_sum_bit_for_bit(self):
         # a BLAS dot product may fuse the multiply and the add on FMA CPUs
         for name, evaluator in (("binh4", eval_binh4), ("schaffer_n1", eval_schaffer_n1)):

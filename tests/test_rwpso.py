@@ -3,6 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from swarmwalk import graph
+from swarmwalk import rwpso as rwpso_module
 from swarmwalk.graph import COINCIDENT_DISTANCE, build_distance_matrix, hop_probabilities
 from swarmwalk.harness import RWPSO_TUNING
 from swarmwalk.objectives import (ObjectiveSpec, SearchDomain, eval_rastrigin, eval_sphere,
@@ -99,6 +101,18 @@ class TestComputeDelta:
     def test_horizon_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match=rf"step count must be an integer >= 1, got {n}"):
             compute_delta(1.0, n)
+
+    @pytest.mark.parametrize("d", ["2", True, float("nan"), float("inf"), float("-inf")],
+                             ids=["str", "bool", "nan", "inf", "-inf"])
+    def test_displacement_must_be_a_finite_number(self, d):
+        with pytest.raises(ValueError, match=rf"displacement must be a finite number, got {d!r}"):
+            compute_delta(d, 2)
+
+    @pytest.mark.parametrize("d", [3, np.float64(3.0), np.float32(3.0), np.int64(3)],
+                             ids=["int", "float64", "float32", "int64"])
+    def test_numeric_displacements_are_taken(self, d):
+        assert compute_delta(d, 2) == -0.25
+        assert compute_delta(-d, 2) == 1.25
 
     @given(st.floats(-1e6, 1e6), st.integers(1, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -225,7 +239,8 @@ class TestStep:
             new = rwpso_step(state, obj, cfg, rng)
             assert new.positions.tobytes() == state.positions.tobytes()
             assert new.fitnesses.tobytes() == state.fitnesses.tobytes()
-            assert np.all(new.distances[off_diagonal] == COINCIDENT_DISTANCE)
+            distances = build_distance_matrix(new.positions)
+            assert np.all(distances[off_diagonal] == COINCIDENT_DISTANCE)
             state = new
 
     def test_same_seed_same_successor(self):
@@ -246,7 +261,7 @@ class TestStep:
         state = start_state(obj, cfg, np.random.default_rng(3))
         rng = np.random.default_rng(9)
         r = rng.random(7)
-        hops = hop_probabilities(state.distances, state.fitnesses)
+        hops = hop_probabilities(build_distance_matrix(state.positions), state.fitnesses)
         chosen = select_target(hops, r)
         # a single particle is a one-column input and gets the same target
         singles = [select_target(hops[:, j:j + 1], r[j:j + 1])[0] for j in range(7)]
@@ -259,18 +274,27 @@ class TestStep:
         np.testing.assert_array_equal(new.positions, expected)
         np.testing.assert_array_equal(new.fitnesses, [obj.evaluate(p) for p in expected])
 
-    def test_carried_distances_equal_a_rebuild(self):
-        obj = make_objective("rastrigin", 10)
-        cfg = config(swarm_size=24, gaussian_sigma=RWPSO_TUNING["rastrigin"])
-        rng = np.random.default_rng(4)
-        state = start_state(obj, cfg, rng)
-        unmoved = 0
-        for _ in range(20):
-            new = rwpso_step(state, obj, cfg, rng)
-            unmoved += int(np.sum(np.all(new.positions == state.positions, axis=1)))
-            state = new
-            assert state.distances.tobytes() == build_distance_matrix(state.positions).tobytes()
-        assert unmoved > 0  # the partial update, not only full rewrites, was exercised
+    def test_each_step_builds_its_graph_once_from_its_start_swarm(self, monkeypatch):
+        # rastrigin's tuned sigma leaves some particles unmoved on most steps
+        builds, starts = [], []
+        build, step = graph.build_distance_matrix, rwpso_module.rwpso_step
+
+        def recording_build(*args, **kwargs):
+            builds.append((np.array(args[0]), args[1:], kwargs))
+            return build(*args, **kwargs)
+
+        def recording_step(state, *args):
+            starts.append(state.positions.copy())
+            return step(state, *args)
+
+        monkeypatch.setattr(graph, "build_distance_matrix", recording_build)
+        monkeypatch.setattr(rwpso_module, "rwpso_step", recording_step)
+        cfg = config(swarm_size=24, max_iterations=20, gaussian_sigma=RWPSO_TUNING["rastrigin"])
+        result = rwpso_run(make_objective("rastrigin", 10), cfg)
+        assert result.iterations_used == len(builds) == len(starts) == 20
+        for (positions, more_args, kwargs), start in zip(builds, starts):
+            assert more_args == () and kwargs == {}
+            assert positions.tobytes() == start.tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)

@@ -68,6 +68,41 @@ def test_step_count_must_be_an_integer(walk, n):
         walk(n)
 
 
+# The step lengths of a constrained walk, called with (+length, -length).
+LENGTH_TAKERS = {
+    "constrained_biased_walk": lambda plus, minus: constrained_biased_walk(
+        3, 0.5, plus, minus, np.random.default_rng(0)),
+    "walk_expectation": lambda plus, minus: walk_expectation(4, 0.5, plus, minus),
+}
+BAD_LENGTHS = [pytest.param(v, id=i) for v, i in [
+    ("2", "str"), (True, "bool"), (float("nan"), "nan"),
+    (float("inf"), "inf"), (float("-inf"), "-inf")]]
+
+
+@pytest.mark.parametrize("side", ["step_plus", "step_minus"])
+@pytest.mark.parametrize("length", BAD_LENGTHS)
+@pytest.mark.parametrize("walk", LENGTH_TAKERS.values(), ids=LENGTH_TAKERS.keys())
+def test_step_length_must_be_a_finite_number(walk, length, side):
+    # neither converted from text nor read as a bool's 0 or 1
+    lengths = (length, 1.0) if side == "step_plus" else (1.0, length)
+    with pytest.raises(ValueError, match=rf"{side} must be a finite number, got {length!r}"):
+        walk(*lengths)
+
+
+@pytest.mark.parametrize("plus, minus", [
+    pytest.param(2, 1, id="ints"),
+    pytest.param(np.float64(2.0), np.float32(1.0), id="numpy-floats"),
+    pytest.param(np.int64(2), np.int64(1), id="numpy-ints"),
+    pytest.param(-2.0, 1.0, id="negative"),
+])
+def test_finite_step_lengths_are_taken(plus, minus):
+    p = 0.5
+    assert walk_expectation(4, p, plus, minus) == 4 * (p * float(plus) - (1 - p) * float(minus))
+    rng = np.random.default_rng(0)
+    assert constrained_biased_walk(1, 1.0, plus, minus, rng) == float(plus)
+    assert constrained_biased_walk(1, 0.0, plus, minus, rng) == -float(minus)
+
+
 @given(st.integers(0, 300), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_parity_and_range(n, seed):
